@@ -23,13 +23,10 @@ from .diagnostics import (
     RateCertificate,
     certificate_ceiling,
     consistency_report,
-    effective_error_bound,
-    effective_error_bounds,
     quasi_fejer_violations,
     rate_certificate,
 )
 from .engine import (
-    PROBLEM_KINDS,
     ROUTES,
     STOP_REASONS,
     Problem,
@@ -40,7 +37,6 @@ from .engine import (
     km,
 )
 from .operators import (
-    OPERATOR_KINDS,
     IsmOperator,
     OperatorSpec,
     inner,
@@ -66,19 +62,14 @@ from .schedules import (
     delta_threshold,
     emit_error,
     lambda_ceiling_ii,
-    scale_ceiling_for_averaged,
-    validate_conditions_i,
-    validate_conditions_ii,
     validate_schedule,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "PROBLEM_KINDS",
     "ROUTES",
     "STOP_REASONS",
-    "OPERATOR_KINDS",
     "ERROR_KINDS",
     "Problem",
     "RunResult",
@@ -106,12 +97,9 @@ __all__ = [
     "emit_error",
     "ConditionCheck",
     "ConditionReport",
-    "validate_conditions_i",
-    "validate_conditions_ii",
     "validate_schedule",
     "delta_threshold",
     "lambda_ceiling_ii",
-    "scale_ceiling_for_averaged",
     "RateCertificate",
     "rate_certificate",
     "certificate_ceiling",
@@ -119,8 +107,6 @@ __all__ = [
     "ConsistencyItem",
     "ConsistencyReport",
     "consistency_report",
-    "effective_error_bound",
-    "effective_error_bounds",
     "LassoInstance",
     "plant_lasso",
     "lasso_kkt_gap",

@@ -44,7 +44,7 @@ from .schedules import (
     delayed_inertia_schedule,
     delta_threshold,
     lambda_ceiling_ii,
-    validate_conditions_ii,
+    validate_schedule,
 )
 
 BIT_IDENTITY_TOL = 0.0  # criterion 1: trajectories must agree exactly
@@ -101,8 +101,6 @@ def contraction_problem(
         operator=make_affine(q, b),
         z0=z0,
         z_star=z_star,
-        kind="fixed-point",
-        name=f"contraction-{dim}",
     )
 
 
@@ -131,15 +129,13 @@ def quadratic_prox_problem(
         operator=make_affine(a, offset, theta=0.5),
         z0=z0,
         z_star=z_star,
-        kind="minimization",
-        name=f"quad-prox-{dim}",
     )
 
 
 def interval_prox_problem() -> Problem:
     """Projection onto [-0.5, 0.5] from outside; the limit is the endpoint 0.5."""
     op = make_box_projection([-0.5], [0.5])
-    return Problem(operator=op, z0=[1.2], z_star=[0.5], kind="minimization", name="interval")
+    return Problem(operator=op, z0=[1.2], z_star=[0.5])
 
 
 def translation_problem(dim: int = 8, speed: float = 0.01, seed: int = 808) -> Problem:
@@ -150,8 +146,6 @@ def translation_problem(dim: int = 8, speed: float = 0.01, seed: int = 808) -> P
         operator=make_affine(np.eye(dim), v),
         z0=rng.standard_normal(dim),
         z_star=None,
-        kind="fixed-point",
-        name="translation",
     )
 
 
@@ -304,7 +298,7 @@ def criterion_4() -> CriterionResult:
         dl = float(rng.uniform(1e-3, 3.0))
         lm = float(rng.uniform(0.01, 1.2))
         s = delayed_inertia_schedule(a, lm, sigma=sg, delta=dl)
-        rep = validate_conditions_ii(s, horizon=8)
+        rep = validate_schedule(s, horizon=8)
         c = a * (1.0 + a) + a * dl + sg
         direct = (dl > delta_threshold(a, sg)) and ((a + dl * lm) * c + dl * lm <= dl)
         if rep.feasible != direct:
@@ -316,10 +310,10 @@ def criterion_4() -> CriterionResult:
         and lambda_ceiling_ii(0.0, 0.3, 1.0) == 1.0 / 1.3
         and delta_threshold(0.5, 0.0) == INFEASIBLE_THRESHOLD_PIN
     )
-    at_ceiling = validate_conditions_ii(
+    at_ceiling = validate_schedule(
         delayed_inertia_schedule(0.1, CEILING_PIN, sigma=0.01, delta=1.0), horizon=8
     ).feasible
-    infeasible_example = not validate_conditions_ii(
+    infeasible_example = not validate_schedule(
         delayed_inertia_schedule(0.5, 0.3, sigma=0.0, delta=0.4), horizon=8
     ).feasible
     passed = mismatches == 0 and pins_ok and at_ceiling and infeasible_example

@@ -49,7 +49,6 @@ def solve_ppa(
     *,
     z_star=None,
     route: str = "unwrap",
-    name: str = "",
     **engine_options,
 ) -> RunResult:
     """Proximal point iteration on a firmly nonexpansive resolvent.
@@ -59,9 +58,7 @@ def solve_ppa(
     """
     if resolvent.theta != 0.5:
         raise ValueError("proximal point needs a firmly nonexpansive resolvent (theta = 1/2)")
-    prob = Problem(
-        operator=resolvent, z0=z0, z_star=z_star, kind="inclusion", name=name or "ppa"
-    )
+    prob = Problem(operator=resolvent, z0=z0, z_star=z_star)
     return iterate(prob, schedule, errors, route=route, **engine_options)
 
 
@@ -76,8 +73,6 @@ def solve_fbs(
     resolvent_errors: ErrorModel | None = None,
     z_star=None,
     route: str = "direct",
-    kind: str = "fbs-inclusion",
-    name: str = "",
     **engine_options,
 ) -> RunResult:
     """Relaxed inertial forward-backward splitting.
@@ -86,7 +81,7 @@ def solve_fbs(
     classical iteration z <- z + lambda (J(z - rho B z) - z).
     """
     t = make_fb_composition(resolvent, forward, rho)
-    prob = Problem(operator=t, z0=z0, z_star=z_star, kind=kind, name=name or "fbs")
+    prob = Problem(operator=t, z0=z0, z_star=z_star)
     fe = forward_errors if forward_errors is not None else ErrorModel.zero()
     re = resolvent_errors if resolvent_errors is not None else ErrorModel.zero()
     if fe.kind == "zero" and re.kind == "zero":

@@ -6,8 +6,9 @@ Subcommands:
   described by the config, print a JSON summary, optionally dump the
   per-iteration table.  Exit 0 when the run converged, 1 otherwise.
 * ``kmsolve validate config.json [--theta X]``: print the feasibility
-  report for the config's schedule (rescaled for a theta-averaged
-  operator when --theta is given).  Exit 0 when feasible, 1 otherwise.
+  report for the config's schedule, with the relaxation ceiling scaled
+  by 1/X for an X-averaged operator (X in (0, 1], default 1).  Exit 0
+  when feasible, 1 otherwise.
 * ``kmsolve compare config.json``: run the schedule as given and with
   inertia switched off, print both summaries and the iteration ratio.
   Exit 0 when both runs converged, 1 otherwise.
@@ -52,19 +53,14 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from .diagnostics import consistency_report, rate_certificate
 from .engine import Problem, iterate
 from .operators import make_affine, make_box_projection, make_identity, make_soft_threshold
-from .schedules import (
-    ErrorModel,
-    constant_schedule,
-    delayed_inertia_schedule,
-    scale_ceiling_for_averaged,
-    validate_schedule,
-)
+from .schedules import ErrorModel, constant_schedule, validate_schedule
 
 CSV_HEADER = "k,residual,err_norm,dist_to_star,delta_partial,min_residual_sq,rate_rhs"
 
@@ -115,7 +111,6 @@ def problem_from_config(cfg: dict) -> Problem:
             operator=op,
             z0=_require(cfg, "z0", "problem"),
             z_star=cfg.get("z_star"),
-            name=str(cfg.get("name", "")),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad problem: {exc}") from exc
@@ -124,37 +119,20 @@ def problem_from_config(cfg: dict) -> Problem:
 def schedule_from_config(cfg: dict):
     try:
         alpha = float(cfg.get("alpha", 0.0))
-        lam = float(_require(cfg, "lambda", "schedule"))
         sigma = cfg.get("sigma")
         delta = cfg.get("delta")
-        if (sigma is None) != (delta is None):
-            raise ConfigError("schedule needs sigma and delta together")
-        if sigma is not None:
-            if cfg.get("alpha0_zero", True):
-                return delayed_inertia_schedule(
-                    alpha,
-                    lam,
-                    sigma=float(sigma),
-                    delta=float(delta),
-                    lambda_floor=cfg.get("lambda_floor"),
-                    lambda_ceiling=cfg.get("lambda_ceiling"),
-                )
-            return constant_schedule(
-                alpha,
-                lam,
-                alpha_cap=cfg.get("alpha_cap"),
-                lambda_floor=cfg.get("lambda_floor"),
-                lambda_ceiling=cfg.get("lambda_ceiling"),
-                sigma=float(sigma),
-                delta=float(delta),
-            )
-        return constant_schedule(
+        schedule = constant_schedule(
             alpha,
-            lam,
+            float(_require(cfg, "lambda", "schedule")),
             alpha_cap=cfg.get("alpha_cap"),
             lambda_floor=cfg.get("lambda_floor"),
             lambda_ceiling=cfg.get("lambda_ceiling"),
+            sigma=None if sigma is None else float(sigma),
+            delta=None if delta is None else float(delta),
         )
+        if sigma is not None and cfg.get("alpha0_zero", True):
+            schedule = replace(schedule, alpha_of=lambda k: 0.0 if k == 0 else alpha)
+        return schedule
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad schedule: {exc}") from exc
 
@@ -296,12 +274,10 @@ def cmd_run(args) -> int:
 def cmd_validate(args) -> int:
     cfg = _load_config(args.config)
     schedule = schedule_from_config(_require(cfg, "schedule", "config"))
-    report = validate_schedule(schedule)
-    if args.theta is not None:
-        try:
-            report = scale_ceiling_for_averaged(report, float(args.theta))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+    try:
+        report = validate_schedule(schedule, theta=args.theta)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     print(json.dumps(report.to_dict(), indent=2))
     return 0 if report.feasible else 1
 
@@ -369,7 +345,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     val_p = sub.add_parser("validate", help="feasibility report for a config's schedule")
     val_p.add_argument("config")
-    val_p.add_argument("--theta", type=float, help="rescale the ceiling for a theta-averaged operator")
+    val_p.add_argument(
+        "--theta", type=float, default=1.0, help="averagedness in (0, 1]; scales the ceiling by 1/theta"
+    )
     val_p.set_defaults(func=cmd_validate)
 
     cmp_p = sub.add_parser("compare", help="inertial vs zero-inertia run of the same config")

@@ -124,6 +124,13 @@ def rate_certificate(result: RunResult) -> RateCertificate:
     lam = result.lambdas
     err = result.err_norms
     al = result.alphas
+    # Validation scans a fixed horizon; the run may have gone past it.
+    # Written so that a NaN parameter refuses as well.
+    in_bounds = (
+        0.0 <= al.min() and al.max() <= s.alpha_cap and s.lambda_floor <= lam.min() and lam.max() <= theta
+    )
+    if not in_bounds:
+        return _refused("realized alpha_k or lambda_k leave the validated bounds")
     st = result.step_norms
     kk = np.arange(1, n)
 
@@ -279,25 +286,3 @@ def consistency_report(result: RunResult) -> ConsistencyReport:
         )
     )
     return ConsistencyReport(items=tuple(items))
-
-
-def effective_error_bound(alpha: float, lam: float, step: float, err: float) -> float:
-    """Error norm budget when inertia is recast as a perturbation.
-
-    Viewing the inertial step as a plain relaxed step at z^k with a lumped
-    perturbation, the lumped norm is at most
-    alpha * step + 2 * lam * alpha * step + lam * err, where step is
-    ||z^k - z^{k-1}|| and err is ||e^k||.
-    """
-    return alpha * step + 2.0 * lam * alpha * step + lam * err
-
-
-def effective_error_bounds(result: RunResult) -> np.ndarray:
-    """Per-iteration lumped-perturbation budgets for a finished run."""
-    n = result.iterations
-    steps_in = np.concatenate(([0.0], result.step_norms[: max(n - 1, 0)]))
-    return (
-        result.alphas * steps_in
-        + 2.0 * result.lambdas * result.alphas * steps_in
-        + result.lambdas * result.err_norms
-    )

@@ -43,8 +43,6 @@ from .schedules import ErrorModel, ParamSchedule, constant_schedule, emit_error
 
 STOP_REASONS = ("residual-tol", "max-iter", "diverged")
 
-PROBLEM_KINDS = ("fixed-point", "minimization", "inclusion", "fbs-inclusion")
-
 ROUTES = ("direct", "unwrap")
 
 PerturbFn = Callable[[np.ndarray, np.ndarray, int], tuple[np.ndarray, float]]
@@ -57,12 +55,8 @@ class Problem:
     operator: OperatorSpec
     z0: np.ndarray
     z_star: np.ndarray | None = None
-    kind: str = "fixed-point"
-    name: str = ""
 
     def __post_init__(self):
-        if self.kind not in PROBLEM_KINDS:
-            raise ValueError(f"unknown problem kind {self.kind!r}")
         object.__setattr__(self, "z0", as_point(self.z0, dim=self.operator.dim, name="z0"))
         if self.z_star is not None:
             object.__setattr__(
@@ -143,80 +137,6 @@ def _rescaled_perturb(cb: PerturbFn, theta: float) -> PerturbFn:
     return p
 
 
-def _core(
-    apply_op,
-    z0,
-    z_star,
-    alpha_of,
-    lambda_of,
-    perturb_fn,
-    tol,
-    max_iter,
-    divergence_norm,
-    record_states,
-    relax_scale,
-    residual_scale,
-):
-    z_prev = z0
-    z = z0
-    residuals: list[float] = []
-    err_norms: list[float] = []
-    alphas: list[float] = []
-    lambdas: list[float] = []
-    steps: list[float] = []
-    dists: list[float] | None = None
-    if z_star is not None:
-        dists = [norm(z0 - z_star)]
-    states = [z0.copy()] if record_states else None
-    max_norm = norm(z0)
-    stop_reason = "max-iter"
-
-    for k in range(max_iter):
-        a = float(alpha_of(k))
-        lam = float(lambda_of(k))
-        mu = z if a == 0.0 else z + a * (z - z_prev)
-        t_mu = np.asarray(apply_op(mu), dtype=float)
-        r = residual_scale * norm(t_mu - mu)
-        t_eff, e_norm = perturb_fn(mu, t_mu, k)
-        z_next = mu + (lam * relax_scale) * (t_eff - mu)
-
-        residuals.append(r)
-        err_norms.append(residual_scale * float(e_norm))
-        alphas.append(a)
-        lambdas.append(lam)
-        steps.append(norm(z_next - z))
-        if dists is not None:
-            dists.append(norm(z_next - z_star))
-        if states is not None:
-            states.append(z_next.copy())
-
-        z_prev = z
-        z = z_next
-        finite = bool(np.isfinite(z).all())
-        zn = norm(z) if finite else math.inf
-        if zn > max_norm:
-            max_norm = zn
-        if r <= tol:
-            stop_reason = "residual-tol"
-            break
-        if not finite or zn >= divergence_norm:
-            stop_reason = "diverged"
-            break
-
-    return {
-        "stop_reason": stop_reason,
-        "z": z,
-        "residuals": np.asarray(residuals),
-        "err_norms": np.asarray(err_norms),
-        "alphas": np.asarray(alphas),
-        "lambdas": np.asarray(lambdas),
-        "step_norms": np.asarray(steps),
-        "dists": None if dists is None else np.asarray(dists),
-        "states": states,
-        "max_state_norm": max_norm,
-    }
-
-
 def iterate(
     problem: Problem,
     schedule: ParamSchedule,
@@ -242,55 +162,83 @@ def iterate(
         raise ValueError("pass an ErrorModel or a perturb callback, not both")
     if max_iter < 0:
         raise ValueError("max_iter must be nonnegative")
-    dim = problem.operator.dim
 
+    # theta scales the relaxation and the recorded residuals and error
+    # norms; it is 1 on the direct route.
     if route == "unwrap":
-        core_op = unwrap_averaged(problem.operator)
+        apply_op = unwrap_averaged(problem.operator).apply
         theta = problem.operator.theta
-        if perturb is not None:
-            perturb_fn = _rescaled_perturb(perturb, theta)
-        else:
-            perturb_fn = _model_perturb(errors or ErrorModel.zero(), dim, theta)
-        relax_scale = theta
     else:
-        core_op = problem.operator
+        apply_op = problem.operator.apply
         theta = 1.0
-        if perturb is not None:
-            perturb_fn = perturb
-        else:
-            perturb_fn = _model_perturb(errors or ErrorModel.zero(), dim, 1.0)
-        relax_scale = 1.0
+    if perturb is None:
+        perturb_fn = _model_perturb(errors or ErrorModel.zero(), problem.operator.dim, theta)
+    elif route == "unwrap":
+        perturb_fn = _rescaled_perturb(perturb, theta)
+    else:
+        perturb_fn = perturb
+    alpha_of = schedule.alpha_of
+    lambda_of = schedule.lambda_of
+    z_star = problem.z_star
 
-    raw = _core(
-        core_op.apply,
-        problem.z0,
-        problem.z_star,
-        schedule.alpha_of,
-        schedule.lambda_of,
-        perturb_fn,
-        tol,
-        max_iter,
-        divergence_norm,
-        record_states,
-        relax_scale,
-        residual_scale=theta,
-    )
-    residuals = raw["residuals"]
-    err_norms = raw["err_norms"]
+    z_prev = z = problem.z0
+    residuals: list[float] = []
+    err_norms: list[float] = []
+    alphas: list[float] = []
+    lambdas: list[float] = []
+    steps: list[float] = []
+    dists: list[float] | None = None
+    if z_star is not None:
+        dists = [norm(z - z_star)]
+    states = [z.copy()] if record_states else None
+    max_norm = norm(z)
+    stop_reason = "max-iter"
+
+    for k in range(max_iter):
+        a = float(alpha_of(k))
+        lam = float(lambda_of(k))
+        mu = z if a == 0.0 else z + a * (z - z_prev)
+        t_mu = np.asarray(apply_op(mu), dtype=float)
+        r = theta * norm(t_mu - mu)
+        t_eff, e_norm = perturb_fn(mu, t_mu, k)
+        z_next = mu + (lam * theta) * (t_eff - mu)
+
+        residuals.append(r)
+        err_norms.append(theta * float(e_norm))
+        alphas.append(a)
+        lambdas.append(lam)
+        steps.append(norm(z_next - z))
+        if dists is not None:
+            dists.append(norm(z_next - z_star))
+        if states is not None:
+            states.append(z_next.copy())
+
+        z_prev = z
+        z = z_next
+        finite = bool(np.isfinite(z).all())
+        zn = norm(z) if finite else math.inf
+        if zn > max_norm:
+            max_norm = zn
+        if r <= tol:
+            stop_reason = "residual-tol"
+            break
+        if not finite or zn >= divergence_norm:
+            stop_reason = "diverged"
+            break
 
     return RunResult(
-        stop_reason=raw["stop_reason"],
-        converged=raw["stop_reason"] == "residual-tol",
-        iterations=int(residuals.size),
-        z=raw["z"],
-        residuals=residuals,
-        err_norms=err_norms,
-        alphas=raw["alphas"],
-        lambdas=raw["lambdas"],
-        step_norms=raw["step_norms"],
-        dists=raw["dists"],
-        states=raw["states"],
-        max_state_norm=float(raw["max_state_norm"]),
+        stop_reason=stop_reason,
+        converged=stop_reason == "residual-tol",
+        iterations=len(residuals),
+        z=z,
+        residuals=np.asarray(residuals),
+        err_norms=np.asarray(err_norms),
+        alphas=np.asarray(alphas),
+        lambdas=np.asarray(lambdas),
+        step_norms=np.asarray(steps),
+        dists=None if dists is None else np.asarray(dists),
+        states=states,
+        max_state_norm=float(max_norm),
         route=route,
         errors=errors,
         problem=problem,

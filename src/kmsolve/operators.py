@@ -17,17 +17,6 @@ import numpy as np
 
 Point = np.ndarray
 
-OPERATOR_KINDS = (
-    "identity",
-    "affine",
-    "projection",
-    "prox",
-    "resolvent",
-    "gradient-step",
-    "fb-composition",
-    "custom",
-)
-
 # Spectral-norm certificates must be reproducible run to run.
 _POWER_ITER_SEED = 74123
 _POWER_ITER_TOL = 1e-10
@@ -68,14 +57,11 @@ class OperatorSpec:
 
     apply: Callable[[Point], Point]
     theta: float
-    kind: str
     dim: int | None  # None when the operator works in any dimension
 
     def __post_init__(self):
         if not (0.0 < self.theta <= 1.0):
             raise ValueError(f"theta must lie in (0, 1], got {self.theta}")
-        if self.kind not in OPERATOR_KINDS:
-            raise ValueError(f"unknown operator kind {self.kind!r}")
         if self.dim is not None and int(self.dim) < 1:
             raise ValueError("dim must be a positive integer")
 
@@ -128,7 +114,7 @@ def spectral_norm(mat, tol: float = _POWER_ITER_TOL, max_iter: int = _POWER_ITER
 
 def make_identity(dim: int, theta: float = 1.0) -> OperatorSpec:
     """The identity map.  It is theta-averaged for every theta, so callers may declare one."""
-    return OperatorSpec(apply=lambda x: np.asarray(x, dtype=float), theta=theta, kind="identity", dim=dim)
+    return OperatorSpec(apply=lambda x: np.asarray(x, dtype=float), theta=theta, dim=dim)
 
 
 def make_soft_threshold(gamma: float, dim: int) -> OperatorSpec:
@@ -140,7 +126,7 @@ def make_soft_threshold(gamma: float, dim: int) -> OperatorSpec:
     def apply(x):
         return np.sign(x) * np.maximum(np.abs(x) - g, 0.0)
 
-    return OperatorSpec(apply=apply, theta=0.5, kind="prox", dim=dim)
+    return OperatorSpec(apply=apply, theta=0.5, dim=dim)
 
 
 def make_box_projection(lo, hi) -> OperatorSpec:
@@ -153,7 +139,7 @@ def make_box_projection(lo, hi) -> OperatorSpec:
     def apply(x):
         return np.clip(x, lo, hi)
 
-    return OperatorSpec(apply=apply, theta=0.5, kind="projection", dim=lo.shape[0])
+    return OperatorSpec(apply=apply, theta=0.5, dim=lo.shape[0])
 
 
 def make_affine(q, b, theta: float = 1.0) -> OperatorSpec:
@@ -173,7 +159,7 @@ def make_affine(q, b, theta: float = 1.0) -> OperatorSpec:
     def apply(x):
         return q @ x + b
 
-    return OperatorSpec(apply=apply, theta=theta, kind="affine", dim=q.shape[0])
+    return OperatorSpec(apply=apply, theta=theta, dim=q.shape[0])
 
 
 def make_gradient_step_ism(grad, beta: float | None = None) -> IsmOperator:
@@ -230,7 +216,7 @@ def make_fb_composition(resolvent: OperatorSpec, forward: IsmOperator, rho: floa
     def apply(x):
         return j(x - r * fwd(x))
 
-    return OperatorSpec(apply=apply, theta=theta, kind="fb-composition", dim=resolvent.dim)
+    return OperatorSpec(apply=apply, theta=theta, dim=resolvent.dim)
 
 
 def unwrap_averaged(t: OperatorSpec) -> OperatorSpec:
@@ -243,4 +229,4 @@ def unwrap_averaged(t: OperatorSpec) -> OperatorSpec:
     def apply(x):
         return (f(x) - (1.0 - th) * x) / th
 
-    return OperatorSpec(apply=apply, theta=1.0, kind="custom", dim=t.dim)
+    return OperatorSpec(apply=apply, theta=1.0, dim=t.dim)

@@ -1,6 +1,7 @@
-"""Parameter schedules, perturbation models, and feasibility validators.
+"""Parameter schedules, perturbation models, and the feasibility validator.
 
-Two validation regimes are supported, tagged "I" and "II".
+validate_schedule checks a schedule under the regime it declares, tagged
+"I" (no sigma, delta) or "II" (sigma and delta given).
 
 Regime I checks the pointwise bounds 0 <= alpha_k <= alpha_cap < 1 and
 0 <= lambda_floor <= lambda_k <= lambda_ceiling < 1.  Its remaining
@@ -19,14 +20,15 @@ which yields the explicit relaxation ceiling
     lambda_max = (delta - alpha [alpha (1 + alpha) + alpha delta + sigma])
                  / (delta [1 + alpha (1 + alpha) + alpha delta + sigma]).
 
-Averaged operators admit larger relaxation: scale_ceiling_for_averaged
-multiplies the ceiling by 1/theta and revalidates the same schedule.
+Averaged operators admit larger relaxation: for a theta-averaged operator,
+validate_schedule(s, theta=theta) multiplies the relaxation ceiling bound
+(1 in regime I, lambda_max in regime II) by 1/theta.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -135,7 +137,7 @@ class ErrorModel:
             raise ValueError(f"unknown error kind {self.kind!r}")
         if self.magnitude < 0.0 or not math.isfinite(self.magnitude):
             raise ValueError("magnitude must be a finite nonnegative real")
-        if not (isinstance(self.seed, int) and self.seed >= 0):
+        if isinstance(self.seed, bool) or not (isinstance(self.seed, int) and self.seed >= 0):
             raise ValueError("seed must be a nonnegative integer")
         if self.kind == "geometric" and not self.exponent > 0.0:
             raise ValueError("geometric law needs a positive ratio in `exponent`")
@@ -234,8 +236,6 @@ class ConditionReport:
     deferred: tuple[str, ...]
     checks: tuple[ConditionCheck, ...]
     scaling_theta: float = 1.0
-    schedule: ParamSchedule | None = field(default=None, repr=False)
-    horizon: int = field(default=0, repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -291,69 +291,6 @@ _DEFERRED_II = (
 )
 
 
-def _validate_i(s: ParamSchedule, horizon: int, scaling_theta: float) -> ConditionReport:
-    bound = 1.0 / scaling_theta
-    a0, a_min, a_max, l_min, l_max, _ = _scan_schedule(s, horizon)
-    checks = []
-    violations = []
-    warnings = []
-
-    def add(name, margin, ok, message):
-        checks.append(ConditionCheck(name=name, margin=float(margin), ok=bool(ok)))
-        if not ok:
-            violations.append(message)
-
-    add("alpha_cap < 1", 1.0 - s.alpha_cap, s.alpha_cap < 1.0, "alpha_cap must be < 1")
-    add("alpha_cap >= 0", s.alpha_cap, s.alpha_cap >= 0.0, "alpha_cap must be >= 0")
-    add("min_k alpha_k >= 0", a_min, a_min >= 0.0, f"alpha_of(k) must be >= 0 (min {_fmt(a_min)})")
-    add(
-        "max_k alpha_k <= alpha_cap",
-        s.alpha_cap - a_max,
-        a_max <= s.alpha_cap,
-        f"alpha_of(k) must be <= alpha_cap (max {_fmt(a_max)} vs cap {_fmt(s.alpha_cap)})",
-    )
-    add("lambda_floor >= 0", s.lambda_floor, s.lambda_floor >= 0.0, "lambda_floor must be >= 0")
-    add(
-        "lambda_floor <= lambda_ceiling",
-        s.lambda_ceiling - s.lambda_floor,
-        s.lambda_floor <= s.lambda_ceiling,
-        "lambda_floor must be <= lambda_ceiling",
-    )
-    add(
-        f"lambda_ceiling < {_fmt(bound)}",
-        bound - s.lambda_ceiling,
-        s.lambda_ceiling < bound,
-        f"lambda_ceiling must be < {_fmt(bound)}",
-    )
-    add(
-        "min_k lambda_k >= lambda_floor",
-        l_min - s.lambda_floor,
-        l_min >= s.lambda_floor,
-        f"lambda_of(k) must be >= lambda_floor (min {_fmt(l_min)})",
-    )
-    add(
-        "max_k lambda_k <= lambda_ceiling",
-        s.lambda_ceiling - l_max,
-        l_max <= s.lambda_ceiling,
-        f"lambda_of(k) must be <= lambda_ceiling (max {_fmt(l_max)})",
-    )
-    if s.lambda_floor == 0.0:
-        warnings.append("lambda_floor = 0: the residual rate certificate requires a positive floor")
-    return ConditionReport(
-        condition_set="I",
-        feasible=not violations,
-        delta_threshold=math.nan,
-        lambda_max=bound,
-        violations=tuple(violations),
-        warnings=tuple(warnings),
-        deferred=_DEFERRED_I,
-        checks=tuple(checks),
-        scaling_theta=scaling_theta,
-        schedule=s,
-        horizon=horizon,
-    )
-
-
 def delta_threshold(alpha: float, sigma: float) -> float:
     """Smallest admissible delta under regime II: alpha [alpha (1 + alpha) + sigma] / (1 - alpha^2)."""
     if alpha >= 1.0:
@@ -369,105 +306,103 @@ def lambda_ceiling_ii(alpha: float, sigma: float, delta: float) -> float:
     return (delta - alpha * c) / (delta * (1.0 + c))
 
 
-def _validate_ii(s: ParamSchedule, horizon: int, scaling_theta: float) -> ConditionReport:
-    if s.sigma is None or s.delta is None:
-        raise ValueError("regime II validation needs sigma and delta on the schedule")
-    alpha = s.alpha_cap
-    if alpha >= 1.0:
+def validate_schedule(s: ParamSchedule, horizon: int = 1000, theta: float = 1.0) -> ConditionReport:
+    """Feasibility of `s` under its own regime, scanning k = 0..horizon.
+
+    The regime is ``s.condition_set``.  ``theta`` in (0, 1] is the
+    averagedness constant of the operator the schedule drives: the
+    relaxation ceiling bound is multiplied by 1/theta, and theta = 1 is
+    the plain validation.  Regime II raises ValueError when
+    alpha_cap >= 1, where its formulas are undefined.
+    """
+    if not (0.0 < theta <= 1.0):
+        raise ValueError(f"theta must lie in (0, 1], got {theta}")
+    regime_ii = s.condition_set == "II"
+    cap = s.alpha_cap
+    floor = s.lambda_floor
+    if regime_ii and cap >= 1.0:
         raise ValueError("alpha_cap must be < 1: regime II formulas are undefined")
-    sigma = float(s.sigma)
-    delta = float(s.delta)
     a0, a_min, a_max, l_min, l_max, nondecreasing = _scan_schedule(s, horizon)
 
     checks = []
     violations = []
-    warnings: list[str] = []
+    warnings = []
 
     def add(name, margin, ok, message):
         checks.append(ConditionCheck(name=name, margin=float(margin), ok=bool(ok)))
         if not ok:
             violations.append(message)
 
-    add("alpha_cap >= 0", alpha, alpha >= 0.0, "alpha_cap must be >= 0")
-    add("sigma > 0", sigma, sigma > 0.0, "sigma must be > 0")
-    add("delta > 0", delta, delta > 0.0, "delta must be > 0")
-
-    thr = delta_threshold(alpha, sigma)
-    add(
-        "delta > alpha[alpha(1+alpha)+sigma]/(1-alpha^2)",
-        delta - thr,
-        delta > thr,
-        f"delta must exceed the threshold {_fmt(thr)} (got {_fmt(delta)})",
-    )
-    lam_max = lambda_ceiling_ii(alpha, sigma, delta) / scaling_theta if delta > 0.0 else math.nan
-    add("alpha_of(0) == 0", -abs(a0), a0 == 0.0, f"alpha_of(0) must be 0 (got {_fmt(a0)})")
-    add("alpha_of nondecreasing", 0.0 if nondecreasing else -1.0, nondecreasing, "alpha_of must be nondecreasing")
+    if not regime_ii:
+        add("alpha_cap < 1", 1.0 - cap, cap < 1.0, "alpha_cap must be < 1")
+    add("alpha_cap >= 0", cap, cap >= 0.0, "alpha_cap must be >= 0")
+    if regime_ii:
+        sigma = float(s.sigma)
+        delta = float(s.delta)
+        add("sigma > 0", sigma, sigma > 0.0, "sigma must be > 0")
+        add("delta > 0", delta, delta > 0.0, "delta must be > 0")
+        thr = delta_threshold(cap, sigma)
+        add(
+            "delta > alpha[alpha(1+alpha)+sigma]/(1-alpha^2)",
+            delta - thr,
+            delta > thr,
+            f"delta must exceed the threshold {_fmt(thr)} (got {_fmt(delta)})",
+        )
+        lam_max = lambda_ceiling_ii(cap, sigma, delta) / theta if delta > 0.0 else math.nan
+        add("alpha_of(0) == 0", -abs(a0), a0 == 0.0, f"alpha_of(0) must be 0 (got {_fmt(a0)})")
+        add("alpha_of nondecreasing", 0.0 if nondecreasing else -1.0, nondecreasing, "alpha_of must be nondecreasing")
+        ceiling_name, ceiling = "lambda_max", lam_max
+        if math.isnan(lam_max):
+            ceiling_message = "lambda_max undefined (delta <= 0)"
+        else:
+            ceiling_message = f"lambda_of(k) must be <= lambda_max = {_fmt(lam_max)} (max {_fmt(l_max)})"
+        cap_note = ""
+    else:
+        thr = math.nan
+        lam_max = 1.0 / theta
+        ceiling_name, ceiling = "lambda_ceiling", s.lambda_ceiling
+        ceiling_message = f"lambda_of(k) must be <= lambda_ceiling (max {_fmt(l_max)})"
+        cap_note = f" vs cap {_fmt(cap)}"
     add("min_k alpha_k >= 0", a_min, a_min >= 0.0, f"alpha_of(k) must be >= 0 (min {_fmt(a_min)})")
     add(
         "max_k alpha_k <= alpha_cap",
-        alpha - a_max,
-        a_max <= alpha,
-        f"alpha_of(k) must be <= alpha_cap (max {_fmt(a_max)})",
+        cap - a_max,
+        a_max <= cap,
+        f"alpha_of(k) must be <= alpha_cap (max {_fmt(a_max)}{cap_note})",
     )
-    add("lambda_floor > 0", s.lambda_floor, s.lambda_floor > 0.0, "lambda_floor must be > 0")
+    if regime_ii:
+        add("lambda_floor > 0", floor, floor > 0.0, "lambda_floor must be > 0")
+    else:
+        add("lambda_floor >= 0", floor, floor >= 0.0, "lambda_floor must be >= 0")
+        add(
+            "lambda_floor <= lambda_ceiling",
+            ceiling - floor,
+            floor <= ceiling,
+            "lambda_floor must be <= lambda_ceiling",
+        )
+        add(
+            f"lambda_ceiling < {_fmt(lam_max)}",
+            lam_max - ceiling,
+            ceiling < lam_max,
+            f"lambda_ceiling must be < {_fmt(lam_max)}",
+        )
+        if floor == 0.0:
+            warnings.append("lambda_floor = 0: the residual rate certificate requires a positive floor")
     add(
         "min_k lambda_k >= lambda_floor",
-        l_min - s.lambda_floor,
-        l_min >= s.lambda_floor,
+        l_min - floor,
+        l_min >= floor,
         f"lambda_of(k) must be >= lambda_floor (min {_fmt(l_min)})",
     )
-    if math.isnan(lam_max):
-        add("max_k lambda_k <= lambda_max", math.nan, False, "lambda_max undefined (delta <= 0)")
-    else:
-        add(
-            "max_k lambda_k <= lambda_max",
-            lam_max - l_max,
-            l_max <= lam_max,
-            f"lambda_of(k) must be <= lambda_max = {_fmt(lam_max)} (max {_fmt(l_max)})",
-        )
+    add(f"max_k lambda_k <= {ceiling_name}", ceiling - l_max, l_max <= ceiling, ceiling_message)
     return ConditionReport(
-        condition_set="II",
+        condition_set=s.condition_set,
         feasible=not violations,
         delta_threshold=thr,
         lambda_max=lam_max,
         violations=tuple(violations),
         warnings=tuple(warnings),
-        deferred=_DEFERRED_II,
+        deferred=_DEFERRED_II if regime_ii else _DEFERRED_I,
         checks=tuple(checks),
-        scaling_theta=scaling_theta,
-        schedule=s,
-        horizon=horizon,
+        scaling_theta=theta,
     )
-
-
-def validate_conditions_i(s: ParamSchedule, horizon: int = 1000) -> ConditionReport:
-    """Regime I feasibility: pointwise bounds now, summability and boundedness at runtime."""
-    return _validate_i(s, horizon, scaling_theta=1.0)
-
-
-def validate_conditions_ii(s: ParamSchedule, horizon: int = 1000) -> ConditionReport:
-    """Regime II feasibility: threshold on delta plus the closed-form relaxation ceiling."""
-    return _validate_ii(s, horizon, scaling_theta=1.0)
-
-
-def validate_schedule(s: ParamSchedule, horizon: int = 1000) -> ConditionReport:
-    """Dispatch on the schedule: regime II when sigma/delta are present, else regime I."""
-    if s.condition_set == "II":
-        return _validate_ii(s, horizon, scaling_theta=1.0)
-    return _validate_i(s, horizon, scaling_theta=1.0)
-
-
-def scale_ceiling_for_averaged(report: ConditionReport, theta: float) -> ConditionReport:
-    """Revalidate with the relaxation ceiling multiplied by 1/theta.
-
-    For a theta-averaged operator the admissible relaxation extends to
-    1/theta times the plain-operator ceiling; theta must lie strictly in
-    (0, 1) and the scaling factor is recorded on the returned report.
-    """
-    if not (0.0 < theta < 1.0):
-        raise ValueError(f"theta must lie in (0, 1), got {theta}")
-    if report.schedule is None:
-        raise ValueError("report does not carry its schedule; cannot rescale")
-    if report.condition_set == "I":
-        return _validate_i(report.schedule, report.horizon, scaling_theta=theta)
-    return _validate_ii(report.schedule, report.horizon, scaling_theta=theta)

@@ -34,7 +34,6 @@ def test_ppa_converges_to_the_prox_fixed_point():
         z_star=np.zeros(6),
     )
     assert run.converged
-    assert run.problem.kind == "inclusion"
     assert run.route == "unwrap"  # the default for this front end
     assert np.linalg.norm(run.z) <= 1e-8
 
@@ -54,7 +53,6 @@ def test_fbs_zero_error_path_matches_manual_composition():
     )
     for a, b in zip(via_front_end.states, manual.states):
         assert np.array_equal(a, b)
-    assert via_front_end.problem.kind == "fbs-inclusion"
 
 
 def test_fbs_folded_error_respects_the_rho_bound():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from kmsolve import cli
+from kmsolve.schedules import delta_threshold
 
 FEASIBLE = {
     "problem": {
@@ -96,8 +97,10 @@ def test_validate_feasible_and_infeasible(tmp_path):
 def test_validate_theta_rescales_the_ceiling(tmp_path):
     cfg = dict(FEASIBLE, schedule={"alpha": 0.0, "lambda": 1.5})
     path = _write(tmp_path, cfg)
-    code, _, _ = _main(["validate", path])
+    code, plain, _ = _main(["validate", path])
     assert code == 1
+    code, out, _ = _main(["validate", path, "--theta", "1"])
+    assert code == 1 and out == plain
     code, out, _ = _main(["validate", path, "--theta", "0.5"])
     assert code == 0
     assert json.loads(out)["feasible"] is True
@@ -110,6 +113,12 @@ def test_validate_regime_ii_config(tmp_path):
     data = json.loads(out)
     assert data["condition_set"] == "II"
     assert data["lambda_max"] == pytest.approx(0.8016393442622951)
+
+
+def test_regime_ii_config_keeps_its_alpha_cap(tmp_path):
+    sched = {"alpha": 0.1, "lambda": 0.5, "sigma": 0.01, "delta": 1.0, "alpha_cap": 0.3}
+    _, out, _ = _main(["validate", _write(tmp_path, dict(FEASIBLE, schedule=sched))])
+    assert json.loads(out)["delta_threshold"] == delta_threshold(0.3, 0.01)
 
 
 def test_compare_reports_iteration_ratio(tmp_path):

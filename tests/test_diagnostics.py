@@ -8,14 +8,19 @@ import pytest
 from kmsolve.diagnostics import (
     certificate_ceiling,
     consistency_report,
-    effective_error_bound,
-    effective_error_bounds,
     quasi_fejer_violations,
     rate_certificate,
 )
 from kmsolve.engine import Problem, OperatorSpec, iterate, km
 from kmsolve.operators import make_affine, make_identity
-from kmsolve.schedules import ErrorModel, constant_schedule, delayed_inertia_schedule, lambda_ceiling_ii
+from kmsolve.schedules import (
+    ErrorModel,
+    ParamSchedule,
+    constant_schedule,
+    delayed_inertia_schedule,
+    lambda_ceiling_ii,
+    validate_schedule,
+)
 
 
 def _contraction(dim=12, factor=0.9, seed=21, start_dist=0.8):
@@ -99,6 +104,23 @@ def test_certificate_refusal_reasons():
     assert refused.holds() is False
 
 
+def test_certificate_refuses_parameters_past_the_validated_horizon():
+    # lambda_k leaves [lambda_floor, lambda_ceiling] only after the default 1000-step scan
+    sched = ParamSchedule(
+        alpha_of=lambda k: 0.0,
+        lambda_of=lambda k: 0.5 if k < 2000 else 1.5,
+        alpha_cap=0.0,
+        lambda_floor=0.5,
+        lambda_ceiling=0.5,
+    )
+    assert validate_schedule(sched).feasible
+    run = iterate(_contraction(seed=32), sched, tol=-1.0, max_iter=3000)
+    assert run.lambdas.max() == 1.5
+    cert = rate_certificate(run)
+    assert not cert.valid
+    assert cert.reason == "realized alpha_k or lambda_k leave the validated bounds"
+
+
 def test_certificate_ceiling_per_regime():
     run_i = iterate(_contraction(seed=25), constant_schedule(0.2, 0.7), tol=-1.0, max_iter=5)
     assert certificate_ceiling(run_i) == 0.7
@@ -171,7 +193,7 @@ def test_consistency_report_flags_divergent_error_law():
 
 
 def test_consistency_report_flags_divergence():
-    op = OperatorSpec(apply=lambda x: 2.0 * x, theta=1.0, kind="custom", dim=None)
+    op = OperatorSpec(apply=lambda x: 2.0 * x, theta=1.0, dim=None)
     run = km(Problem(operator=op, z0=[1.0]), 0.9, tol=-1.0, divergence_norm=1e6)
     rep = consistency_report(run)
     assert rep.item("bounded-iterates").verdict == "not-consistent"
@@ -183,25 +205,3 @@ def test_consistency_to_dict():
     d = consistency_report(run).to_dict()
     assert d["verdict"] == "consistent"
     assert len(d["items"]) == 3
-
-
-def test_effective_error_bound_pin():
-    # alpha*step + 2*lam*alpha*step + lam*err, exact at dyadic inputs
-    assert effective_error_bound(0.3, 0.5, 2.0, 0.0) == 1.2
-    assert effective_error_bound(0.0, 0.5, 9.0, 0.2) == 0.1
-
-
-def test_effective_error_bounds_vectorized_against_loop():
-    run = iterate(
-        _contraction(seed=31),
-        constant_schedule(0.2, 0.5),
-        ErrorModel.power_decay(1e-2, 2.0, seed=6),
-        tol=-1.0,
-        max_iter=50,
-    )
-    got = effective_error_bounds(run)
-    assert got.shape == (50,)
-    steps_in = [0.0] + list(run.step_norms[:-1])  # step entering iteration k
-    for k in range(50):
-        want = effective_error_bound(run.alphas[k], run.lambdas[k], steps_in[k], run.err_norms[k])
-        assert got[k] == pytest.approx(want, rel=1e-14, abs=0)

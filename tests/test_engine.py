@@ -109,7 +109,7 @@ def test_negative_tol_disables_residual_stop():
 
 
 def test_divergence_stop():
-    op = OperatorSpec(apply=lambda x: 2.0 * x, theta=1.0, kind="custom", dim=None)
+    op = OperatorSpec(apply=lambda x: 2.0 * x, theta=1.0, dim=None)
     prob = Problem(operator=op, z0=[1.0])
     run = km(prob, 0.9, tol=-1.0, max_iter=10_000, divergence_norm=1e6)
     assert run.stop_reason == "diverged"
@@ -205,7 +205,7 @@ def test_one_operator_application_per_iteration():
         calls["n"] += 1
         return 0.5 * x
 
-    op = OperatorSpec(apply=apply, theta=0.5, kind="custom", dim=None)
+    op = OperatorSpec(apply=apply, theta=0.5, dim=None)
     prob = Problem(operator=op, z0=[1.0])
     iterate(prob, constant_schedule(0.2, 0.5), tol=-1.0, max_iter=30)
     assert calls["n"] == 30

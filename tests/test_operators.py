@@ -48,14 +48,12 @@ def test_norm_matches_numpy():
         assert norm(v) == pytest.approx(np.linalg.norm(v), rel=1e-14)
 
 
-def test_operator_spec_validates_theta_and_kind():
+def test_operator_spec_validates_theta():
     f = lambda x: x
     with pytest.raises(ValueError, match="theta"):
-        OperatorSpec(apply=f, theta=0.0, kind="custom", dim=None)
+        OperatorSpec(apply=f, theta=0.0, dim=None)
     with pytest.raises(ValueError, match="theta"):
-        OperatorSpec(apply=f, theta=1.5, kind="custom", dim=None)
-    with pytest.raises(ValueError, match="kind"):
-        OperatorSpec(apply=f, theta=1.0, kind="mystery", dim=None)
+        OperatorSpec(apply=f, theta=1.5, dim=None)
 
 
 def test_ism_operator_requires_positive_finite_beta():
@@ -87,7 +85,6 @@ def test_soft_threshold_closed_form():
         want = np.sign(x) * np.maximum(np.abs(x) - 0.3, 0.0)
         assert np.array_equal(op(x), want)
     assert op.theta == 0.5
-    assert op.kind == "prox"
     with pytest.raises(ValueError, match="gamma"):
         make_soft_threshold(0.0, 5)
 

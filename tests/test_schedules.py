@@ -13,9 +13,6 @@ from kmsolve.schedules import (
     delta_threshold,
     emit_error,
     lambda_ceiling_ii,
-    scale_ceiling_for_averaged,
-    validate_conditions_i,
-    validate_conditions_ii,
     validate_schedule,
 )
 
@@ -67,6 +64,8 @@ def test_error_model_validation():
         ErrorModel(kind="zero", norms=(0.1,))
     with pytest.raises(ValueError):
         ErrorModel(kind="power-decay", magnitude=1.0, exponent=2.0, seed=-1)
+    with pytest.raises(ValueError):
+        ErrorModel(kind="power-decay", magnitude=1.0, exponent=2.0, seed=True)
 
 
 def test_error_norm_laws():
@@ -114,7 +113,7 @@ def test_threshold_and_ceiling_pins():
 
 
 def test_regime_i_feasible_constant():
-    rep = validate_conditions_i(constant_schedule(0.3, 0.7))
+    rep = validate_schedule(constant_schedule(0.3, 0.7))
     assert rep.condition_set == "I"
     assert rep.feasible
     assert not rep.violations
@@ -122,26 +121,26 @@ def test_regime_i_feasible_constant():
 
 
 def test_regime_i_rejects_ceiling_at_one():
-    rep = validate_conditions_i(constant_schedule(0.3, 1.0))
+    rep = validate_schedule(constant_schedule(0.3, 1.0))
     assert not rep.feasible
     assert any("lambda_ceiling" in v for v in rep.violations)
 
 
 def test_regime_i_rejects_alpha_cap_at_one():
-    rep = validate_conditions_i(constant_schedule(1.0, 0.5))
+    rep = validate_schedule(constant_schedule(1.0, 0.5))
     assert not rep.feasible
 
 
 def test_regime_i_warns_on_zero_floor():
     s = constant_schedule(0.0, 0.5, lambda_floor=0.0)
-    rep = validate_conditions_i(s)
+    rep = validate_schedule(s)
     assert rep.feasible
     assert any("positive floor" in w for w in rep.warnings)
 
 
 def test_regime_ii_boundary_is_feasible():
     s = delayed_inertia_schedule(0.1, CEILING_PIN, sigma=0.01, delta=1.0)
-    rep = validate_conditions_ii(s)
+    rep = validate_schedule(s)
     assert rep.feasible
     assert rep.lambda_max == CEILING_PIN
     assert rep.delta_threshold == THRESHOLD_PIN
@@ -150,19 +149,19 @@ def test_regime_ii_boundary_is_feasible():
 
 def test_regime_ii_rejects_above_ceiling():
     s = delayed_inertia_schedule(0.1, CEILING_PIN + 1e-9, sigma=0.01, delta=1.0)
-    assert not validate_conditions_ii(s).feasible
+    assert not validate_schedule(s).feasible
 
 
 def test_regime_ii_rejects_small_delta():
     s = delayed_inertia_schedule(0.1, 0.2, sigma=0.01, delta=0.01)
-    rep = validate_conditions_ii(s)
+    rep = validate_schedule(s)
     assert not rep.feasible
     assert any("delta" in v for v in rep.violations)
 
 
 def test_regime_ii_requires_zero_initial_weight():
     s = constant_schedule(0.1, 0.2, sigma=0.01, delta=1.0)
-    rep = validate_conditions_ii(s)
+    rep = validate_schedule(s)
     assert not rep.feasible
 
 
@@ -174,7 +173,7 @@ def test_regime_ii_validator_matches_raw_inequality():
         sg = float(rng.uniform(1e-3, 2.0))
         dl = float(rng.uniform(1e-3, 3.0))
         lm = float(rng.uniform(0.01, 1.2))
-        rep = validate_conditions_ii(delayed_inertia_schedule(a, lm, sigma=sg, delta=dl), horizon=8)
+        rep = validate_schedule(delayed_inertia_schedule(a, lm, sigma=sg, delta=dl), horizon=8)
         c = a * (1.0 + a) + a * dl + sg
         direct = (dl > delta_threshold(a, sg)) and ((a + dl * lm) * c + dl * lm <= dl)
         assert rep.feasible == direct, (a, sg, dl, lm)
@@ -184,17 +183,20 @@ def test_validate_schedule_dispatches_on_condition_set():
     assert validate_schedule(constant_schedule(0.1, 0.5)).condition_set == "I"
     s = delayed_inertia_schedule(0.1, 0.5, sigma=0.01, delta=1.0)
     assert validate_schedule(s).condition_set == "II"
+    with pytest.raises(ValueError, match="alpha_cap"):
+        validate_schedule(delayed_inertia_schedule(1.0, 0.5, sigma=0.01, delta=1.0))
 
 
 def test_scaled_ceiling_admits_overrelaxation():
     s = constant_schedule(0.0, 1.5)
     base = validate_schedule(s)
     assert not base.feasible
-    scaled = scale_ceiling_for_averaged(base, 0.5)
+    scaled = validate_schedule(s, theta=0.5)
     assert scaled.feasible
     assert scaled.scaling_theta == 0.5
+    assert validate_schedule(s, theta=1.0).to_dict() == base.to_dict()
     with pytest.raises(ValueError):
-        scale_ceiling_for_averaged(base, 1.0)
+        validate_schedule(s, theta=1.5)
 
 
 def test_report_to_dict_is_json_friendly():
