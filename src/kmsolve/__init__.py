@@ -43,7 +43,6 @@ from .operators import (
     make_affine,
     make_box_projection,
     make_fb_composition,
-    make_gradient_step_ism,
     make_identity,
     make_soft_threshold,
     norm,
@@ -86,7 +85,6 @@ __all__ = [
     "make_affine",
     "make_soft_threshold",
     "make_box_projection",
-    "make_gradient_step_ism",
     "make_fb_composition",
     "quadratic_gradient",
     "unwrap_averaged",

@@ -413,7 +413,7 @@ def criterion_6() -> CriterionResult:
         passed,
         f"kkt gap {gap:.1e}; baseline {oracle_iters} steps; exact n={run_exact.iterations} "
         f"(vs planted {gap_star:.1e}, vs baseline {gap_oracle:.1e}); perturbed "
-        f"n={run_pert.iterations} (vs planted {gap_pert:.1e}); {elapsed:.1f}s",
+        f"n={run_pert.iterations} stop={run_pert.stop_reason} (vs planted {gap_pert:.1e}); {elapsed:.1f}s",
     )
 
 

@@ -260,8 +260,11 @@ def cmd_run(args) -> int:
     schedule = schedule_from_config(_require(cfg, "schedule", "config"))
     errors = errors_from_config(cfg.get("errors"))
     opts = _engine_options(cfg.get("engine"))
+    try:
+        report = validate_schedule(schedule)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     result = iterate(problem, schedule, errors, **opts)
-    report = validate_schedule(schedule)
     cert = None
     if problem.z_star is not None and report.feasible:
         cert = rate_certificate(result)

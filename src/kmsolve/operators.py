@@ -17,11 +17,9 @@ import numpy as np
 
 Point = np.ndarray
 
-# Spectral-norm certificates must be reproducible run to run.
-_POWER_ITER_SEED = 74123
-_POWER_ITER_TOL = 1e-10
-_POWER_ITER_CAP = 10_000
-
+# Rounding allowance for make_affine's nonexpansiveness check: the computed
+# largest singular value of an orthogonal or identity q may land a few ulps
+# above 1.
 _SPECTRAL_SLACK = 1e-12
 
 
@@ -84,32 +82,20 @@ class IsmOperator:
         return self.apply(x)
 
 
-def spectral_norm(mat, tol: float = _POWER_ITER_TOL, max_iter: int = _POWER_ITER_CAP) -> float:
-    """Largest singular value estimate via power iteration on mat^T mat.
+def spectral_norm(mat) -> float:
+    """Largest singular value ||mat||_2, computed by an SVD.
 
-    Deterministic: the start vector comes from a fixed seed.  Converges to
-    relative tolerance ``tol`` or stops after ``max_iter`` sweeps.
+    Exact up to floating-point rounding.  make_affine and quadratic_gradient
+    need an upper bound on ||mat||_2, which an estimate converging from
+    below (power iteration) cannot give.  Raises ValueError for non-matrices
+    and for non-finite entries.
     """
     a = np.asarray(mat, dtype=float)
     if a.ndim != 2:
         raise ValueError("spectral_norm expects a matrix")
-    gram = a.T @ a
-    rng = np.random.default_rng(_POWER_ITER_SEED)
-    v = rng.standard_normal(gram.shape[0])
-    v /= math.sqrt(float(v @ v))
-    lam = 0.0
-    for _ in range(max_iter):
-        w = gram @ v
-        nw = math.sqrt(float(w @ w))
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        lam_new = float(v @ (gram @ v))
-        if abs(lam_new - lam) <= tol * max(abs(lam_new), 1.0):
-            lam = lam_new
-            break
-        lam = lam_new
-    return math.sqrt(max(lam, 0.0))
+    if not np.isfinite(a).all():
+        raise ValueError("matrix contains non-finite entries")
+    return float(np.linalg.norm(a, 2))
 
 
 def make_identity(dim: int, theta: float = 1.0) -> OperatorSpec:
@@ -143,10 +129,11 @@ def make_box_projection(lo, hi) -> OperatorSpec:
 
 
 def make_affine(q, b, theta: float = 1.0) -> OperatorSpec:
-    """Affine map x -> q x + b, certified nonexpansive by a power-iteration bound.
+    """Affine map x -> q x + b, certified nonexpansive by its exact spectral norm.
 
-    The spectral-norm estimate of q must not exceed 1 + 1e-12.  theta stays 1
-    unless the caller supplies a certified smaller value.
+    ||q||_2 must not exceed 1 + 1e-12; the 1e-12 is a rounding allowance for
+    the SVD, so an orthogonal q passes.  theta stays 1 unless the caller
+    supplies a certified smaller value.
     """
     q = np.asarray(q, dtype=float)
     if q.ndim != 2 or q.shape[0] != q.shape[1]:
@@ -154,7 +141,7 @@ def make_affine(q, b, theta: float = 1.0) -> OperatorSpec:
     b = as_point(b, dim=q.shape[0], name="b")
     cert = spectral_norm(q)
     if cert > 1.0 + _SPECTRAL_SLACK:
-        raise ValueError(f"spectral norm certificate failed: estimate {cert} exceeds 1 + 1e-12")
+        raise ValueError(f"spectral norm certificate failed: ||q||_2 = {cert} exceeds 1 + 1e-12")
 
     def apply(x):
         return q @ x + b
@@ -162,33 +149,20 @@ def make_affine(q, b, theta: float = 1.0) -> OperatorSpec:
     return OperatorSpec(apply=apply, theta=theta, dim=q.shape[0])
 
 
-def make_gradient_step_ism(grad, beta: float | None = None) -> IsmOperator:
-    """Wrap a gradient map together with its cocoercivity modulus beta.
-
-    Accepts an existing IsmOperator (returned unchanged) or a callable plus a
-    positive beta.
-    """
-    if isinstance(grad, IsmOperator):
-        if beta is not None and float(beta) != grad.beta:
-            raise ValueError("conflicting beta: operator already carries one")
-        return grad
-    if beta is None or not (math.isfinite(beta) and beta > 0.0):
-        raise ValueError("a positive modulus beta is required")
-    return IsmOperator(apply=grad, beta=float(beta))
-
-
 def quadratic_gradient(m, b) -> IsmOperator:
     """Gradient of x -> 0.5 ||m x - b||^2 as an IsmOperator.
 
-    The gradient m^T (m x - b) is Lipschitz with constant L = ||m^T m||_2, and
+    The gradient m^T (m x - b) is Lipschitz with constant L = ||m||_2^2, and
     a convex function with an L-Lipschitz gradient has a (1/L)-cocoercive
-    gradient (Baillon-Haddad), so beta = 1 / ||m^T m||_2.
+    gradient (Baillon-Haddad), so beta = 1 / ||m||_2^2.  ||m||_2 is exact
+    (see spectral_norm), so beta does not overstate the modulus beyond
+    rounding.
     """
     m = np.asarray(m, dtype=float)
     b = as_point(b, dim=m.shape[0], name="b")
     sigma = spectral_norm(m)
     if sigma == 0.0:
-        raise ValueError("zero matrix: choose beta explicitly via make_gradient_step_ism")
+        raise ValueError("zero matrix: choose beta explicitly via IsmOperator(apply=..., beta=...)")
     mt = np.ascontiguousarray(m.T)
 
     def apply(x):

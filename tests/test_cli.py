@@ -156,6 +156,23 @@ def test_bad_configs_exit_two(tmp_path):
     assert "error:" in err
 
 
+def test_run_rejects_bad_input_before_iterating(tmp_path, monkeypatch):
+    def no_iterate(*args, **kwargs):
+        raise AssertionError("iterate ran on a rejected config")
+
+    monkeypatch.setattr(cli, "iterate", no_iterate)
+    nan_matrix = json.loads(json.dumps(FEASIBLE))
+    nan_matrix["problem"]["matrix"][0][1] = float("nan")
+    code, out, err = _main(["run", _write(tmp_path, nan_matrix, "nan.json")])
+    assert code == 2 and out == ""
+    assert err.startswith("error: bad problem:") and "non-finite" in err
+
+    alpha_one = dict(FEASIBLE, schedule={"alpha": 1.0, "lambda": 0.5, "sigma": 0.01, "delta": 1.0})
+    code, out, err = _main(["run", _write(tmp_path, alpha_one, "alpha_one.json")])
+    assert code == 2 and out == ""
+    assert err.startswith("error: alpha_cap must be < 1")
+
+
 def test_box_projection_problem(tmp_path):
     cfg = {
         "problem": {"kind": "box-projection", "lo": [-1.0], "hi": [1.0], "z0": [4.0], "z_star": [1.0]},

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from kmsolve.applications import plant_lasso
 from kmsolve.operators import (
     IsmOperator,
     OperatorSpec,
@@ -11,7 +12,6 @@ from kmsolve.operators import (
     make_affine,
     make_box_projection,
     make_fb_composition,
-    make_gradient_step_ism,
     make_identity,
     make_soft_threshold,
     norm,
@@ -67,7 +67,7 @@ def test_spectral_norm_matches_dense_svd():
     rng = np.random.default_rng(1)
     for _ in range(10):
         m = rng.standard_normal((rng.integers(2, 12), rng.integers(2, 12)))
-        assert spectral_norm(m) == pytest.approx(np.linalg.norm(m, 2), rel=1e-8)
+        assert spectral_norm(m) == pytest.approx(np.linalg.norm(m, 2), rel=1e-13)
 
 
 def test_identity_returns_input_unchanged():
@@ -117,6 +117,27 @@ def test_affine_certificate_rejects_expansions():
         make_affine(np.ones((2, 3)), np.zeros(2))
 
 
+def test_affine_certificate_rejects_a_barely_expansive_matrix():
+    # ||q||_2 = 1 + 1e-9: an estimate that converges from below reads it as < 1
+    rng = np.random.default_rng(200)
+    u, _ = np.linalg.qr(rng.standard_normal((200, 200)))
+    v, _ = np.linalg.qr(rng.standard_normal((200, 200)))
+    s = np.linspace(0.5, 1.0, 200)
+    s[-1] = 1.0 + 1e-9
+    with pytest.raises(ValueError, match="spectral norm"):
+        make_affine((u * s) @ v.T, np.zeros(200))
+
+
+def test_non_finite_matrices_are_rejected_when_built():
+    for bad in (np.nan, np.inf):
+        q = 0.5 * np.eye(3)
+        q[1, 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            make_affine(q, np.zeros(3))
+        with pytest.raises(ValueError, match="non-finite"):
+            quadratic_gradient(q, np.zeros(3))
+
+
 def test_affine_accepts_orthogonal_and_applies_correctly():
     rng = np.random.default_rng(4)
     q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
@@ -132,33 +153,28 @@ def test_quadratic_gradient_modulus_is_inverse_square_spectral_norm():
     b = rng.standard_normal(8)
     op = quadratic_gradient(m, b)
     sigma = np.linalg.norm(m, 2)
-    assert op.beta == pytest.approx(1.0 / sigma**2, rel=1e-8)
+    assert op.beta == pytest.approx(1.0 / sigma**2, rel=1e-13)
     x = rng.standard_normal(6)
     assert np.allclose(op(x), m.T @ (m @ x - b), rtol=0, atol=1e-14)
-
-
-def test_gradient_step_ism_requires_a_modulus():
-    with pytest.raises(ValueError, match="beta"):
-        make_gradient_step_ism(lambda x: x)
-    op = make_gradient_step_ism(lambda x: x, beta=2.0)
-    assert op.beta == 2.0
-    wrapped = quadratic_gradient(np.eye(2), np.zeros(2))
-    with pytest.raises(ValueError, match="conflicting beta"):
-        make_gradient_step_ism(wrapped, beta=3.0)
+    inst = plant_lasso(300, 200, seed=606)
+    lasso = quadratic_gradient(inst.matrix, inst.rhs)
+    assert lasso.beta == pytest.approx(1.0 / np.linalg.norm(inst.matrix, 2) ** 2, rel=1e-13)
+    with pytest.raises(ValueError, match="IsmOperator"):
+        quadratic_gradient(np.zeros((3, 2)), np.zeros(3))
 
 
 def test_fb_composition_averagedness_formula():
     # theta = 2*beta / (4*beta - rho); pinned at 2/3 for (beta, rho) = (1, 1)
     res = make_soft_threshold(0.1, 2)
-    fwd = make_gradient_step_ism(lambda x: np.zeros_like(x), beta=1.0)
+    fwd = IsmOperator(apply=lambda x: np.zeros_like(x), beta=1.0)
     op = make_fb_composition(res, fwd, 1.0)
     assert op.theta == 0.6666666666666666
-    fwd_half = make_gradient_step_ism(lambda x: np.zeros_like(x), beta=0.5)
+    fwd_half = IsmOperator(apply=lambda x: np.zeros_like(x), beta=0.5)
     assert make_fb_composition(res, fwd_half, 0.5).theta == 0.6666666666666666
 
 
 def test_fb_composition_validates_inputs():
-    fwd = make_gradient_step_ism(lambda x: np.zeros_like(x), beta=1.0)
+    fwd = IsmOperator(apply=lambda x: np.zeros_like(x), beta=1.0)
     with pytest.raises(ValueError, match="firmly nonexpansive"):
         make_fb_composition(make_identity(2), fwd, 1.0)
     res = make_soft_threshold(0.1, 2)
