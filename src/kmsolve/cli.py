@@ -57,8 +57,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from .diagnostics import consistency_report, rate_certificate
-from .engine import Problem, iterate
+from .diagnostics import _min_residual_sq, consistency_report, rate_certificate
+from .engine import ROUTES, Problem, iterate
 from .operators import make_affine, make_box_projection, make_identity, make_soft_threshold
 from .schedules import ErrorModel, constant_schedule, validate_schedule
 
@@ -163,7 +163,7 @@ def errors_from_config(cfg: dict | None) -> ErrorModel:
         raise ConfigError(f"bad errors: {exc}") from exc
 
 
-def _engine_options(cfg: dict | None) -> dict:
+def _engine_options(cfg: dict | None, problem: Problem) -> dict:
     cfg = cfg or {}
     opts = {}
     try:
@@ -171,10 +171,16 @@ def _engine_options(cfg: dict | None) -> dict:
             opts["tol"] = float(cfg["tol"])
         if "max_iter" in cfg:
             opts["max_iter"] = int(cfg["max_iter"])
+            if opts["max_iter"] < 0:
+                raise ValueError("max_iter must be nonnegative")
         if "divergence_norm" in cfg:
             opts["divergence_norm"] = float(cfg["divergence_norm"])
         if "route" in cfg:
             opts["route"] = str(cfg["route"])
+            if opts["route"] not in ROUTES:
+                raise ValueError(f"unknown route {opts['route']!r}")
+            if opts["route"] == "unwrap" and problem.operator.theta >= 1.0:
+                raise ValueError("route 'unwrap' needs an averaged problem (theta < 1)")
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad engine options: {exc}") from exc
     return opts
@@ -192,8 +198,7 @@ def _g17(x: float) -> str:
 def _csv_rows(result, cert):
     n = result.iterations
     mrs = np.full(n, math.nan)
-    if n >= 2:
-        mrs[1:] = np.minimum.accumulate(result.residuals[1:] ** 2)
+    mrs[1:] = _min_residual_sq(result.residuals)
     delta = np.full(n, math.nan)
     rhs = np.full(n, math.nan)
     if cert is not None and cert.valid:
@@ -259,7 +264,7 @@ def cmd_run(args) -> int:
     problem = problem_from_config(_require(cfg, "problem", "config"))
     schedule = schedule_from_config(_require(cfg, "schedule", "config"))
     errors = errors_from_config(cfg.get("errors"))
-    opts = _engine_options(cfg.get("engine"))
+    opts = _engine_options(cfg.get("engine"), problem)
     try:
         report = validate_schedule(schedule)
     except ValueError as exc:
@@ -298,7 +303,7 @@ def cmd_compare(args) -> int:
     plain_cfg["alpha"] = 0.0
     plain = schedule_from_config(plain_cfg)
     errors = errors_from_config(cfg.get("errors"))
-    opts = _engine_options(cfg.get("engine"))
+    opts = _engine_options(cfg.get("engine"), problem)
 
     inertial_run = iterate(problem, schedule, errors, **opts)
     plain_run = iterate(problem, plain, errors, **opts)

@@ -29,11 +29,13 @@ squared variant is the tighter of the two exactly when dist_1 < 1, and
 the printed variant can fail when dist_1 > 1, so `tighter` names the one
 to trust.
 
-The ceiling entering 1 / (1 - ceiling) is the scheme-level relaxation
-bound: the declared lambda_ceiling for regime I, the closed-form maximum
-for regime II.  No certificate is issued when that ceiling reaches 1, so
-a run justified only through the averaged rescaling (effective ceiling
-1/theta > 1) gets no certificate even though it may well converge.
+The certificate runs validate_schedule's checks on the alpha_k, lambda_k
+the run recorded, so it covers exactly the steps that ran.  The ceiling
+entering 1 / (1 - ceiling) is the scheme-level relaxation bound: the
+declared lambda_ceiling for regime I, the closed-form maximum for regime
+II.  Both are below 1 once the checks pass, so a run justified only
+through the averaged rescaling (effective ceiling 1/theta > 1) gets no
+certificate even though it may well converge.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import RunResult
-from .schedules import lambda_ceiling_ii, validate_schedule
+from .schedules import _check_sequences, lambda_ceiling_ii
 
 
 @dataclass(frozen=True)
@@ -95,6 +97,11 @@ def _refused(reason: str) -> RateCertificate:
     )
 
 
+def _min_residual_sq(residuals: np.ndarray) -> np.ndarray:
+    """min_{1 <= i <= k} r_i^2 for k = 1..len - 1: the best squared residual so far."""
+    return np.minimum.accumulate(residuals[1:] ** 2)
+
+
 def certificate_ceiling(result: RunResult) -> float:
     """Scheme-level relaxation ceiling used by the certificate."""
     s = result.schedule
@@ -104,33 +111,29 @@ def certificate_ceiling(result: RunResult) -> float:
 
 
 def rate_certificate(result: RunResult) -> RateCertificate:
-    """Residual rate certificate for a finished run, or the reason there is none."""
+    """Residual rate certificate for a finished run, or the reason there is none.
+
+    The schedule is checked on the run's recorded alpha_k, lambda_k, and a
+    refusal names the failed check; passing puts the ceiling below 1.
+    """
     s = result.schedule
-    report = validate_schedule(s)
+    n = result.iterations
+    if n < 2:
+        return _refused("needs at least two iterations")
+    report = _check_sequences(s, result.alphas, result.lambdas, 1.0)
     if not report.feasible:
-        return _refused("schedule infeasible under its declared regime")
-    theta = certificate_ceiling(result)
-    if not theta < 1.0:
-        return _refused("relaxation ceiling is not below 1")
+        reason = "schedule infeasible under its declared regime: " + "; ".join(report.violations)
+        return _refused(reason)
     if not s.lambda_floor > 0.0:
         return _refused("needs a positive relaxation floor")
     if result.dists is None:
         return _refused("needs a known solution")
-    n = result.iterations
-    if n < 2:
-        return _refused("needs at least two iterations")
 
+    theta = certificate_ceiling(result)
     d = result.dists
     lam = result.lambdas
     err = result.err_norms
     al = result.alphas
-    # Validation scans a fixed horizon; the run may have gone past it.
-    # Written so that a NaN parameter refuses as well.
-    in_bounds = (
-        0.0 <= al.min() and al.max() <= s.alpha_cap and s.lambda_floor <= lam.min() and lam.max() <= theta
-    )
-    if not in_bounds:
-        return _refused("realized alpha_k or lambda_k leave the validated bounds")
     st = result.step_norms
     kk = np.arange(1, n)
 
@@ -145,7 +148,6 @@ def rate_certificate(result: RunResult) -> RateCertificate:
     dist1 = float(d[1])
     rhs_printed = (dist1 + delta) / denom
     rhs_squared = (dist1 * dist1 + delta) / denom
-    min_res_sq = np.minimum.accumulate(result.residuals[1:n] ** 2)
 
     return RateCertificate(
         valid=True,
@@ -154,7 +156,7 @@ def rate_certificate(result: RunResult) -> RateCertificate:
         lambda_floor=s.lambda_floor,
         dist1=dist1,
         ks=kk,
-        min_residual_sq=min_res_sq,
+        min_residual_sq=_min_residual_sq(result.residuals),
         delta=delta,
         rhs_printed=rhs_printed,
         rhs_squared=rhs_squared,

@@ -1,7 +1,9 @@
 """Parameter schedules, perturbation models, and the feasibility validator.
 
 validate_schedule checks a schedule under the regime it declares, tagged
-"I" (no sigma, delta) or "II" (sigma and delta given).
+"I" (no sigma, delta) or "II" (sigma and delta given), on alpha_k and
+lambda_k sampled over k = 0..horizon.  The rate certificate runs the same
+checks on the parameters a finished run recorded.
 
 Regime I checks the pointwise bounds 0 <= alpha_k <= alpha_cap < 1 and
 0 <= lambda_floor <= lambda_k <= lambda_ceiling < 1.  Its remaining
@@ -255,30 +257,6 @@ def _fmt(x: float) -> str:
     return format(x, ".12g")
 
 
-def _scan_schedule(s: ParamSchedule, horizon: int):
-    """Pointwise extrema of alpha_k, lambda_k over k = 0..horizon, plus monotonicity."""
-    a_min = math.inf
-    a_max = -math.inf
-    l_min = math.inf
-    l_max = -math.inf
-    nondecreasing = True
-    a_prev = None
-    a0 = None
-    for k in range(horizon + 1):
-        a = float(s.alpha_of(k))
-        l = float(s.lambda_of(k))
-        if k == 0:
-            a0 = a
-        if a_prev is not None and a < a_prev:
-            nondecreasing = False
-        a_prev = a
-        a_min = min(a_min, a)
-        a_max = max(a_max, a)
-        l_min = min(l_min, l)
-        l_max = max(l_max, l)
-    return a0, a_min, a_max, l_min, l_max, nondecreasing
-
-
 _DEFERRED_I = (
     "sum_k alpha_k ||z^{k+1} - z^k||^2 < inf (deferred-to-runtime)",
     "sum_k lambda_k ||e^k|| < inf (deferred-to-runtime)",
@@ -307,7 +285,7 @@ def lambda_ceiling_ii(alpha: float, sigma: float, delta: float) -> float:
 
 
 def validate_schedule(s: ParamSchedule, horizon: int = 1000, theta: float = 1.0) -> ConditionReport:
-    """Feasibility of `s` under its own regime, scanning k = 0..horizon.
+    """Feasibility of `s` under its own regime, sampling k = 0..horizon.
 
     The regime is ``s.condition_set``.  ``theta`` in (0, 1] is the
     averagedness constant of the operator the schedule drives: the
@@ -317,12 +295,25 @@ def validate_schedule(s: ParamSchedule, horizon: int = 1000, theta: float = 1.0)
     """
     if not (0.0 < theta <= 1.0):
         raise ValueError(f"theta must lie in (0, 1], got {theta}")
+    ks = range(horizon + 1)
+    alphas = np.fromiter(map(s.alpha_of, ks), float, len(ks))
+    lambdas = np.fromiter(map(s.lambda_of, ks), float, len(ks))
+    return _check_sequences(s, alphas, lambdas, theta)
+
+
+def _check_sequences(s: ParamSchedule, alphas, lambdas, theta: float) -> ConditionReport:
+    """The conditions of `s`'s regime on the arrays alpha_k, lambda_k, k = 0..len - 1.
+
+    A NaN in either array fails every check it enters.
+    """
     regime_ii = s.condition_set == "II"
     cap = s.alpha_cap
     floor = s.lambda_floor
     if regime_ii and cap >= 1.0:
         raise ValueError("alpha_cap must be < 1: regime II formulas are undefined")
-    a0, a_min, a_max, l_min, l_max, nondecreasing = _scan_schedule(s, horizon)
+    a0, a_min, a_max = float(alphas[0]), float(alphas.min()), float(alphas.max())
+    l_min, l_max = float(lambdas.min()), float(lambdas.max())
+    nondecreasing = bool(np.all(alphas[1:] >= alphas[:-1]))
 
     checks = []
     violations = []

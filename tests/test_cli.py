@@ -172,6 +172,18 @@ def test_run_rejects_bad_input_before_iterating(tmp_path, monkeypatch):
     assert code == 2 and out == ""
     assert err.startswith("error: alpha_cap must be < 1")
 
+    bad_engines = [
+        ({"route": "bogus"}, "error: bad engine options: unknown route 'bogus'"),
+        ({"max_iter": -3}, "error: bad engine options: max_iter must be nonnegative"),
+        ({"route": "unwrap"}, "error: bad engine options: route 'unwrap' needs an averaged problem"),
+    ]
+    for i, (engine, message) in enumerate(bad_engines):
+        path = _write(tmp_path, dict(FEASIBLE, engine=engine), f"engine{i}.json")
+        for command in ("run", "compare"):
+            code, out, err = _main([command, path])
+            assert code == 2 and out == ""
+            assert err.startswith(message)
+
 
 def test_box_projection_problem(tmp_path):
     cfg = {

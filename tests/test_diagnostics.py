@@ -86,7 +86,9 @@ def test_certificate_refusal_reasons():
     prob = _contraction(seed=24)
 
     run = iterate(prob, constant_schedule(0.2, 1.0), tol=-1.0, max_iter=10)
-    assert rate_certificate(run).reason == "schedule infeasible under its declared regime"
+    assert rate_certificate(run).reason == (
+        "schedule infeasible under its declared regime: lambda_ceiling must be < 1"
+    )
 
     sched = constant_schedule(0.2, 0.5, lambda_floor=0.0)
     run = iterate(prob, sched, tol=-1.0, max_iter=10)
@@ -97,6 +99,8 @@ def test_certificate_refusal_reasons():
     assert rate_certificate(run).reason == "needs a known solution"
 
     run = iterate(prob, constant_schedule(0.2, 0.5), tol=-1.0, max_iter=1)
+    assert rate_certificate(run).reason == "needs at least two iterations"
+    run = iterate(prob, constant_schedule(0.2, 0.5), tol=-1.0, max_iter=0)
     assert rate_certificate(run).reason == "needs at least two iterations"
 
     refused = rate_certificate(iterate(prob, constant_schedule(0.2, 1.0), tol=-1.0, max_iter=10))
@@ -118,7 +122,42 @@ def test_certificate_refuses_parameters_past_the_validated_horizon():
     assert run.lambdas.max() == 1.5
     cert = rate_certificate(run)
     assert not cert.valid
-    assert cert.reason == "realized alpha_k or lambda_k leave the validated bounds"
+    assert cert.reason == (
+        "schedule infeasible under its declared regime: "
+        "lambda_of(k) must be <= lambda_ceiling (max 1.5)"
+    )
+
+    # regime II: alpha decreases at k = 1500, past the scan but inside the run
+    drop = ParamSchedule(
+        alpha_of=lambda k: 0.0 if k == 0 else (0.1 if k < 1500 else 0.05),
+        lambda_of=lambda k: 0.5,
+        alpha_cap=0.1,
+        lambda_floor=0.5,
+        lambda_ceiling=0.5,
+        sigma=0.01,
+        delta=1.0,
+    )
+    assert validate_schedule(drop).feasible
+    run = iterate(_contraction(seed=32), drop, tol=-1.0, max_iter=2000)
+    cert = rate_certificate(run)
+    assert not cert.valid
+    assert cert.reason == (
+        "schedule infeasible under its declared regime: alpha_of must be nondecreasing"
+    )
+
+    # a schedule infeasible only from k = 500 on certifies a run that stops before it
+    late = ParamSchedule(
+        alpha_of=lambda k: 0.2,
+        lambda_of=lambda k: 0.5 if k < 500 else 1.5,
+        alpha_cap=0.2,
+        lambda_floor=0.5,
+        lambda_ceiling=0.5,
+    )
+    assert not validate_schedule(late).feasible
+    cert = rate_certificate(iterate(_contraction(seed=32), late, tol=-1.0, max_iter=10))
+    assert cert.valid and cert.reason == ""
+    assert cert.ks.size == 9
+    assert cert.holds()
 
 
 def test_certificate_ceiling_per_regime():

@@ -1,6 +1,7 @@
 """Parameter schedules, error models, and the feasibility validators."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -185,6 +186,12 @@ def test_validate_schedule_dispatches_on_condition_set():
     assert validate_schedule(s).condition_set == "II"
     with pytest.raises(ValueError, match="alpha_cap"):
         validate_schedule(delayed_inertia_schedule(1.0, 0.5, sigma=0.01, delta=1.0))
+    # a NaN parameter anywhere in the scan is infeasible in both regimes
+    for base in (constant_schedule(0.1, 0.5), s):
+        nan_lambda = replace(base, lambda_of=lambda k: math.nan if k == 5 else 0.5)
+        nan_alpha0 = replace(base, alpha_of=lambda k: math.nan if k == 0 else 0.1)
+        assert validate_schedule(nan_lambda).feasible is False
+        assert validate_schedule(nan_alpha0).feasible is False
 
 
 def test_scaled_ceiling_admits_overrelaxation():
