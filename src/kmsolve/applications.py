@@ -12,9 +12,11 @@ an error e2 on the resolvent output fold into one scheme-level term
 whose norm is recorded as err_norm and obeys
 ||e-bar|| <= rho ||e1|| + ||e2|| by nonexpansiveness of the resolvent.
 When both channels are zero at step k the exact operator output is
-reused, so error-free runs cost one resolvent application per step and
-perturbed steps cost two.  Give the two channels different seeds; equal
-seeds draw identical directions at each k.
+reused, so error-free runs cost one forward and one resolvent evaluation
+per step.  A perturbed step reuses the forward value B mu computed for
+T mu, so it costs one forward and two resolvent evaluations.  Give the
+two channels different seeds; equal seeds draw identical directions at
+each k.
 
 plant_lasso builds an l1-regularized least-squares instance whose exact
 solution is known by construction, for end-to-end solver checks.
@@ -80,24 +82,36 @@ def solve_fbs(
     The direct route with zero inertia and zero errors is exactly the
     classical iteration z <- z + lambda (J(z - rho B z) - z).
     """
-    t = make_fb_composition(resolvent, forward, rho)
-    prob = Problem(operator=t, z0=z0, z_star=z_star)
     fe = forward_errors if forward_errors is not None else ErrorModel.zero()
     re = resolvent_errors if resolvent_errors is not None else ErrorModel.zero()
     if fe.kind == "zero" and re.kind == "zero":
+        prob = Problem(operator=make_fb_composition(resolvent, forward, rho), z0=z0, z_star=z_star)
         return iterate(prob, schedule, None, route=route, **engine_options)
 
     dim = resolvent.dim
     j = resolvent.apply
     fwd = forward.apply
     r = float(rho)
+    # The composition records its last (x, B x); the loop calls the callback
+    # with the very mu it just passed to T, so B mu is reused, not evaluated
+    # again.  Holding x keeps its id from being reused.  Only the callback
+    # reads the record: T stays exact on an array changed in place.
+    last = [None, None]
+
+    def recorded(x):
+        b_x = fwd(x)
+        last[0], last[1] = x, b_x
+        return b_x
+
+    t = make_fb_composition(resolvent, IsmOperator(apply=recorded, beta=forward.beta), rho)
+    prob = Problem(operator=t, z0=z0, z_star=z_star)
 
     def perturb(mu, t_mu, k):
         n1 = fe.norm_at(k)
         n2 = re.norm_at(k)
         if n1 == 0.0 and n2 == 0.0:
             return t_mu, 0.0
-        b_mu = fwd(mu)
+        b_mu = last[1] if mu is last[0] else fwd(mu)
         if n1 != 0.0:
             b_mu = b_mu + emit_error(fe, k, dim)
         t_pert = j(mu - r * b_mu)

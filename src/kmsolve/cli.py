@@ -169,12 +169,16 @@ def _engine_options(cfg: dict | None, problem: Problem) -> dict:
     try:
         if "tol" in cfg:
             opts["tol"] = float(cfg["tol"])
+            if math.isnan(opts["tol"]):
+                raise ValueError("tol must not be NaN")
         if "max_iter" in cfg:
             opts["max_iter"] = int(cfg["max_iter"])
             if opts["max_iter"] < 0:
                 raise ValueError("max_iter must be nonnegative")
         if "divergence_norm" in cfg:
             opts["divergence_norm"] = float(cfg["divergence_norm"])
+            if math.isnan(opts["divergence_norm"]):
+                raise ValueError("divergence_norm must not be NaN")
         if "route" in cfg:
             opts["route"] = str(cfg["route"])
             if opts["route"] not in ROUTES:

@@ -27,7 +27,10 @@ theta so both routes report the same scheme-level quantities.
 
 Stopping: residual <= tol wins every tie, then a norm blowup past
 `divergence_norm`, then the iteration budget.  A negative tol disables
-the residual stop, which pins the horizon exactly.
+the residual stop, which pins the horizon exactly; a NaN tol or
+divergence_norm is rejected.  A non-finite state is caught through its
+norm, which is then inf or NaN (NaN counts as inf), so it always stops
+the run as diverged.
 """
 
 from __future__ import annotations
@@ -162,6 +165,10 @@ def iterate(
         raise ValueError("pass an ErrorModel or a perturb callback, not both")
     if max_iter < 0:
         raise ValueError("max_iter must be nonnegative")
+    if math.isnan(tol):
+        raise ValueError("tol must not be NaN")
+    if math.isnan(divergence_norm):
+        raise ValueError("divergence_norm must not be NaN")
 
     # theta scales the relaxation and the recorded residuals and error
     # norms; it is 1 on the direct route.
@@ -172,7 +179,10 @@ def iterate(
         apply_op = problem.operator.apply
         theta = 1.0
     if perturb is None:
-        perturb_fn = _model_perturb(errors or ErrorModel.zero(), problem.operator.dim, theta)
+        # None marks the exact case: the loop then skips the callback.
+        perturb_fn = None
+        if errors is not None and errors.kind != "zero":
+            perturb_fn = _model_perturb(errors, problem.operator.dim, theta)
     elif route == "unwrap":
         perturb_fn = _rescaled_perturb(perturb, theta)
     else:
@@ -200,7 +210,10 @@ def iterate(
         mu = z if a == 0.0 else z + a * (z - z_prev)
         t_mu = np.asarray(apply_op(mu), dtype=float)
         r = theta * norm(t_mu - mu)
-        t_eff, e_norm = perturb_fn(mu, t_mu, k)
+        if perturb_fn is None:
+            t_eff, e_norm = t_mu, 0.0
+        else:
+            t_eff, e_norm = perturb_fn(mu, t_mu, k)
         z_next = mu + (lam * theta) * (t_eff - mu)
 
         residuals.append(r)
@@ -215,14 +228,15 @@ def iterate(
 
         z_prev = z
         z = z_next
-        finite = bool(np.isfinite(z).all())
-        zn = norm(z) if finite else math.inf
+        zn = norm(z)
+        if zn != zn:
+            zn = math.inf
         if zn > max_norm:
             max_norm = zn
         if r <= tol:
             stop_reason = "residual-tol"
             break
-        if not finite or zn >= divergence_norm:
+        if zn >= divergence_norm:
             stop_reason = "diverged"
             break
 

@@ -45,8 +45,12 @@ def inner(a, b) -> float:
 
 
 def norm(a) -> float:
-    """Euclidean norm, sqrt(inner(a, a))."""
-    return math.sqrt(inner(a, a))
+    """Euclidean norm sqrt(a . a): bit for bit sqrt(inner(a, a)), without its shape check.
+
+    inf for a vector with an infinite entry or overflowing squares, NaN for
+    one with a NaN entry.
+    """
+    return math.sqrt(float(np.dot(a, a)))
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,14 @@ from kmsolve.applications import (
     solve_ppa,
 )
 from kmsolve.engine import Problem, iterate
-from kmsolve.operators import make_affine, make_fb_composition, make_soft_threshold, quadratic_gradient
-from kmsolve.schedules import ErrorModel, constant_schedule
+from kmsolve.operators import (
+    make_affine,
+    make_fb_composition,
+    make_soft_threshold,
+    norm,
+    quadratic_gradient,
+)
+from kmsolve.schedules import ErrorModel, constant_schedule, emit_error
 
 
 def test_ppa_requires_a_firmly_nonexpansive_resolvent():
@@ -79,24 +85,28 @@ def test_fbs_folded_error_respects_the_rho_bound():
 
 
 def test_fbs_resolvent_call_counts():
-    # exact steps reuse the unperturbed image; perturbed steps pay a second call
+    # exact steps reuse the unperturbed image; perturbed steps pay a second
+    # resolvent call but reuse the forward value computed for T mu
     inst = plant_lasso(n_samples=30, n_features=20, support_size=4, reg=0.4, seed=54)
     rho = quadratic_gradient(inst.matrix, inst.rhs).beta
     resolvent, forward = lasso_fbs_pieces(inst, rho)
-    calls = {"n": 0}
-    base_apply = resolvent.apply
+    calls = {"resolvent": 0, "forward": 0}
 
-    def counting(x):
-        calls["n"] += 1
-        return base_apply(x)
+    def counting(name, f):
+        def apply(x):
+            calls[name] += 1
+            return f(x)
 
-    counted = dataclasses.replace(resolvent, apply=counting)
-    solve_fbs(counted, forward, rho, np.zeros(20), constant_schedule(0.0, 0.9), tol=-1.0, max_iter=25)
-    assert calls["n"] == 25
-    calls["n"] = 0
+        return apply
+
+    counted = dataclasses.replace(resolvent, apply=counting("resolvent", resolvent.apply))
+    counted_fwd = dataclasses.replace(forward, apply=counting("forward", forward.apply))
+    solve_fbs(counted, counted_fwd, rho, np.zeros(20), constant_schedule(0.0, 0.9), tol=-1.0, max_iter=25)
+    assert calls == {"resolvent": 25, "forward": 25}
+    calls.update(resolvent=0, forward=0)
     solve_fbs(
         counted,
-        forward,
+        counted_fwd,
         rho,
         np.zeros(20),
         constant_schedule(0.0, 0.9),
@@ -104,7 +114,57 @@ def test_fbs_resolvent_call_counts():
         tol=-1.0,
         max_iter=25,
     )
-    assert calls["n"] == 50
+    assert calls == {"resolvent": 50, "forward": 25}
+
+
+def test_perturbed_fbs_matches_the_two_forward_recurrence():
+    # Reference: the perturbed step restated with B mu evaluated again inside
+    # the callback; sharing the value computed for T mu must not change a bit.
+    inst = plant_lasso(n_samples=30, n_features=20, support_size=4, reg=0.4, seed=57)
+    rho = quadratic_gradient(inst.matrix, inst.rhs).beta
+    resolvent, forward = lasso_fbs_pieces(inst, rho)
+    j, fwd, r = resolvent.apply, forward.apply, float(rho)
+    z0 = inst.x_star + 0.3
+    sched = constant_schedule(0.2, 0.9)
+    prob = Problem(operator=make_fb_composition(resolvent, forward, rho), z0=z0, z_star=inst.x_star)
+    channels = [
+        (ErrorModel.power_decay(0.1, 2.0, seed=58), ErrorModel.power_decay(0.05, 1.5, seed=59)),
+        # both, forward only, resolvent only, neither, both, then exact steps
+        (
+            ErrorModel.from_norms([0.1, 0.05, 0.0, 0.0, 0.02], seed=60),
+            ErrorModel.from_norms([0.05, 0.0, 0.02, 0.0, 0.01], seed=61),
+        ),
+    ]
+    for fe, re in channels:
+
+        def two_forward(mu, t_mu, k, fe=fe, re=re):
+            n1, n2 = fe.norm_at(k), re.norm_at(k)
+            if n1 == 0.0 and n2 == 0.0:
+                return t_mu, 0.0
+            b_mu = fwd(mu)
+            if n1 != 0.0:
+                b_mu = b_mu + emit_error(fe, k, 20)
+            t_pert = j(mu - r * b_mu)
+            if n2 != 0.0:
+                t_pert = t_pert + emit_error(re, k, 20)
+            return t_pert, norm(t_pert - t_mu)
+
+        for route in ("direct", "unwrap"):
+            opts = dict(tol=-1.0, max_iter=60, route=route)
+            run = solve_fbs(
+                resolvent,
+                forward,
+                rho,
+                z0,
+                sched,
+                forward_errors=fe,
+                resolvent_errors=re,
+                z_star=inst.x_star,
+                **opts,
+            )
+            ref = iterate(prob, sched, perturb=two_forward, **opts)
+            for name in ("z", "residuals", "err_norms", "step_norms", "dists"):
+                assert np.array_equal(getattr(run, name), getattr(ref, name))
 
 
 def test_plant_lasso_produces_a_certified_minimizer():

@@ -176,6 +176,8 @@ def test_run_rejects_bad_input_before_iterating(tmp_path, monkeypatch):
         ({"route": "bogus"}, "error: bad engine options: unknown route 'bogus'"),
         ({"max_iter": -3}, "error: bad engine options: max_iter must be nonnegative"),
         ({"route": "unwrap"}, "error: bad engine options: route 'unwrap' needs an averaged problem"),
+        ({"tol": "nan"}, "error: bad engine options: tol must not be NaN"),
+        ({"divergence_norm": float("nan")}, "error: bad engine options: divergence_norm must not be NaN"),
     ]
     for i, (engine, message) in enumerate(bad_engines):
         path = _write(tmp_path, dict(FEASIBLE, engine=engine), f"engine{i}.json")

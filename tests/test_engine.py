@@ -1,5 +1,7 @@
 """The iteration loop: traces, stopping rules, reductions, and routes."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,24 @@ def test_reductions_are_bit_identical():
             assert np.array_equal(a, b)
 
 
+def test_zero_error_model_matches_exact_run_on_both_routes():
+    rng = np.random.default_rng(11)
+    prob = Problem(
+        operator=make_soft_threshold(0.2, 5), z0=rng.uniform(-2, 2, 5), z_star=np.zeros(5)
+    )
+    sched = constant_schedule(0.1, 1.2)
+    for route in ("direct", "unwrap"):
+        opts = dict(tol=-1.0, max_iter=200, record_states=True, route=route)
+        exact = iterate(prob, sched, None, **opts)
+        zero = iterate(prob, sched, ErrorModel.zero(), **opts)
+        for name in ("z", "residuals", "err_norms", "step_norms", "dists"):
+            assert np.array_equal(getattr(exact, name), getattr(zero, name))
+        for a, b in zip(exact.states, zero.states):
+            assert np.array_equal(a, b)
+        assert np.all(zero.err_norms == 0.0)
+        assert zero.max_state_norm == exact.max_state_norm
+
+
 def test_km_rejects_inertial_schedules():
     with pytest.raises(ValueError):
         km(_halving_problem(), constant_schedule(0.3, 0.5))
@@ -115,6 +135,29 @@ def test_divergence_stop():
     assert run.stop_reason == "diverged"
     assert not run.converged
     assert run.iterations < 10_000
+
+
+@pytest.mark.parametrize(
+    "value, divergence_norm",
+    [(math.nan, 1e12), (1e200, math.inf), (math.inf, math.inf)],
+    ids=["nan-state", "finite-state-overflowing-norm", "inf-state-no-cap"],
+)
+def test_non_finite_norm_stops_as_diverged(value, divergence_norm):
+    # with 1e200 every entry of z^1 is finite, but the sum of squares overflows
+    op = OperatorSpec(apply=lambda x: np.full(np.shape(x), value), theta=1.0, dim=None)
+    prob = Problem(operator=op, z0=[1.0, 2.0])
+    with np.errstate(over="ignore"):
+        run = km(prob, 1.0, tol=-1.0, max_iter=50, divergence_norm=divergence_norm)
+    assert bool(np.isfinite(run.z).all()) == math.isfinite(value)
+    assert run.stop_reason == "diverged"
+    assert run.iterations == 1
+    assert run.max_state_norm == math.inf
+
+
+def test_nan_stopping_thresholds_are_rejected():
+    for opts in (dict(tol=math.nan), dict(divergence_norm=math.nan)):
+        with pytest.raises(ValueError, match="must not be NaN"):
+            km(_halving_problem(), 0.5, max_iter=10, **opts)
 
 
 def test_residual_stop_wins_ties_against_divergence():
