@@ -12,7 +12,6 @@ from .applications import (
     box_intersection_pieces,
     lasso_fbs_pieces,
     lasso_kkt_gap,
-    lasso_objective,
     plant_lasso,
     solve_fbs,
     solve_ppa,
@@ -21,14 +20,12 @@ from .diagnostics import (
     ConsistencyItem,
     ConsistencyReport,
     RateCertificate,
-    certificate_ceiling,
     consistency_report,
     quasi_fejer_violations,
     rate_certificate,
 )
 from .engine import (
     ROUTES,
-    STOP_REASONS,
     Problem,
     RunResult,
     inertial_km,
@@ -39,7 +36,6 @@ from .engine import (
 from .operators import (
     IsmOperator,
     OperatorSpec,
-    inner,
     make_affine,
     make_box_projection,
     make_fb_composition,
@@ -68,7 +64,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ROUTES",
-    "STOP_REASONS",
     "ERROR_KINDS",
     "Problem",
     "RunResult",
@@ -78,7 +73,6 @@ __all__ = [
     "inertial_km",
     "OperatorSpec",
     "IsmOperator",
-    "inner",
     "norm",
     "spectral_norm",
     "make_identity",
@@ -100,7 +94,6 @@ __all__ = [
     "lambda_ceiling_ii",
     "RateCertificate",
     "rate_certificate",
-    "certificate_ceiling",
     "quasi_fejer_violations",
     "ConsistencyItem",
     "ConsistencyReport",
@@ -109,7 +102,6 @@ __all__ = [
     "plant_lasso",
     "lasso_kkt_gap",
     "lasso_fbs_pieces",
-    "lasso_objective",
     "box_intersection_pieces",
     "solve_ppa",
     "solve_fbs",

@@ -104,14 +104,8 @@ def contraction_problem(
     )
 
 
-def quadratic_prox_problem(
-    dim: int = 30,
-    cond: float = 50.0,
-    rho: float = 1.0,
-    seed: int = 7,
-    start_dist: float = RATE_START_DIST,
-) -> Problem:
-    """Prox iteration for a strongly convex quadratic, as an affine operator.
+def _quadratic_prox(dim: int, cond: float, rho: float, seed: int, start_dist: float):
+    """Matrix, offset, start and fixed point of the prox of a random quadratic of condition `cond`.
 
     The prox of x -> 0.5 x'Qx - c'x with parameter rho is
     (I + rho Q)^{-1} (x + rho c); its unique fixed point is Q^{-1} c.
@@ -125,6 +119,18 @@ def quadratic_prox_problem(
     a = np.linalg.inv(np.eye(dim) + rho * qmat)
     offset = rho * (a @ c)
     z0 = z_star + start_dist * _unit(rng, dim)
+    return a, offset, z0, z_star
+
+
+def quadratic_prox_problem(
+    dim: int = 30,
+    cond: float = 50.0,
+    rho: float = 1.0,
+    seed: int = 7,
+    start_dist: float = RATE_START_DIST,
+) -> Problem:
+    """Prox iteration for a strongly convex quadratic, as a 1/2-averaged affine operator."""
+    a, offset, z0, z_star = _quadratic_prox(dim, cond, rho, seed, start_dist)
     return Problem(
         operator=make_affine(a, offset, theta=0.5),
         z0=z0,
@@ -490,16 +496,7 @@ def criterion_8() -> CriterionResult:
 
 def criterion_9() -> CriterionResult:
     """The compare command runs inertial vs plain on an ill-conditioned prox and logs the ratio."""
-    dim, cond = 20, 1e3
-    rng = np.random.default_rng(909)
-    u, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
-    eigs = np.logspace(0.0, math.log10(cond), dim)
-    qmat = (u * eigs) @ u.T
-    c = rng.standard_normal(dim)
-    z_star = np.linalg.solve(qmat, c)
-    a = np.linalg.inv(np.eye(dim) + qmat)
-    offset = a @ c
-    z0 = z_star + RATE_START_DIST * _unit(rng, dim)
+    a, offset, z0, z_star = _quadratic_prox(dim=20, cond=1e3, rho=1.0, seed=909, start_dist=RATE_START_DIST)
     config = {
         "problem": {
             "kind": "affine",

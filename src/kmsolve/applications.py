@@ -33,7 +33,6 @@ from .engine import Problem, RunResult, iterate
 from .operators import (
     IsmOperator,
     OperatorSpec,
-    as_point,
     make_box_projection,
     make_fb_composition,
     make_soft_threshold,
@@ -205,12 +204,6 @@ def lasso_fbs_pieces(inst: LassoInstance, rho: float) -> tuple[OperatorSpec, Ism
     forward = quadratic_gradient(inst.matrix, inst.rhs)
     resolvent = make_soft_threshold(float(rho) * inst.reg, inst.matrix.shape[1])
     return resolvent, forward
-
-
-def lasso_objective(inst: LassoInstance, x) -> float:
-    x = as_point(x, dim=inst.matrix.shape[1], name="x")
-    r = inst.matrix @ x - inst.rhs
-    return 0.5 * float(r @ r) + inst.reg * float(np.abs(x).sum())
 
 
 def box_intersection_pieces(lo1, hi1, lo2, hi2) -> tuple[OperatorSpec, IsmOperator]:

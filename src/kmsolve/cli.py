@@ -34,8 +34,7 @@ Config schema (JSON object):
       "schedule": {
         "alpha": 0.2, "lambda": 0.5,
         "alpha_cap": ..., "lambda_floor": ..., "lambda_ceiling": ...,  # optional
-        "sigma": ..., "delta": ...,      # optional, switches to regime II
-        "alpha0_zero": true              # regime II start, default true
+        "sigma": ..., "delta": ...       # optional pair: regime II, alpha_0 = 0
       },
       "errors": {"kind": "power-decay", "magnitude": 1e-2, "exponent": 2.0, "seed": 0},
       "engine": {"tol": 1e-10, "max_iter": 100000, "route": "direct",
@@ -53,14 +52,13 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
 
 import numpy as np
 
 from .diagnostics import _min_residual_sq, consistency_report, rate_certificate
-from .engine import ROUTES, Problem, iterate
+from .engine import Problem, _check_options, inexact_km, iterate
 from .operators import make_affine, make_box_projection, make_identity, make_soft_threshold
-from .schedules import ErrorModel, constant_schedule, validate_schedule
+from .schedules import ErrorModel, constant_schedule, delayed_inertia_schedule, validate_schedule
 
 CSV_HEADER = "k,residual,err_norm,dist_to_star,delta_partial,min_residual_sq,rate_rhs"
 
@@ -117,22 +115,16 @@ def problem_from_config(cfg: dict) -> Problem:
 
 
 def schedule_from_config(cfg: dict):
+    """Constant parameters (regime I), or with sigma and delta the delayed-inertia regime II."""
     try:
         alpha = float(cfg.get("alpha", 0.0))
-        sigma = cfg.get("sigma")
-        delta = cfg.get("delta")
-        schedule = constant_schedule(
-            alpha,
-            float(_require(cfg, "lambda", "schedule")),
-            alpha_cap=cfg.get("alpha_cap"),
-            lambda_floor=cfg.get("lambda_floor"),
-            lambda_ceiling=cfg.get("lambda_ceiling"),
-            sigma=None if sigma is None else float(sigma),
-            delta=None if delta is None else float(delta),
-        )
-        if sigma is not None and cfg.get("alpha0_zero", True):
-            schedule = replace(schedule, alpha_of=lambda k: 0.0 if k == 0 else alpha)
-        return schedule
+        lam = float(_require(cfg, "lambda", "schedule"))
+        sigma, delta = (None if cfg.get(key) is None else float(cfg[key]) for key in ("sigma", "delta"))
+        bounds = {key: cfg.get(key) for key in ("alpha_cap", "lambda_floor", "lambda_ceiling")}
+        if sigma is None or delta is None:
+            # ParamSchedule refuses exactly one of the pair
+            return constant_schedule(alpha, lam, sigma=sigma, delta=delta, **bounds)
+        return delayed_inertia_schedule(alpha, lam, sigma=sigma, delta=delta, **bounds)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad schedule: {exc}") from exc
 
@@ -163,28 +155,15 @@ def errors_from_config(cfg: dict | None) -> ErrorModel:
         raise ConfigError(f"bad errors: {exc}") from exc
 
 
+_ENGINE_TYPES = {"tol": float, "max_iter": int, "divergence_norm": float, "route": str}
+
+
 def _engine_options(cfg: dict | None, problem: Problem) -> dict:
+    """The engine section as `iterate` keywords, refused here rather than mid-command."""
     cfg = cfg or {}
-    opts = {}
     try:
-        if "tol" in cfg:
-            opts["tol"] = float(cfg["tol"])
-            if math.isnan(opts["tol"]):
-                raise ValueError("tol must not be NaN")
-        if "max_iter" in cfg:
-            opts["max_iter"] = int(cfg["max_iter"])
-            if opts["max_iter"] < 0:
-                raise ValueError("max_iter must be nonnegative")
-        if "divergence_norm" in cfg:
-            opts["divergence_norm"] = float(cfg["divergence_norm"])
-            if math.isnan(opts["divergence_norm"]):
-                raise ValueError("divergence_norm must not be NaN")
-        if "route" in cfg:
-            opts["route"] = str(cfg["route"])
-            if opts["route"] not in ROUTES:
-                raise ValueError(f"unknown route {opts['route']!r}")
-            if opts["route"] == "unwrap" and problem.operator.theta >= 1.0:
-                raise ValueError("route 'unwrap' needs an averaged problem (theta < 1)")
+        opts = {key: cast(cfg[key]) for key, cast in _ENGINE_TYPES.items() if key in cfg}
+        _check_options(problem, **opts)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad engine options: {exc}") from exc
     return opts
@@ -299,18 +278,12 @@ def cmd_compare(args) -> int:
     problem = problem_from_config(_require(cfg, "problem", "config"))
     sched_cfg = dict(_require(cfg, "schedule", "config"))
     schedule = schedule_from_config(sched_cfg)
-    plain_cfg = {
-        k: v
-        for k, v in sched_cfg.items()
-        if k in ("lambda", "lambda_floor", "lambda_ceiling")
-    }
-    plain_cfg["alpha"] = 0.0
-    plain = schedule_from_config(plain_cfg)
     errors = errors_from_config(cfg.get("errors"))
     opts = _engine_options(cfg.get("engine"), problem)
 
     inertial_run = iterate(problem, schedule, errors, **opts)
-    plain_run = iterate(problem, plain, errors, **opts)
+    # the loop reads only alpha_k and lambda_k, so the bounds are not needed
+    plain_run = inexact_km(problem, float(sched_cfg["lambda"]), errors, **opts)
 
     def brief(r):
         return {

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import RunResult
-from .schedules import _check_sequences, lambda_ceiling_ii
+from .schedules import _check_sequences
 
 
 @dataclass(frozen=True)
@@ -102,14 +102,6 @@ def _min_residual_sq(residuals: np.ndarray) -> np.ndarray:
     return np.minimum.accumulate(residuals[1:] ** 2)
 
 
-def certificate_ceiling(result: RunResult) -> float:
-    """Scheme-level relaxation ceiling used by the certificate."""
-    s = result.schedule
-    if s.condition_set == "II":
-        return lambda_ceiling_ii(s.alpha_cap, float(s.sigma), float(s.delta))
-    return s.lambda_ceiling
-
-
 def rate_certificate(result: RunResult) -> RateCertificate:
     """Residual rate certificate for a finished run, or the reason there is none.
 
@@ -129,7 +121,8 @@ def rate_certificate(result: RunResult) -> RateCertificate:
     if result.dists is None:
         return _refused("needs a known solution")
 
-    theta = certificate_ceiling(result)
+    # at theta = 1 the report's lambda_max is the closed-form regime-II ceiling
+    theta = report.lambda_max if s.condition_set == "II" else s.lambda_ceiling
     d = result.dists
     lam = result.lambdas
     err = result.err_norms

@@ -30,7 +30,8 @@ Stopping: residual <= tol wins every tie, then a norm blowup past
 the residual stop, which pins the horizon exactly; a NaN tol or
 divergence_norm is rejected.  A non-finite state is caught through its
 norm, which is then inf or NaN (NaN counts as inf), so it always stops
-the run as diverged.
+the run as diverged; numpy's overflow warning is silenced for the run,
+so a finite state whose squares overflow stops the same way.
 """
 
 from __future__ import annotations
@@ -43,8 +44,6 @@ import numpy as np
 
 from .operators import OperatorSpec, as_point, norm, unwrap_averaged
 from .schedules import ErrorModel, ParamSchedule, constant_schedule, emit_error
-
-STOP_REASONS = ("residual-tol", "max-iter", "diverged")
 
 ROUTES = ("direct", "unwrap")
 
@@ -140,6 +139,21 @@ def _rescaled_perturb(cb: PerturbFn, theta: float) -> PerturbFn:
     return p
 
 
+def _check_options(problem: Problem, **opts) -> None:
+    """Raise ValueError for an engine option `iterate` refuses; only the keys given are checked."""
+    for name in ("tol", "divergence_norm"):
+        if name in opts and math.isnan(opts[name]):
+            raise ValueError(f"{name} must not be NaN")
+    if opts.get("max_iter", 0) < 0:
+        raise ValueError("max_iter must be nonnegative")
+    route = opts.get("route", "direct")
+    if route not in ROUTES:
+        raise ValueError(f"unknown route {route!r}")
+    if route == "unwrap" and problem.operator.theta >= 1.0:
+        raise ValueError("route 'unwrap' needs an averaged problem (theta < 1)")
+
+
+@np.errstate(over="ignore")
 def iterate(
     problem: Problem,
     schedule: ParamSchedule,
@@ -159,16 +173,9 @@ def iterate(
     the perturbed operator output and the error norm to record.  With
     neither, evaluations are exact.
     """
-    if route not in ROUTES:
-        raise ValueError(f"unknown route {route!r}")
+    _check_options(problem, tol=tol, max_iter=max_iter, divergence_norm=divergence_norm, route=route)
     if perturb is not None and errors is not None:
         raise ValueError("pass an ErrorModel or a perturb callback, not both")
-    if max_iter < 0:
-        raise ValueError("max_iter must be nonnegative")
-    if math.isnan(tol):
-        raise ValueError("tol must not be NaN")
-    if math.isnan(divergence_norm):
-        raise ValueError("divergence_norm must not be NaN")
 
     # theta scales the relaxation and the recorded residuals and error
     # norms; it is 1 on the direct route.

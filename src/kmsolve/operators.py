@@ -37,15 +37,8 @@ def as_point(x, dim: int | None = None, name: str = "point") -> Point:
     return p
 
 
-def inner(a, b) -> float:
-    """Euclidean inner product; raises on dimension mismatch."""
-    if np.shape(a) != np.shape(b):
-        raise ValueError(f"dimension mismatch: {np.shape(a)} vs {np.shape(b)}")
-    return float(np.dot(a, b))
-
-
 def norm(a) -> float:
-    """Euclidean norm sqrt(a . a): bit for bit sqrt(inner(a, a)), without its shape check.
+    """Euclidean norm sqrt(a . a), with no shape check.
 
     inf for a vector with an infinite entry or overflowing squares, NaN for
     one with a NaN entry.

@@ -93,18 +93,21 @@ def delayed_inertia_schedule(
     *,
     sigma: float,
     delta: float,
+    alpha_cap: float | None = None,
     lambda_floor: float | None = None,
     lambda_ceiling: float | None = None,
 ) -> ParamSchedule:
     """alpha_0 = 0 then constant alpha (nondecreasing), constant lambda.
 
     The natural constant-parameter schedule for regime II, which demands
-    zero inertia at k = 0.
+    zero inertia at k = 0.  Caps and floor default to the constants, as
+    in constant_schedule.
     """
     a = float(alpha)
     base = constant_schedule(
         a,
         lam,
+        alpha_cap=alpha_cap,
         lambda_floor=lambda_floor,
         lambda_ceiling=lambda_ceiling,
         sigma=float(sigma),

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from kmsolve import cli
+from kmsolve.engine import inexact_km
 from kmsolve.schedules import delta_threshold
 
 FEASIBLE = {
@@ -127,6 +128,31 @@ def test_compare_reports_iteration_ratio(tmp_path):
     data = json.loads(out)
     assert data["inertial"]["converged"] and data["plain"]["converged"]
     assert data["iteration_ratio"] == data["plain"]["iterations"] / data["inertial"]["iterations"]
+
+
+def test_compare_plain_block_is_an_inexact_km_run(tmp_path):
+    cfg = dict(
+        FEASIBLE,
+        schedule={"alpha": 0.2, "lambda": 0.5, "lambda_floor": 0.4, "lambda_ceiling": 0.6},
+        errors={"kind": "power-decay", "magnitude": 1e-2, "exponent": 2.0, "seed": 11},
+        engine={"tol": 1e-6, "max_iter": 5000},
+    )
+    code, out, _ = _main(["compare", _write(tmp_path, cfg)])
+    assert code == 0
+    run = inexact_km(
+        cli.problem_from_config(cfg["problem"]),
+        0.5,
+        cli.errors_from_config(cfg["errors"]),
+        tol=1e-6,
+        max_iter=5000,
+    )
+    assert json.loads(out)["plain"] == {
+        "stop_reason": run.stop_reason,
+        "converged": run.converged,
+        "iterations": run.iterations,
+        "final_residual": run.residual,
+        "final_dist": run.dist_to_star,
+    }
 
 
 def test_soft_threshold_problem_roundtrip(tmp_path):

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from kmsolve.diagnostics import (
-    certificate_ceiling,
     consistency_report,
     quasi_fejer_violations,
     rate_certificate,
@@ -162,10 +161,10 @@ def test_certificate_refuses_parameters_past_the_validated_horizon():
 
 def test_certificate_ceiling_per_regime():
     run_i = iterate(_contraction(seed=25), constant_schedule(0.2, 0.7), tol=-1.0, max_iter=5)
-    assert certificate_ceiling(run_i) == 0.7
+    assert rate_certificate(run_i).theta == 0.7
     sched = delayed_inertia_schedule(0.1, 0.5, sigma=0.01, delta=1.0)
     run_ii = iterate(_contraction(seed=25), sched, tol=-1.0, max_iter=5)
-    assert certificate_ceiling(run_ii) == lambda_ceiling_ii(0.1, 0.01, 1.0)
+    assert rate_certificate(run_ii).theta == lambda_ceiling_ii(0.1, 0.01, 1.0)
 
 
 def test_quasi_fejer_passes_on_summable_errors():

@@ -1,6 +1,7 @@
 """The iteration loop: traces, stopping rules, reductions, and routes."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -143,10 +144,12 @@ def test_divergence_stop():
     ids=["nan-state", "finite-state-overflowing-norm", "inf-state-no-cap"],
 )
 def test_non_finite_norm_stops_as_diverged(value, divergence_norm):
-    # with 1e200 every entry of z^1 is finite, but the sum of squares overflows
+    # with 1e200 every entry of z^1 is finite, but the sum of squares
+    # overflows; numpy's overflow warning must not escape the loop
     op = OperatorSpec(apply=lambda x: np.full(np.shape(x), value), theta=1.0, dim=None)
     prob = Problem(operator=op, z0=[1.0, 2.0])
-    with np.errstate(over="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         run = km(prob, 1.0, tol=-1.0, max_iter=50, divergence_norm=divergence_norm)
     assert bool(np.isfinite(run.z).all()) == math.isfinite(value)
     assert run.stop_reason == "diverged"
@@ -155,9 +158,9 @@ def test_non_finite_norm_stops_as_diverged(value, divergence_norm):
 
 
 def test_nan_stopping_thresholds_are_rejected():
-    for opts in (dict(tol=math.nan), dict(divergence_norm=math.nan)):
-        with pytest.raises(ValueError, match="must not be NaN"):
-            km(_halving_problem(), 0.5, max_iter=10, **opts)
+    for name in ("tol", "divergence_norm"):
+        with pytest.raises(ValueError, match=f"{name} must not be NaN"):
+            km(_halving_problem(), 0.5, max_iter=10, **{name: math.nan})
 
 
 def test_residual_stop_wins_ties_against_divergence():
@@ -178,12 +181,17 @@ def test_errors_and_perturb_are_mutually_exclusive():
 
 
 def test_unknown_route_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown route 'sideways'"):
         iterate(_halving_problem(), constant_schedule(0.0, 0.5), route="sideways")
 
 
+def test_negative_max_iter_rejected():
+    with pytest.raises(ValueError, match="max_iter must be nonnegative"):
+        iterate(_halving_problem(), constant_schedule(0.0, 0.5), max_iter=-1)
+
+
 def test_unwrap_route_requires_declared_averagedness():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"route 'unwrap' needs an averaged problem \(theta < 1\)"):
         iterate(_halving_problem(), constant_schedule(0.0, 0.5), route="unwrap")
 
 

@@ -8,7 +8,6 @@ from kmsolve.operators import (
     IsmOperator,
     OperatorSpec,
     as_point,
-    inner,
     make_affine,
     make_box_projection,
     make_fb_composition,
@@ -34,11 +33,6 @@ def test_as_point_rejects_bad_inputs():
         as_point([1.0, np.inf])
     with pytest.raises(ValueError, match="dimension"):
         as_point([1.0, 2.0], dim=3)
-
-
-def test_inner_rejects_dimension_mismatch():
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        inner(np.ones(3), np.ones(4))
 
 
 def test_norm_matches_numpy():
@@ -96,7 +90,7 @@ def test_soft_threshold_is_firmly_nonexpansive():
     for _ in range(100):
         x, y = rng.uniform(-3, 3, 6), rng.uniform(-3, 3, 6)
         d = op(x) - op(y)
-        assert inner(d, d) <= inner(d, x - y) + 1e-12
+        assert d @ d <= d @ (x - y) + 1e-12
 
 
 def test_box_projection_clips_and_is_idempotent():

@@ -52,6 +52,10 @@ def test_delayed_inertia_schedule_zeroes_the_first_weight():
     assert s.alpha_of(1) == 0.1
     assert s.alpha_of(100) == 0.1
     assert s.condition_set == "II"
+    assert s.alpha_cap == 0.1
+    capped = delayed_inertia_schedule(0.1, 0.5, sigma=0.01, delta=1.0, alpha_cap=0.3)
+    assert capped.alpha_cap == 0.3
+    assert capped.alpha_of(0) == 0.0 and capped.alpha_of(1) == 0.1
 
 
 def test_error_model_validation():
