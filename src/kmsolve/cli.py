@@ -12,10 +12,13 @@ Subcommands:
 * ``kmsolve compare config.json``: run the schedule as given and with
   inertia switched off, print both summaries and the iteration ratio.
   Exit 0 when both runs converged, 1 otherwise.
-* ``kmsolve bench``: run the built-in acceptance checks, one line each.
-  Exit 0 when all pass, 1 otherwise.
+* ``kmsolve bench``: run the built-in acceptance checks, one line each,
+  ending with the check's wall time.  Exit 0 when all pass, 1 otherwise.
 
-Bad configs and usage errors exit 2.
+Bad configs and usage errors exit 2.  Every config section must be a JSON
+object; the optional "errors" and "engine" may also be null or absent.
+``run``, ``validate`` and ``compare`` print strict JSON: a NaN or
+infinite value prints as null.
 
 Config schema (JSON object):
 
@@ -52,6 +55,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -86,100 +90,131 @@ def _require(cfg: dict, key: str, where: str):
     return cfg[key]
 
 
+def _section(cfg: dict, key: str, required: bool = True) -> dict:
+    """The config's `key` section; an optional one that is absent or null reads as {}."""
+    if required:
+        section = _require(cfg, key, "config")
+    else:
+        section = cfg.get(key)
+        if section is None:
+            return {}
+    if not isinstance(section, dict):
+        raise ConfigError(f"{key!r} must be a JSON object")
+    return section
+
+
+@contextmanager
+def _config_errors(prefix: str = ""):
+    """Report a TypeError or ValueError raised inside as a ConfigError."""
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{prefix}{exc}") from exc
+
+
+@_config_errors("bad problem: ")
 def problem_from_config(cfg: dict) -> Problem:
     kind = _require(cfg, "kind", "problem")
-    try:
-        if kind == "affine":
-            op = make_affine(
-                _require(cfg, "matrix", "problem"),
-                _require(cfg, "offset", "problem"),
-                theta=float(cfg.get("theta", 1.0)),
-            )
-        elif kind == "soft-threshold":
-            op = make_soft_threshold(
-                float(_require(cfg, "gamma", "problem")), int(_require(cfg, "dim", "problem"))
-            )
-        elif kind == "box-projection":
-            op = make_box_projection(_require(cfg, "lo", "problem"), _require(cfg, "hi", "problem"))
-        elif kind == "identity":
-            op = make_identity(int(_require(cfg, "dim", "problem")))
-        else:
-            raise ConfigError(f"unknown problem kind {kind!r}")
-        return Problem(
-            operator=op,
-            z0=_require(cfg, "z0", "problem"),
-            z_star=cfg.get("z_star"),
+    if kind == "affine":
+        op = make_affine(
+            _require(cfg, "matrix", "problem"),
+            _require(cfg, "offset", "problem"),
+            theta=float(cfg.get("theta", 1.0)),
         )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad problem: {exc}") from exc
+    elif kind == "soft-threshold":
+        op = make_soft_threshold(
+            float(_require(cfg, "gamma", "problem")), int(_require(cfg, "dim", "problem"))
+        )
+    elif kind == "box-projection":
+        op = make_box_projection(_require(cfg, "lo", "problem"), _require(cfg, "hi", "problem"))
+    elif kind == "identity":
+        op = make_identity(int(_require(cfg, "dim", "problem")))
+    else:
+        raise ConfigError(f"unknown problem kind {kind!r}")
+    return Problem(
+        operator=op,
+        z0=_require(cfg, "z0", "problem"),
+        z_star=cfg.get("z_star"),
+    )
 
 
+@_config_errors("bad schedule: ")
 def schedule_from_config(cfg: dict):
     """Constant parameters (regime I), or with sigma and delta the delayed-inertia regime II."""
-    try:
-        alpha = float(cfg.get("alpha", 0.0))
-        lam = float(_require(cfg, "lambda", "schedule"))
-        sigma, delta = (None if cfg.get(key) is None else float(cfg[key]) for key in ("sigma", "delta"))
-        bounds = {key: cfg.get(key) for key in ("alpha_cap", "lambda_floor", "lambda_ceiling")}
-        if sigma is None or delta is None:
-            # ParamSchedule refuses exactly one of the pair
-            return constant_schedule(alpha, lam, sigma=sigma, delta=delta, **bounds)
-        return delayed_inertia_schedule(alpha, lam, sigma=sigma, delta=delta, **bounds)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad schedule: {exc}") from exc
+    alpha = float(cfg.get("alpha", 0.0))
+    lam = float(_require(cfg, "lambda", "schedule"))
+    sigma, delta = (None if cfg.get(key) is None else float(cfg[key]) for key in ("sigma", "delta"))
+    bounds = {key: cfg.get(key) for key in ("alpha_cap", "lambda_floor", "lambda_ceiling")}
+    if sigma is None or delta is None:
+        # ParamSchedule refuses exactly one of the pair
+        return constant_schedule(alpha, lam, sigma=sigma, delta=delta, **bounds)
+    return delayed_inertia_schedule(alpha, lam, sigma=sigma, delta=delta, **bounds)
 
 
+@_config_errors("bad errors: ")
 def errors_from_config(cfg: dict | None) -> ErrorModel:
     if not cfg:
         return ErrorModel.zero()
-    try:
-        kind = cfg.get("kind", "zero")
-        seed = int(cfg.get("seed", 0))
-        if kind == "zero":
-            return ErrorModel.zero()
-        if kind == "power-decay":
-            return ErrorModel.power_decay(
-                float(_require(cfg, "magnitude", "errors")),
-                float(_require(cfg, "exponent", "errors")),
-                seed,
-            )
-        if kind == "geometric":
-            ratio = cfg.get("ratio", cfg.get("exponent"))
-            if ratio is None:
-                raise ConfigError("missing 'ratio' in errors")
-            return ErrorModel.geometric(float(_require(cfg, "magnitude", "errors")), float(ratio), seed)
-        if kind == "custom-list":
-            return ErrorModel.from_norms(_require(cfg, "norms", "errors"), seed)
-        raise ConfigError(f"unknown error kind {kind!r}")
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad errors: {exc}") from exc
+    kind = cfg.get("kind", "zero")
+    seed = int(cfg.get("seed", 0))
+    if kind == "zero":
+        return ErrorModel.zero()
+    if kind == "power-decay":
+        return ErrorModel.power_decay(
+            float(_require(cfg, "magnitude", "errors")),
+            float(_require(cfg, "exponent", "errors")),
+            seed,
+        )
+    if kind == "geometric":
+        ratio = cfg.get("ratio", cfg.get("exponent"))
+        if ratio is None:
+            raise ConfigError("missing 'ratio' in errors")
+        return ErrorModel.geometric(float(_require(cfg, "magnitude", "errors")), float(ratio), seed)
+    if kind == "custom-list":
+        return ErrorModel.from_norms(_require(cfg, "norms", "errors"), seed)
+    raise ConfigError(f"unknown error kind {kind!r}")
 
 
 _ENGINE_TYPES = {"tol": float, "max_iter": int, "divergence_norm": float, "route": str}
 
 
-def _engine_options(cfg: dict | None, problem: Problem) -> dict:
+@_config_errors("bad engine options: ")
+def _engine_options(cfg: dict, problem: Problem) -> dict:
     """The engine section as `iterate` keywords, refused here rather than mid-command."""
-    cfg = cfg or {}
-    try:
-        opts = {key: cast(cfg[key]) for key, cast in _ENGINE_TYPES.items() if key in cfg}
-        _check_options(problem, **opts)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad engine options: {exc}") from exc
+    opts = {key: cast(cfg[key]) for key, cast in _ENGINE_TYPES.items() if key in cfg}
+    _check_options(problem, **opts)
     return opts
 
 
-def _jf(x) -> float | None:
-    x = float(x)
-    return None if math.isnan(x) else x
+def _load_run(cfg: dict):
+    """Problem, schedule, errors and engine options of a config, all checked before any run."""
+    problem = problem_from_config(_section(cfg, "problem"))
+    schedule = schedule_from_config(_section(cfg, "schedule"))
+    errors = errors_from_config(_section(cfg, "errors", required=False))
+    return problem, schedule, errors, _engine_options(_section(cfg, "engine", required=False), problem)
 
 
-def _g17(x: float) -> str:
-    return format(float(x), ".17g")
+def _clean(obj):
+    """`obj` with every NaN or infinite float replaced by None, through dicts and lists."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _clean(value) for key, value in obj.items()}
+    if isinstance(obj, list):
+        return [_clean(value) for value in obj]
+    return obj
 
 
-def _csv_rows(result, cert):
+def _print_json(obj) -> None:
+    print(json.dumps(_clean(obj), indent=2, allow_nan=False))
+
+
+_CSV_ROW = "%d" + ",%.17g" * 6 + "\n"
+
+
+def write_csv(path: str, result, cert) -> None:
     n = result.iterations
+    dists = result.dists if result.dists is not None else np.full(n, math.nan)
     mrs = np.full(n, math.nan)
     mrs[1:] = _min_residual_sq(result.residuals)
     delta = np.full(n, math.nan)
@@ -187,26 +222,10 @@ def _csv_rows(result, cert):
     if cert is not None and cert.valid:
         delta[cert.ks] = cert.delta
         rhs[cert.ks] = cert.rhs_tighter
-    for k in range(n):
-        d = result.dists[k] if result.dists is not None else math.nan
-        yield ",".join(
-            (
-                str(k),
-                _g17(result.residuals[k]),
-                _g17(result.err_norms[k]),
-                _g17(d),
-                _g17(delta[k]),
-                _g17(mrs[k]),
-                _g17(rhs[k]),
-            )
-        )
-
-
-def write_csv(path: str, result, cert) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(CSV_HEADER + "\n")
-        for row in _csv_rows(result, cert):
-            fh.write(row + "\n")
+        for row in zip(range(n), result.residuals, result.err_norms, dists, delta, mrs, rhs):
+            fh.write(_CSV_ROW % row)
 
 
 def _certificate_summary(cert) -> dict:
@@ -214,15 +233,15 @@ def _certificate_summary(cert) -> dict:
     if cert.valid:
         out.update(
             {
-                "ceiling": _jf(cert.theta),
-                "lambda_floor": _jf(cert.lambda_floor),
-                "dist1": _jf(cert.dist1),
+                "ceiling": cert.ceiling,
+                "lambda_floor": cert.lambda_floor,
+                "dist1": cert.dist1,
                 "tighter": cert.tighter,
                 "holds_printed": cert.holds("printed"),
                 "holds_squared": cert.holds("squared"),
-                "final_min_residual_sq": _jf(cert.min_residual_sq[-1]),
-                "final_rhs_printed": _jf(cert.rhs_printed[-1]),
-                "final_rhs_squared": _jf(cert.rhs_squared[-1]),
+                "final_min_residual_sq": cert.min_residual_sq[-1],
+                "final_rhs_printed": cert.rhs_printed[-1],
+                "final_rhs_squared": cert.rhs_squared[-1],
             }
         )
     return out
@@ -234,8 +253,8 @@ def _run_summary(result, report, cert) -> dict:
         "converged": result.converged,
         "iterations": result.iterations,
         "route": result.route,
-        "final_residual": _jf(result.residual),
-        "final_dist": _jf(result.dist_to_star),
+        "final_residual": result.residual,
+        "final_dist": result.dist_to_star,
         "feasibility": report.to_dict(),
         "certificate": None if cert is None else _certificate_summary(cert),
         "consistency": consistency_report(result).to_dict(),
@@ -243,70 +262,47 @@ def _run_summary(result, report, cert) -> dict:
 
 
 def cmd_run(args) -> int:
-    cfg = _load_config(args.config)
-    problem = problem_from_config(_require(cfg, "problem", "config"))
-    schedule = schedule_from_config(_require(cfg, "schedule", "config"))
-    errors = errors_from_config(cfg.get("errors"))
-    opts = _engine_options(cfg.get("engine"), problem)
-    try:
+    problem, schedule, errors, opts = _load_run(_load_config(args.config))
+    with _config_errors():
         report = validate_schedule(schedule)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     result = iterate(problem, schedule, errors, **opts)
     cert = None
     if problem.z_star is not None and report.feasible:
         cert = rate_certificate(result)
     if args.csv:
         write_csv(args.csv, result, cert)
-    print(json.dumps(_run_summary(result, report, cert), indent=2))
+    _print_json(_run_summary(result, report, cert))
     return 0 if result.converged else 1
 
 
 def cmd_validate(args) -> int:
-    cfg = _load_config(args.config)
-    schedule = schedule_from_config(_require(cfg, "schedule", "config"))
-    try:
+    schedule = schedule_from_config(_section(_load_config(args.config), "schedule"))
+    with _config_errors():
         report = validate_schedule(schedule, theta=args.theta)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    print(json.dumps(report.to_dict(), indent=2))
+    _print_json(report.to_dict())
     return 0 if report.feasible else 1
 
 
 def cmd_compare(args) -> int:
     cfg = _load_config(args.config)
-    problem = problem_from_config(_require(cfg, "problem", "config"))
-    sched_cfg = dict(_require(cfg, "schedule", "config"))
-    schedule = schedule_from_config(sched_cfg)
-    errors = errors_from_config(cfg.get("errors"))
-    opts = _engine_options(cfg.get("engine"), problem)
-
+    problem, schedule, errors, opts = _load_run(cfg)
     inertial_run = iterate(problem, schedule, errors, **opts)
     # the loop reads only alpha_k and lambda_k, so the bounds are not needed
-    plain_run = inexact_km(problem, float(sched_cfg["lambda"]), errors, **opts)
+    plain_run = inexact_km(problem, float(cfg["schedule"]["lambda"]), errors, **opts)
 
     def brief(r):
         return {
             "stop_reason": r.stop_reason,
             "converged": r.converged,
             "iterations": r.iterations,
-            "final_residual": _jf(r.residual),
-            "final_dist": _jf(r.dist_to_star),
+            "final_residual": r.residual,
+            "final_dist": r.dist_to_star,
         }
 
     ratio = None
     if inertial_run.converged and plain_run.converged and inertial_run.iterations:
         ratio = plain_run.iterations / inertial_run.iterations
-    print(
-        json.dumps(
-            {
-                "inertial": brief(inertial_run),
-                "plain": brief(plain_run),
-                "iteration_ratio": ratio,
-            },
-            indent=2,
-        )
-    )
+    _print_json({"inertial": brief(inertial_run), "plain": brief(plain_run), "iteration_ratio": ratio})
     return 0 if (inertial_run.converged and plain_run.converged) else 1
 
 

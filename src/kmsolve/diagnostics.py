@@ -55,7 +55,7 @@ class RateCertificate:
 
     valid: bool
     reason: str
-    theta: float
+    ceiling: float
     lambda_floor: float
     dist1: float
     ks: np.ndarray
@@ -85,7 +85,7 @@ def _refused(reason: str) -> RateCertificate:
     return RateCertificate(
         valid=False,
         reason=reason,
-        theta=math.nan,
+        ceiling=math.nan,
         lambda_floor=math.nan,
         dist1=math.nan,
         ks=np.asarray([], dtype=int),
@@ -106,7 +106,8 @@ def rate_certificate(result: RunResult) -> RateCertificate:
     """Residual rate certificate for a finished run, or the reason there is none.
 
     The schedule is checked on the run's recorded alpha_k, lambda_k, and a
-    refusal names the failed check; passing puts the ceiling below 1.
+    refusal names the failed check.  Passing puts the relaxation ceiling,
+    reported as `ceiling`, below 1.
     """
     s = result.schedule
     n = result.iterations
@@ -122,7 +123,7 @@ def rate_certificate(result: RunResult) -> RateCertificate:
         return _refused("needs a known solution")
 
     # at theta = 1 the report's lambda_max is the closed-form regime-II ceiling
-    theta = report.lambda_max if s.condition_set == "II" else s.lambda_ceiling
+    ceiling = report.lambda_max if s.condition_set == "II" else s.lambda_ceiling
     d = result.dists
     lam = result.lambdas
     err = result.err_norms
@@ -137,7 +138,7 @@ def rate_certificate(result: RunResult) -> RateCertificate:
     step_term = np.cumsum(al[1:n] * (1.0 + al[1:n]) * st[0 : n - 1] ** 2)
     delta = drift + err_term + step_term
 
-    denom = kk * s.lambda_floor * (1.0 - theta)
+    denom = kk * s.lambda_floor * (1.0 - ceiling)
     dist1 = float(d[1])
     rhs_printed = (dist1 + delta) / denom
     rhs_squared = (dist1 * dist1 + delta) / denom
@@ -145,7 +146,7 @@ def rate_certificate(result: RunResult) -> RateCertificate:
     return RateCertificate(
         valid=True,
         reason="",
-        theta=theta,
+        ceiling=ceiling,
         lambda_floor=s.lambda_floor,
         dist1=dist1,
         ks=kk,
@@ -249,15 +250,17 @@ def consistency_report(result: RunResult) -> ConsistencyReport:
         )
     )
 
-    s1 = np.cumsum(result.alphas * result.step_norms**2)
-    if result.alphas.size == 0 or float(np.max(result.alphas)) == 0.0:
-        v1, d1 = "consistent", "no inertia"
-    else:
+    # without inertia the sum is 0 by definition; summing would meet 0 * inf on a diverged run
+    if np.any(result.alphas != 0.0):
+        s1 = np.cumsum(result.alphas * result.step_norms**2)
+        value1 = float(s1[-1])
         v1, d1 = _tail_verdict(s1)
+    else:
+        value1, v1, d1 = 0.0, "consistent", "no inertia"
     items.append(
         ConsistencyItem(
             name="inertia-weighted-step-sum",
-            value=float(s1[-1]) if s1.size else 0.0,
+            value=value1,
             verdict=v1,
             detail=d1,
         )

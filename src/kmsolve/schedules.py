@@ -146,6 +146,8 @@ class ErrorModel:
             raise ValueError("seed must be a nonnegative integer")
         if self.kind == "geometric" and not self.exponent > 0.0:
             raise ValueError("geometric law needs a positive ratio in `exponent`")
+        if not math.isfinite(self.exponent):
+            raise ValueError(f"exponent must be finite (got {self.exponent!r})")
         if self.kind == "custom-list":
             if self.norms is None:
                 raise ValueError("custom-list law needs explicit norms")

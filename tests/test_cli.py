@@ -2,6 +2,7 @@
 
 import io
 import json
+import re
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -211,6 +212,125 @@ def test_run_rejects_bad_input_before_iterating(tmp_path, monkeypatch):
             code, out, err = _main([command, path])
             assert code == 2 and out == ""
             assert err.startswith(message)
+
+    nan_exponent = dict(FEASIBLE, errors={"kind": "power-decay", "magnitude": 1e-2, "exponent": "nan"})
+    path = _write(tmp_path, nan_exponent, "nan_exponent.json")
+    for command in ("run", "compare"):
+        code, out, err = _main([command, path])
+        assert code == 2 and out == ""
+        assert err.startswith("error: bad errors: exponent must be finite")
+
+
+def test_non_object_sections_exit_two(tmp_path, monkeypatch):
+    def no_iterate(*args, **kwargs):
+        raise AssertionError("iterate ran on a rejected config")
+
+    monkeypatch.setattr(cli, "iterate", no_iterate)
+    cases = [
+        ("schedule", [1, 2], ("run", "validate", "compare")),
+        ("schedule", None, ("run", "validate", "compare")),
+        ("problem", "affine", ("run", "compare")),
+        ("errors", [1], ("run", "compare")),
+        ("engine", [1], ("run", "compare")),
+        ("engine", "fast", ("run", "compare")),
+    ]
+    for i, (key, section, commands) in enumerate(cases):
+        path = _write(tmp_path, dict(FEASIBLE, **{key: section}), f"section{i}.json")
+        for command in commands:
+            code, out, err = _main([command, path])
+            assert (code, out) == (2, ""), (key, section, command)
+            assert err == f"error: {key!r} must be a JSON object\n"
+
+    # validate reads only the schedule
+    code, out, _ = _main(["validate", _write(tmp_path, dict(FEASIBLE, problem="affine"), "validate.json")])
+    assert code == 0 and json.loads(out)["feasible"] is True
+
+
+def test_null_optional_sections_read_as_empty(tmp_path):
+    code, out, _ = _main(["run", _write(tmp_path, dict(FEASIBLE, errors=None, engine=None))])
+    assert code == 0
+    assert out == _main(["run", _write(tmp_path, FEASIBLE, "plain.json")])[1]
+
+
+def _strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+# zero inertia, a relaxation that overflows the state in a few steps
+DIVERGING = {
+    "problem": {"kind": "affine", "matrix": [[-1.0]], "offset": [0.0], "z0": [1.0]},
+    "schedule": {"alpha": 0.0, "lambda": 1e100},
+    "engine": {"max_iter": 5, "divergence_norm": 1e308},
+}
+
+
+def test_stdout_is_strict_json_on_non_finite_values(tmp_path):
+    code, out, _ = _main(["run", _write(tmp_path, DIVERGING)])
+    assert code == 1
+    data = _strict_json(out)
+    assert data["stop_reason"] == "diverged"
+    items = {item["name"]: item for item in data["consistency"]["items"]}
+    assert items["bounded-iterates"]["verdict"] == "not-consistent"
+    assert items["bounded-iterates"]["value"] is None
+    assert items["inertia-weighted-step-sum"]["detail"] == "no inertia"
+    _strict_json(_main(["compare", _write(tmp_path, DIVERGING, "compare.json")])[1])
+
+    nan_lambda = _write(tmp_path, dict(FEASIBLE, schedule={"alpha": 0.0, "lambda": "nan"}), "nan.json")
+    for argv in (["run", nan_lambda], ["validate", nan_lambda], ["compare", nan_lambda]):
+        code, out, _ = _main(argv)
+        assert code == 1
+        _strict_json(out)
+    assert _strict_json(_main(["validate", nan_lambda])[1])["feasible"] is False
+
+
+def test_csv_cells_are_the_run_arrays_at_17_digits(tmp_path, monkeypatch):
+    runs = []
+    write_csv = cli.write_csv
+
+    def keep(path, result, cert):
+        runs.append((result, cert))
+        write_csv(path, result, cert)
+
+    monkeypatch.setattr(cli, "write_csv", keep)
+    no_star = json.loads(json.dumps(FEASIBLE))
+    del no_star["problem"]["z_star"]
+    for i, cfg in enumerate((FEASIBLE, no_star, DIVERGING)):
+        csv_path = tmp_path / f"trace{i}.csv"
+        _main(["run", _write(tmp_path, cfg, f"cfg{i}.json"), "--csv", str(csv_path)])
+        result, cert = runs[-1]
+        n = result.iterations
+        nan = float("nan")
+        mrs = [nan] + [min(r * r for r in result.residuals[1 : k + 1]) for k in range(1, n)]
+        bound = dict(zip(cert.ks.tolist(), zip(cert.delta, cert.rhs_tighter))) if cert else {}
+        want = [cli.CSV_HEADER]
+        for k in range(n):
+            d = result.dists[k] if result.dists is not None else nan
+            delta, rhs = bound.get(k, (nan, nan))
+            row = [result.residuals[k], result.err_norms[k], d, delta, mrs[k], rhs]
+            want.append(",".join([str(k)] + [format(float(x), ".17g") for x in row]))
+        assert csv_path.read_text().split("\n") == want + [""]
+    assert runs[0][1].valid and runs[1][1] is None and runs[2][1] is None
+
+
+def test_bench_prints_one_timed_line_per_criterion(monkeypatch):
+    from kmsolve import acceptance
+
+    passing = ((1, "first", lambda: (True, "one"), None), (2, "second", lambda: (True, "two"), 60.0))
+    monkeypatch.setattr(acceptance, "CRITERIA", passing)
+    code, out, _ = _main(["bench"])
+    lines = out.splitlines()
+    assert code == 0 and len(lines) == 2
+    assert lines[0].startswith("criterion 1 (first): PASS [one; ")
+    assert lines[1].startswith("criterion 2 (second): PASS [two; ")
+    assert all(re.fullmatch(r".*; \d+\.\d\ds\]", line) for line in lines)
+
+    monkeypatch.setattr(acceptance, "CRITERIA", (passing[0], (2, "second", lambda: (False, "two"), None)))
+    code, out, _ = _main(["bench"])
+    assert code == 1
+    assert out.splitlines()[1].startswith("criterion 2 (second): FAIL [two; ")
 
 
 def test_box_projection_problem(tmp_path):

@@ -46,7 +46,7 @@ def test_certificate_matches_a_literal_recomputation():
     n = run.iterations
     d, lam, al = run.dists, run.lambdas, run.alphas
     err, st, res = run.err_norms, run.step_norms, run.residuals
-    theta, floor = cert.theta, cert.lambda_floor
+    ceiling, floor = cert.ceiling, cert.lambda_floor
     psi = d**2
     for idx, k in enumerate(cert.ks):
         assert k == idx + 1
@@ -55,8 +55,8 @@ def test_certificate_matches_a_literal_recomputation():
         s_term = sum(al[i] * (1.0 + al[i]) * st[i - 1] ** 2 for i in range(1, k + 1))
         want = run.schedule.alpha_cap * drift + e_term + s_term
         assert cert.delta[idx] == pytest.approx(want, rel=1e-12, abs=1e-15)
-        rhs_sq = (d[1] ** 2 + want) / (k * floor * (1.0 - theta))
-        rhs_pr = (d[1] + want) / (k * floor * (1.0 - theta))
+        rhs_sq = (d[1] ** 2 + want) / (k * floor * (1.0 - ceiling))
+        rhs_pr = (d[1] + want) / (k * floor * (1.0 - ceiling))
         assert cert.rhs_squared[idx] == pytest.approx(rhs_sq, rel=1e-12)
         assert cert.rhs_printed[idx] == pytest.approx(rhs_pr, rel=1e-12)
         assert cert.min_residual_sq[idx] == min(res[1 : k + 1]) ** 2
@@ -161,10 +161,10 @@ def test_certificate_refuses_parameters_past_the_validated_horizon():
 
 def test_certificate_ceiling_per_regime():
     run_i = iterate(_contraction(seed=25), constant_schedule(0.2, 0.7), tol=-1.0, max_iter=5)
-    assert rate_certificate(run_i).theta == 0.7
+    assert rate_certificate(run_i).ceiling == 0.7
     sched = delayed_inertia_schedule(0.1, 0.5, sigma=0.01, delta=1.0)
     run_ii = iterate(_contraction(seed=25), sched, tol=-1.0, max_iter=5)
-    assert rate_certificate(run_ii).theta == lambda_ceiling_ii(0.1, 0.01, 1.0)
+    assert rate_certificate(run_ii).ceiling == lambda_ceiling_ii(0.1, 0.01, 1.0)
 
 
 def test_quasi_fejer_passes_on_summable_errors():
@@ -236,6 +236,17 @@ def test_consistency_report_flags_divergence():
     rep = consistency_report(run)
     assert rep.item("bounded-iterates").verdict == "not-consistent"
     assert rep.verdict == "not-consistent"
+
+
+def test_consistency_report_on_a_zero_inertia_overflow():
+    # the state overflows to inf in two steps, so alpha_k * ||step||^2 would be 0 * inf
+    op = make_affine([[-1.0]], [0.0])
+    run = km(Problem(operator=op, z0=[1.0]), 1e100, max_iter=5, divergence_norm=1e308)
+    assert run.stop_reason == "diverged" and math.isinf(run.step_norms[-1])
+    rep = consistency_report(run)
+    assert rep.item("bounded-iterates").verdict == "not-consistent"
+    inertia = rep.item("inertia-weighted-step-sum")
+    assert (inertia.value, inertia.verdict, inertia.detail) == (0.0, "consistent", "no inertia")
 
 
 def test_consistency_to_dict():

@@ -71,6 +71,13 @@ def test_error_model_validation():
         ErrorModel(kind="power-decay", magnitude=1.0, exponent=2.0, seed=-1)
     with pytest.raises(ValueError):
         ErrorModel(kind="power-decay", magnitude=1.0, exponent=2.0, seed=True)
+    for exponent in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="exponent must be finite"):
+            ErrorModel.power_decay(1e-2, exponent)
+    with pytest.raises(ValueError, match="exponent must be finite"):
+        ErrorModel.geometric(1e-2, math.inf)
+    with pytest.raises(ValueError):
+        ErrorModel.geometric(1e-2, math.nan)
 
 
 def test_error_norm_laws():
