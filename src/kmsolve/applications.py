@@ -11,12 +11,10 @@ an error e2 on the resolvent output fold into one scheme-level term
 
 whose norm is recorded as err_norm and obeys
 ||e-bar|| <= rho ||e1|| + ||e2|| by nonexpansiveness of the resolvent.
-When both channels are zero at step k the exact operator output is
-reused, so error-free runs cost one forward and one resolvent evaluation
-per step.  A perturbed step reuses the forward value B mu computed for
-T mu, so it costs one forward and two resolvent evaluations.  Give the
-two channels different seeds; equal seeds draw identical directions at
-each k.
+Every step evaluates B mu and T mu once, so exact and resolvent-only
+steps cost one forward and one resolvent evaluation; a forward error adds
+a second resolvent evaluation.  Give the two channels different seeds;
+equal seeds draw identical directions at each k.
 
 plant_lasso builds an l1-regularized least-squares instance whose exact
 solution is known by construction, for end-to-end solver checks.
@@ -33,6 +31,7 @@ from .engine import Problem, RunResult, iterate
 from .operators import (
     IsmOperator,
     OperatorSpec,
+    _fb_value,
     make_box_projection,
     make_fb_composition,
     make_soft_threshold,
@@ -83,40 +82,24 @@ def solve_fbs(
     """
     fe = forward_errors if forward_errors is not None else ErrorModel.zero()
     re = resolvent_errors if resolvent_errors is not None else ErrorModel.zero()
+    prob = Problem(operator=make_fb_composition(resolvent, forward, rho), z0=z0, z_star=z_star)
     if fe.kind == "zero" and re.kind == "zero":
-        prob = Problem(operator=make_fb_composition(resolvent, forward, rho), z0=z0, z_star=z_star)
         return iterate(prob, schedule, None, route=route, **engine_options)
 
     dim = resolvent.dim
     j = resolvent.apply
     fwd = forward.apply
     r = float(rho)
-    # The composition records its last (x, B x); the loop calls the callback
-    # with the very mu it just passed to T, so B mu is reused, not evaluated
-    # again.  Holding x keeps its id from being reused.  Only the callback
-    # reads the record: T stays exact on an array changed in place.
-    last = [None, None]
 
-    def recorded(x):
-        b_x = fwd(x)
-        last[0], last[1] = x, b_x
-        return b_x
-
-    t = make_fb_composition(resolvent, IsmOperator(apply=recorded, beta=forward.beta), rho)
-    prob = Problem(operator=t, z0=z0, z_star=z_star)
-
-    def perturb(mu, t_mu, k):
-        n1 = fe.norm_at(k)
-        n2 = re.norm_at(k)
-        if n1 == 0.0 and n2 == 0.0:
-            return t_mu, 0.0
-        b_mu = last[1] if mu is last[0] else fwd(mu)
-        if n1 != 0.0:
-            b_mu = b_mu + emit_error(fe, k, dim)
-        t_pert = j(mu - r * b_mu)
-        if n2 != 0.0:
+    def perturb(mu, k):
+        # _fb_value is the composition's own step, so t_mu is T mu bit for bit
+        b_mu = fwd(mu)
+        t_mu = t_pert = _fb_value(j, r, mu, b_mu)
+        if fe.norm_at(k) != 0.0:
+            t_pert = _fb_value(j, r, mu, b_mu + emit_error(fe, k, dim))
+        if re.norm_at(k) != 0.0:
             t_pert = t_pert + emit_error(re, k, dim)
-        return t_pert, norm(t_pert - t_mu)
+        return t_mu, t_pert, 0.0 if t_pert is t_mu else norm(t_pert - t_mu)
 
     return iterate(prob, schedule, perturb=perturb, route=route, **engine_options)
 

@@ -20,29 +20,10 @@ object; the optional "errors" and "engine" may also be null or absent.
 ``run``, ``validate`` and ``compare`` print strict JSON: a NaN or
 infinite value prints as null.
 
-Config schema (JSON object):
-
-    {
-      "problem": {
-        "kind": "affine" | "soft-threshold" | "box-projection" | "identity",
-        "z0": [..],            # start point, required
-        "z_star": [..],        # known solution, optional
-        "theta": 0.5,          # affine only, optional averagedness
-        "matrix": [[..]],      # affine
-        "offset": [..],        # affine
-        "gamma": 0.3,          # soft-threshold
-        "dim": 4,              # soft-threshold / identity
-        "lo": [..], "hi": [..] # box-projection
-      },
-      "schedule": {
-        "alpha": 0.2, "lambda": 0.5,
-        "alpha_cap": ..., "lambda_floor": ..., "lambda_ceiling": ...,  # optional
-        "sigma": ..., "delta": ...       # optional pair: regime II, alpha_0 = 0
-      },
-      "errors": {"kind": "power-decay", "magnitude": 1e-2, "exponent": 2.0, "seed": 0},
-      "engine": {"tol": 1e-10, "max_iter": 100000, "route": "direct",
-                 "divergence_norm": 1e12}
-    }
+The config schema, every key of the "problem", "schedule", "errors" and
+"engine" sections, is documented once, in the README's CLI section, and
+read by `problem_from_config`, `schedule_from_config`, `errors_from_config`
+and `_engine_options` below.
 
 The per-iteration CSV has exactly the columns
 ``k,residual,err_norm,dist_to_star,delta_partial,min_residual_sq,rate_rhs``
@@ -112,6 +93,13 @@ def _config_errors(prefix: str = ""):
         raise ConfigError(f"{prefix}{exc}") from exc
 
 
+def _integer(value, name: str) -> int:
+    """`value` as an int; a boolean or a fractional number is refused, not truncated."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @_config_errors("bad problem: ")
 def problem_from_config(cfg: dict) -> Problem:
     kind = _require(cfg, "kind", "problem")
@@ -123,12 +111,12 @@ def problem_from_config(cfg: dict) -> Problem:
         )
     elif kind == "soft-threshold":
         op = make_soft_threshold(
-            float(_require(cfg, "gamma", "problem")), int(_require(cfg, "dim", "problem"))
+            float(_require(cfg, "gamma", "problem")), _integer(_require(cfg, "dim", "problem"), "dim")
         )
     elif kind == "box-projection":
         op = make_box_projection(_require(cfg, "lo", "problem"), _require(cfg, "hi", "problem"))
     elif kind == "identity":
-        op = make_identity(int(_require(cfg, "dim", "problem")))
+        op = make_identity(_integer(_require(cfg, "dim", "problem"), "dim"))
     else:
         raise ConfigError(f"unknown problem kind {kind!r}")
     return Problem(
@@ -156,7 +144,7 @@ def errors_from_config(cfg: dict | None) -> ErrorModel:
     if not cfg:
         return ErrorModel.zero()
     kind = cfg.get("kind", "zero")
-    seed = int(cfg.get("seed", 0))
+    seed = _integer(cfg.get("seed", 0), "seed")
     if kind == "zero":
         return ErrorModel.zero()
     if kind == "power-decay":
@@ -175,7 +163,12 @@ def errors_from_config(cfg: dict | None) -> ErrorModel:
     raise ConfigError(f"unknown error kind {kind!r}")
 
 
-_ENGINE_TYPES = {"tol": float, "max_iter": int, "divergence_norm": float, "route": str}
+_ENGINE_TYPES = {
+    "tol": float,
+    "max_iter": lambda value: _integer(value, "max_iter"),
+    "divergence_norm": float,
+    "route": str,
+}
 
 
 @_config_errors("bad engine options: ")

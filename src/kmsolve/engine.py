@@ -13,10 +13,10 @@ merely equivalent up to rounding.
 
 The operator is applied once per step, at the extrapolated point, and the
 recorded residual ||T mu^k - mu^k|| is measured there before any error
-enters.  Errors come from an ErrorModel, or from a `perturb` callback
-returning the perturbed operator output together with the error norm to
-record (the forward-backward solver uses this to fold two error sources
-into one term).
+enters.  Errors come from an ErrorModel, or from a `perturb(mu, k)`
+callback that owns the perturbed evaluation and returns the exact T mu^k,
+the perturbed output T mu^k + e^k and the error norm to record (the
+forward-backward solver folds two error sources into one term this way).
 
 route="unwrap" rewrites a declared theta-averaged operator as
 T = (1 - theta) I + theta N and runs the same loop on the nonexpansive
@@ -42,12 +42,12 @@ from typing import Callable
 
 import numpy as np
 
-from .operators import OperatorSpec, as_point, norm, unwrap_averaged
+from .operators import OperatorSpec, _core_value, as_point, norm, unwrap_averaged
 from .schedules import ErrorModel, ParamSchedule, constant_schedule, emit_error
 
 ROUTES = ("direct", "unwrap")
 
-PerturbFn = Callable[[np.ndarray, np.ndarray, int], tuple[np.ndarray, float]]
+PerturbFn = Callable[[np.ndarray, int], tuple[np.ndarray, np.ndarray, float]]
 
 
 @dataclass(frozen=True)
@@ -106,16 +106,17 @@ class RunResult:
         return float(self.dists[-1])
 
 
-def _model_perturb(model: ErrorModel, dim: int, scale: float) -> PerturbFn:
-    """Perturbation from a declared law; `scale` divides the vector (unwrap route)."""
+def _model_perturb(model: ErrorModel, apply_op, dim: int, scale: float) -> PerturbFn:
+    """Perturbation of `apply_op` from a declared law; `scale` divides the vector (unwrap route)."""
 
-    def p(mu, t_mu, k):
+    def p(mu, k):
+        t_mu = np.asarray(apply_op(mu), dtype=float)
         if model.norm_at(k) == 0.0:
-            return t_mu, 0.0
+            return t_mu, t_mu, 0.0
         e = emit_error(model, k, dim)
         if scale != 1.0:
             e /= scale
-        return t_mu + e, norm(e)
+        return t_mu, t_mu + e, norm(e)
 
     return p
 
@@ -123,18 +124,20 @@ def _model_perturb(model: ErrorModel, dim: int, scale: float) -> PerturbFn:
 def _rescaled_perturb(cb: PerturbFn, theta: float) -> PerturbFn:
     """Adapt a scheme-level perturb callback to the unwrapped core.
 
-    The callback speaks about T; the loop runs on N.  T mu is
-    reconstructed from N mu, the callback's error is divided by theta,
-    and the zero-error fast path is preserved exactly.
+    The callback speaks about T; the loop runs on N, derived from the
+    callback's exact T mu.  Its error is divided by theta, and an exact
+    step (perturbed output `is` T mu) stays exact.
     """
 
-    def p(mu, n_mu, k):
-        t_mu = mu + theta * (n_mu - mu)
-        t_eff, _ = cb(mu, t_mu, k)
+    def p(mu, k):
+        t_mu, t_eff, _ = cb(mu, k)
+        n_mu = _core_value(t_mu, mu, theta)
         if t_eff is t_mu:
-            return n_mu, 0.0
-        e = (t_eff - t_mu) / theta
-        return n_mu + e, norm(e)
+            return n_mu, n_mu, 0.0
+        # measured against the T mu the core step implies, mu + theta (N mu - mu),
+        # not t_mu (they differ in rounding): this keeps the unwrap route bit-identical
+        e = (t_eff - (mu + theta * (n_mu - mu))) / theta
+        return n_mu, n_mu + e, norm(e)
 
     return p
 
@@ -169,9 +172,12 @@ def iterate(
     """Run the loop until the residual stop, a blowup, or the budget.
 
     Exactly one error source may be given: an ErrorModel (vectors are
-    drawn by `emit_error`) or a `perturb(mu, t_mu, k)` callback returning
-    the perturbed operator output and the error norm to record.  With
-    neither, evaluations are exact.
+    drawn by `emit_error`) or a `perturb(mu, k)` callback returning
+    `(T mu, perturbed output, error norm)`, the vectors shaped like mu and
+    not coerced.  With neither, evaluations are exact.  On a perturbed run
+    the engine does not evaluate T itself: the recorded residuals, and the
+    rate certificate and consistency report built on them, are only as
+    good as the T mu the callback returns.
     """
     _check_options(problem, tol=tol, max_iter=max_iter, divergence_norm=divergence_norm, route=route)
     if perturb is not None and errors is not None:
@@ -185,15 +191,12 @@ def iterate(
     else:
         apply_op = problem.operator.apply
         theta = 1.0
-    if perturb is None:
-        # None marks the exact case: the loop then skips the callback.
-        perturb_fn = None
-        if errors is not None and errors.kind != "zero":
-            perturb_fn = _model_perturb(errors, problem.operator.dim, theta)
-    elif route == "unwrap":
+    # None marks the exact case: the loop then skips the callback.
+    perturb_fn = perturb
+    if errors is not None and errors.kind != "zero":
+        perturb_fn = _model_perturb(errors, apply_op, problem.operator.dim, theta)
+    elif perturb is not None and route == "unwrap":
         perturb_fn = _rescaled_perturb(perturb, theta)
-    else:
-        perturb_fn = perturb
     alpha_of = schedule.alpha_of
     lambda_of = schedule.lambda_of
     z_star = problem.z_star
@@ -215,12 +218,12 @@ def iterate(
         a = float(alpha_of(k))
         lam = float(lambda_of(k))
         mu = z if a == 0.0 else z + a * (z - z_prev)
-        t_mu = np.asarray(apply_op(mu), dtype=float)
-        r = theta * norm(t_mu - mu)
         if perturb_fn is None:
-            t_eff, e_norm = t_mu, 0.0
+            t_mu = t_eff = np.asarray(apply_op(mu), dtype=float)
+            e_norm = 0.0
         else:
-            t_eff, e_norm = perturb_fn(mu, t_mu, k)
+            t_mu, t_eff, e_norm = perturb_fn(mu, k)
+        r = theta * norm(t_mu - mu)
         z_next = mu + (lam * theta) * (t_eff - mu)
 
         residuals.append(r)

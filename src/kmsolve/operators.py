@@ -3,8 +3,9 @@
 An operator T is theta-averaged when T = (1 - theta) I + theta N for some
 nonexpansive N.  theta = 1 means plain nonexpansive with no averagedness
 claim; firmly nonexpansive maps (proximity operators, projections,
-resolvents) carry theta = 1/2.  Averagedness is declared metadata, checked
-by sampling in the test suite rather than inferred symbolically.
+resolvents) carry theta = 1/2.  The factories below declare the constant
+their construction guarantees, and make_affine certifies a caller's claim
+exactly.  An OperatorSpec built by hand carries its theta unchecked.
 """
 
 from __future__ import annotations
@@ -17,9 +18,8 @@ import numpy as np
 
 Point = np.ndarray
 
-# Rounding allowance for make_affine's nonexpansiveness check: the computed
-# largest singular value of an orthogonal or identity q may land a few ulps
-# above 1.
+# Rounding allowance for make_affine's certificate: the computed largest
+# singular value of an orthogonal or identity q may land a few ulps above 1.
 _SPECTRAL_SLACK = 1e-12
 
 
@@ -126,24 +126,30 @@ def make_box_projection(lo, hi) -> OperatorSpec:
 
 
 def make_affine(q, b, theta: float = 1.0) -> OperatorSpec:
-    """Affine map x -> q x + b, certified nonexpansive by its exact spectral norm.
+    """Affine map x -> q x + b, certified theta-averaged by an exact spectral norm.
 
-    ||q||_2 must not exceed 1 + 1e-12; the 1e-12 is a rounding allowance for
-    the SVD, so an orthogonal q passes.  theta stays 1 unless the caller
-    supplies a certified smaller value.
+    The map is theta-averaged iff ||q - (1 - theta) I||_2 <= theta; at the
+    default theta = 1 that is nonexpansiveness, ||q||_2 <= 1, and a smaller
+    theta implies it.  The bound gets a 1e-12 rounding allowance for the
+    SVD, so an orthogonal q passes.
     """
     q = np.asarray(q, dtype=float)
     if q.ndim != 2 or q.shape[0] != q.shape[1]:
         raise ValueError("q must be a square matrix")
     b = as_point(b, dim=q.shape[0], name="b")
-    cert = spectral_norm(q)
-    if cert > 1.0 + _SPECTRAL_SLACK:
-        raise ValueError(f"spectral norm certificate failed: ||q||_2 = {cert} exceeds 1 + 1e-12")
 
     def apply(x):
         return q @ x + b
 
-    return OperatorSpec(apply=apply, theta=theta, dim=q.shape[0])
+    spec = OperatorSpec(apply=apply, theta=theta, dim=q.shape[0])
+    # at theta = 1 the shift is exactly 0, so the certificate is ||q||_2 itself
+    cert = spectral_norm(q - (1.0 - spec.theta) * np.eye(q.shape[0]))
+    if cert > spec.theta + _SPECTRAL_SLACK:
+        raise ValueError(
+            f"spectral norm certificate failed: ||q - (1 - theta) I||_2 = {cert} "
+            f"exceeds theta + 1e-12 at theta = {spec.theta}"
+        )
+    return spec
 
 
 def quadratic_gradient(m, b) -> IsmOperator:
@@ -185,9 +191,19 @@ def make_fb_composition(resolvent: OperatorSpec, forward: IsmOperator, rho: floa
     r = float(rho)
 
     def apply(x):
-        return j(x - r * fwd(x))
+        return _fb_value(j, r, x, fwd(x))
 
     return OperatorSpec(apply=apply, theta=theta, dim=resolvent.dim)
+
+
+def _fb_value(j, r: float, x, b_x):
+    """The forward-backward step j(x - r b_x), given the forward value b_x at x."""
+    return j(x - r * b_x)
+
+
+def _core_value(t_x, x, theta: float):
+    """N x = (T x - (1 - theta) x) / theta, from T x of a theta-averaged T."""
+    return (t_x - (1.0 - theta) * x) / theta
 
 
 def unwrap_averaged(t: OperatorSpec) -> OperatorSpec:
@@ -198,6 +214,6 @@ def unwrap_averaged(t: OperatorSpec) -> OperatorSpec:
     f = t.apply
 
     def apply(x):
-        return (f(x) - (1.0 - th) * x) / th
+        return _core_value(f(x), x, th)
 
     return OperatorSpec(apply=apply, theta=1.0, dim=t.dim)

@@ -84,8 +84,8 @@ def test_fbs_folded_error_respects_the_rho_bound():
 
 
 def test_fbs_resolvent_call_counts():
-    # exact steps reuse the unperturbed image; perturbed steps pay a second
-    # resolvent call but reuse the forward value computed for T mu
+    # one forward and one resolvent call per step, exact or resolvent-only;
+    # a forward error costs a second resolvent call, never a second forward
     inst = plant_lasso(n_samples=30, n_features=20, support_size=4, reg=0.4, seed=54)
     rho = quadratic_gradient(inst.matrix, inst.rhs).beta
     resolvent, forward = lasso_fbs_pieces(inst, rho)
@@ -102,23 +102,32 @@ def test_fbs_resolvent_call_counts():
     counted_fwd = dataclasses.replace(forward, apply=counting("forward", forward.apply))
     solve_fbs(counted, counted_fwd, rho, np.zeros(20), constant_schedule(0.0, 0.9), tol=-1.0, max_iter=25)
     assert calls == {"resolvent": 25, "forward": 25}
-    calls.update(resolvent=0, forward=0)
-    solve_fbs(
-        counted,
-        counted_fwd,
-        rho,
-        np.zeros(20),
-        constant_schedule(0.0, 0.9),
-        forward_errors=ErrorModel.power_decay(0.1, 2.0, seed=55),
-        tol=-1.0,
-        max_iter=25,
-    )
-    assert calls == {"resolvent": 50, "forward": 25}
+    perturbed = [
+        ({"forward_errors": ErrorModel.power_decay(0.1, 2.0, seed=55)}, 50),
+        ({"resolvent_errors": ErrorModel.power_decay(0.1, 2.0, seed=56)}, 25),
+    ]
+    for channel, resolvent_calls in perturbed:
+        for route in ("direct", "unwrap"):
+            calls.update(resolvent=0, forward=0)
+            solve_fbs(
+                counted,
+                counted_fwd,
+                rho,
+                np.zeros(20),
+                constant_schedule(0.0, 0.9),
+                tol=-1.0,
+                max_iter=25,
+                route=route,
+                **channel,
+            )
+            assert calls == {"resolvent": resolvent_calls, "forward": 25}, (channel, route)
 
 
 def test_perturbed_fbs_matches_the_two_forward_recurrence():
-    # Reference: the perturbed step restated with B mu evaluated again inside
-    # the callback; sharing the value computed for T mu must not change a bit.
+    # Reference: T mu taken from make_fb_composition's apply, so perturbed runs
+    # stay tied to the composition, and the perturbed output restated with B mu
+    # evaluated a second time and the resolvent applied again on every perturbed
+    # step; sharing B mu and T mu must not change a bit.
     inst = plant_lasso(n_samples=30, n_features=20, support_size=4, reg=0.4, seed=57)
     rho = quadratic_gradient(inst.matrix, inst.rhs).beta
     resolvent, forward = lasso_fbs_pieces(inst, rho)
@@ -136,17 +145,18 @@ def test_perturbed_fbs_matches_the_two_forward_recurrence():
     ]
     for fe, re in channels:
 
-        def two_forward(mu, t_mu, k, fe=fe, re=re):
+        def two_forward(mu, k, fe=fe, re=re):
+            t_mu = prob.operator.apply(mu)
             n1, n2 = fe.norm_at(k), re.norm_at(k)
             if n1 == 0.0 and n2 == 0.0:
-                return t_mu, 0.0
+                return t_mu, t_mu, 0.0
             b_mu = fwd(mu)
             if n1 != 0.0:
                 b_mu = b_mu + emit_error(fe, k, 20)
             t_pert = j(mu - r * b_mu)
             if n2 != 0.0:
                 t_pert = t_pert + emit_error(re, k, 20)
-            return t_pert, norm(t_pert - t_mu)
+            return t_mu, t_pert, norm(t_pert - t_mu)
 
         for route in ("direct", "unwrap"):
             opts = dict(tol=-1.0, max_iter=60, route=route)

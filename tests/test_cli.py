@@ -220,6 +220,47 @@ def test_run_rejects_bad_input_before_iterating(tmp_path, monkeypatch):
         assert code == 2 and out == ""
         assert err.startswith("error: bad errors: exponent must be finite")
 
+    false_claim = dict(FEASIBLE["problem"], matrix=[[-0.99, 0.0], [0.0, -0.99]], theta=0.5)
+    path = _write(tmp_path, dict(FEASIBLE, problem=false_claim), "false_claim.json")
+    for command in ("run", "compare"):
+        code, out, err = _main([command, path])
+        assert code == 2 and out == ""
+        assert err.startswith("error: bad problem: spectral norm certificate failed")
+
+    # integer fields refuse what int() would truncate or read as 0/1
+    power = {"kind": "power-decay", "magnitude": 1e-2, "exponent": 2.0}
+    soft = {"kind": "soft-threshold", "gamma": 0.3, "z0": [1.0, 2.0]}
+    not_integers = [
+        ({"engine": {"max_iter": 2.7}}, "error: bad engine options: max_iter must be an integer, got 2.7"),
+        ({"engine": {"max_iter": True}}, "error: bad engine options: max_iter must be an integer, got True"),
+        ({"errors": dict(power, seed=1.5)}, "error: bad errors: seed must be an integer, got 1.5"),
+        ({"errors": dict(power, seed=False)}, "error: bad errors: seed must be an integer, got False"),
+        ({"problem": dict(soft, dim=2.5)}, "error: bad problem: dim must be an integer, got 2.5"),
+        ({"problem": {"kind": "identity", "dim": True, "z0": [1.0]}}, "error: bad problem: dim must be an integer, got True"),
+    ]
+    for i, (section, message) in enumerate(not_integers):
+        path = _write(tmp_path, dict(FEASIBLE, **section), f"not_integer{i}.json")
+        for command in ("run", "compare"):
+            code, out, err = _main([command, path])
+            assert (code, out) == (2, ""), (section, command)
+            assert err == message + "\n"
+
+
+def test_integral_floats_read_as_integers(tmp_path):
+    ints = {
+        "problem": {"kind": "soft-threshold", "gamma": 0.3, "dim": 4, "z0": [1.0, -2.0, 0.1, 0.6]},
+        "schedule": {"alpha": 0.1, "lambda": 0.8},
+        "errors": {"kind": "geometric", "magnitude": 0.01, "ratio": 0.5, "seed": 3},
+        "engine": {"max_iter": 100000},
+    }
+    floats = json.loads(json.dumps(ints))
+    floats["problem"]["dim"] = 4.0
+    floats["errors"]["seed"] = 3.0
+    floats["engine"]["max_iter"] = 1e5
+    expected = _main(["run", _write(tmp_path, ints, "ints.json")])
+    assert expected[0] == 0
+    assert _main(["run", _write(tmp_path, floats, "floats.json")]) == expected
+
 
 def test_non_object_sections_exit_two(tmp_path, monkeypatch):
     def no_iterate(*args, **kwargs):

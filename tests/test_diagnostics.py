@@ -182,10 +182,11 @@ def test_quasi_fejer_flags_undeclared_drift():
     # the callback lies: it perturbs but declares a zero error norm, so the
     # distance grows with no slack to absorb it
     prob = Problem(operator=make_identity(2), z0=np.zeros(2), z_star=np.zeros(2))
+    t = prob.operator.apply
     run = iterate(
         prob,
         constant_schedule(0.0, 0.5),
-        perturb=lambda mu, t_mu, k: (t_mu + 1.0, 0.0),
+        perturb=lambda mu, k: (t(mu), t(mu) + 1.0, 0.0),
         tol=-1.0,
         max_iter=20,
     )

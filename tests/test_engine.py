@@ -34,12 +34,14 @@ def test_inertial_trace_matches_hand_computation():
 def test_perturbed_trace_replays_the_documented_recurrence():
     # replicate z_{k+1} = mu + lam * (T mu + e - mu) with the same float ops
     lam, alpha, e_val = 0.5, 0.25, 0.1
+    prob = _halving_problem()
 
-    def perturb(mu, t_mu, k):
-        return t_mu + e_val, e_val
+    def perturb(mu, k):
+        t_mu = prob.operator.apply(mu)
+        return t_mu, t_mu + e_val, e_val
 
     run = iterate(
-        _halving_problem(),
+        prob,
         constant_schedule(alpha, lam),
         perturb=perturb,
         tol=-1.0,
@@ -109,10 +111,11 @@ def test_residual_measured_before_error_is_added():
     # identity operator: residual 0 at the start point, so the run stops
     # immediately even though the perturbation moves the iterate
     prob = Problem(operator=make_identity(3), z0=np.ones(3))
+    t = prob.operator.apply
     run = iterate(
         prob,
         constant_schedule(0.0, 0.5),
-        perturb=lambda mu, t_mu, k: (t_mu + 1.0, np.sqrt(3.0)),
+        perturb=lambda mu, k: (t(mu), t(mu) + 1.0, np.sqrt(3.0)),
         tol=1e-10,
     )
     assert run.stop_reason == "residual-tol"
@@ -176,7 +179,7 @@ def test_errors_and_perturb_are_mutually_exclusive():
             _halving_problem(),
             constant_schedule(0.0, 0.5),
             ErrorModel.power_decay(0.1, 2.0),
-            perturb=lambda mu, t_mu, k: (t_mu, 0.0),
+            perturb=lambda mu, k: (mu, mu, 0.0),
         )
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from kmsolve.applications import plant_lasso
+from kmsolve.engine import Problem, iterate
 from kmsolve.operators import (
     IsmOperator,
     OperatorSpec,
@@ -18,6 +19,7 @@ from kmsolve.operators import (
     spectral_norm,
     unwrap_averaged,
 )
+from kmsolve.schedules import constant_schedule, validate_schedule
 
 
 def test_as_point_coerces_lists_to_float_vectors():
@@ -120,6 +122,23 @@ def test_affine_certificate_rejects_a_barely_expansive_matrix():
     s[-1] = 1.0 + 1e-9
     with pytest.raises(ValueError, match="spectral norm"):
         make_affine((u * s) @ v.T, np.zeros(200))
+
+
+def test_affine_certificate_refuses_a_false_averagedness_claim():
+    # -0.99 I is nonexpansive, and theta-averaged only for theta >= 0.995,
+    # since ||q - (1 - theta) I||_2 = 1.99 - theta
+    q = -0.99 * np.eye(3)
+    with pytest.raises(ValueError, match="certificate failed"):
+        make_affine(q, np.zeros(3), theta=0.5)
+    with pytest.raises(ValueError, match="certificate failed"):
+        make_affine(q, np.zeros(3), theta=0.994)
+    assert make_affine(q, np.zeros(3), theta=0.995).theta == 0.995
+    # The claim the certificate refuses admits lambda = 1.9, which diverges.
+    unchecked = OperatorSpec(apply=lambda x: q @ x, theta=0.5, dim=3)
+    sched = constant_schedule(0.0, 1.9)
+    assert validate_schedule(sched, theta=0.5).feasible
+    run = iterate(Problem(operator=unchecked, z0=np.ones(3)), sched, route="unwrap")
+    assert (run.stop_reason, run.iterations) == ("diverged", 27)
 
 
 def test_non_finite_matrices_are_rejected_when_built():
