@@ -13,7 +13,8 @@ whose norm is recorded as err_norm and obeys
 ||e-bar|| <= rho ||e1|| + ||e2|| by nonexpansiveness of the resolvent.
 Every step evaluates B mu and T mu once, so exact and resolvent-only
 steps cost one forward and one resolvent evaluation; a forward error adds
-a second resolvent evaluation.  Give the two channels different seeds;
+a second resolvent evaluation.  Each channel keeps its own block cache
+for the run (see `emit_error`).  Give the two channels different seeds;
 equal seeds draw identical directions at each k.
 
 plant_lasso builds an l1-regularized least-squares instance whose exact
@@ -90,15 +91,17 @@ def solve_fbs(
     j = resolvent.apply
     fwd = forward.apply
     r = float(rho)
+    fe_cache: dict = {}
+    re_cache: dict = {}
 
     def perturb(mu, k):
         # _fb_value is the composition's own step, so t_mu is T mu bit for bit
         b_mu = fwd(mu)
         t_mu = t_pert = _fb_value(j, r, mu, b_mu)
         if fe.norm_at(k) != 0.0:
-            t_pert = _fb_value(j, r, mu, b_mu + emit_error(fe, k, dim))
+            t_pert = _fb_value(j, r, mu, b_mu + emit_error(fe, k, dim, fe_cache))
         if re.norm_at(k) != 0.0:
-            t_pert = t_pert + emit_error(re, k, dim)
+            t_pert = t_pert + emit_error(re, k, dim, re_cache)
         return t_mu, t_pert, 0.0 if t_pert is t_mu else norm(t_pert - t_mu)
 
     return iterate(prob, schedule, perturb=perturb, route=route, **engine_options)

@@ -94,10 +94,22 @@ def _config_errors(prefix: str = ""):
 
 
 def _integer(value, name: str) -> int:
-    """`value` as an int; a boolean or a fractional number is refused, not truncated."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    """`value` as an int; a boolean, a string or a fractional number is refused, not truncated."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or (isinstance(value, float) and not value.is_integer())
+    ):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _real(value, name: str) -> float:
+    """`value` as float() reads it, "nan" and "inf" included; anything else names the field."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a number, got {value!r}") from None
 
 
 @_config_errors("bad problem: ")
@@ -107,11 +119,12 @@ def problem_from_config(cfg: dict) -> Problem:
         op = make_affine(
             _require(cfg, "matrix", "problem"),
             _require(cfg, "offset", "problem"),
-            theta=float(cfg.get("theta", 1.0)),
+            theta=_real(cfg.get("theta", 1.0), "theta"),
         )
     elif kind == "soft-threshold":
         op = make_soft_threshold(
-            float(_require(cfg, "gamma", "problem")), _integer(_require(cfg, "dim", "problem"), "dim")
+            _real(_require(cfg, "gamma", "problem"), "gamma"),
+            _integer(_require(cfg, "dim", "problem"), "dim"),
         )
     elif kind == "box-projection":
         op = make_box_projection(_require(cfg, "lo", "problem"), _require(cfg, "hi", "problem"))
@@ -129,14 +142,16 @@ def problem_from_config(cfg: dict) -> Problem:
 @_config_errors("bad schedule: ")
 def schedule_from_config(cfg: dict):
     """Constant parameters (regime I), or with sigma and delta the delayed-inertia regime II."""
-    alpha = float(cfg.get("alpha", 0.0))
-    lam = float(_require(cfg, "lambda", "schedule"))
-    sigma, delta = (None if cfg.get(key) is None else float(cfg[key]) for key in ("sigma", "delta"))
-    bounds = {key: cfg.get(key) for key in ("alpha_cap", "lambda_floor", "lambda_ceiling")}
-    if sigma is None or delta is None:
+    alpha = _real(cfg.get("alpha", 0.0), "alpha")
+    lam = _real(_require(cfg, "lambda", "schedule"), "lambda")
+    optional = {
+        key: None if cfg.get(key) is None else _real(cfg[key], key)
+        for key in ("sigma", "delta", "alpha_cap", "lambda_floor", "lambda_ceiling")
+    }
+    if optional["sigma"] is None or optional["delta"] is None:
         # ParamSchedule refuses exactly one of the pair
-        return constant_schedule(alpha, lam, sigma=sigma, delta=delta, **bounds)
-    return delayed_inertia_schedule(alpha, lam, sigma=sigma, delta=delta, **bounds)
+        return constant_schedule(alpha, lam, **optional)
+    return delayed_inertia_schedule(alpha, lam, **optional)
 
 
 @_config_errors("bad errors: ")
@@ -149,32 +164,33 @@ def errors_from_config(cfg: dict | None) -> ErrorModel:
         return ErrorModel.zero()
     if kind == "power-decay":
         return ErrorModel.power_decay(
-            float(_require(cfg, "magnitude", "errors")),
-            float(_require(cfg, "exponent", "errors")),
+            _real(_require(cfg, "magnitude", "errors"), "magnitude"),
+            _real(_require(cfg, "exponent", "errors"), "exponent"),
             seed,
         )
     if kind == "geometric":
         ratio = cfg.get("ratio", cfg.get("exponent"))
         if ratio is None:
             raise ConfigError("missing 'ratio' in errors")
-        return ErrorModel.geometric(float(_require(cfg, "magnitude", "errors")), float(ratio), seed)
+        magnitude = _real(_require(cfg, "magnitude", "errors"), "magnitude")
+        return ErrorModel.geometric(magnitude, _real(ratio, "ratio"), seed)
     if kind == "custom-list":
         return ErrorModel.from_norms(_require(cfg, "norms", "errors"), seed)
     raise ConfigError(f"unknown error kind {kind!r}")
 
 
 _ENGINE_TYPES = {
-    "tol": float,
-    "max_iter": lambda value: _integer(value, "max_iter"),
-    "divergence_norm": float,
-    "route": str,
+    "tol": _real,
+    "max_iter": _integer,
+    "divergence_norm": _real,
+    "route": lambda value, name: str(value),
 }
 
 
 @_config_errors("bad engine options: ")
 def _engine_options(cfg: dict, problem: Problem) -> dict:
     """The engine section as `iterate` keywords, refused here rather than mid-command."""
-    opts = {key: cast(cfg[key]) for key, cast in _ENGINE_TYPES.items() if key in cfg}
+    opts = {key: cast(cfg[key], key) for key, cast in _ENGINE_TYPES.items() if key in cfg}
     _check_options(problem, **opts)
     return opts
 

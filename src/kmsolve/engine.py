@@ -107,13 +107,17 @@ class RunResult:
 
 
 def _model_perturb(model: ErrorModel, apply_op, dim: int, scale: float) -> PerturbFn:
-    """Perturbation of `apply_op` from a declared law; `scale` divides the vector (unwrap route)."""
+    """Perturbation of `apply_op` from a declared law; `scale` divides the vector (unwrap route).
+
+    The closure owns the run's direction cache (see `emit_error`).
+    """
+    cache: dict = {}
 
     def p(mu, k):
         t_mu = np.asarray(apply_op(mu), dtype=float)
         if model.norm_at(k) == 0.0:
             return t_mu, t_mu, 0.0
-        e = emit_error(model, k, dim)
+        e = emit_error(model, k, dim, cache)
         if scale != 1.0:
             e /= scale
         return t_mu, t_mu + e, norm(e)

@@ -127,8 +127,9 @@ class ErrorModel:
     * ``geometric``    ->  magnitude * exponent ** k   (exponent > 0)
     * ``custom-list``  ->  norms[k], and 0 past the end of the list
 
-    Directions are uniform on the unit sphere, deterministic in (seed, k).
-    Non-summable laws are constructible; ``summability`` flags them.
+    Directions are uniform on the unit sphere, deterministic in
+    (seed, k, dim): see `emit_error` for how they are drawn.  Non-summable
+    laws are constructible; ``summability`` flags them.
     """
 
     kind: str = "zero"
@@ -196,10 +197,20 @@ class ErrorModel:
         return "summable" if self.exponent < 1.0 else "not-guaranteed"
 
 
-def emit_error(model: ErrorModel, k: int, dim: int) -> np.ndarray:
+def emit_error(model: ErrorModel, k: int, dim: int, cache: dict | None = None) -> np.ndarray:
     """The perturbation vector e^k: declared norm, seeded sphere direction.
 
-    Pure in (model.seed, k, dim); repeated calls are bit-identical.
+    Directions come in blocks of B = max(1, min(64, 16384 // dim)) rows,
+    so a block holds at most 16384 floats unless one row is longer: the
+    direction of step k is row k % B of a (B, dim) standard normal block
+    drawn from the key (model.seed, k // B), scaled to norm
+    model.norm_at(k).  The result is pure in (model.seed, k, dim);
+    repeated calls are bit-identical.
+
+    `cache` is an optional dict owned by the caller, typically one per run
+    and error channel.  It keeps the latest block, so consecutive steps
+    share one draw.  It is a memo only: the returned vector is the same
+    with or without it.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -208,8 +219,16 @@ def emit_error(model: ErrorModel, k: int, dim: int) -> np.ndarray:
     target = model.norm_at(k)
     if target == 0.0:
         return np.zeros(dim)
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=model.seed, spawn_key=(k,)))
-    d = rng.standard_normal(dim)
+    rows = max(1, min(64, 16384 // dim))
+    key = (model.seed, k // rows, dim)
+    if cache is not None and cache.get("key") == key:
+        block = cache["block"]
+    else:
+        seq = np.random.SeedSequence(entropy=model.seed, spawn_key=(k // rows,))
+        block = np.random.default_rng(seq).standard_normal((rows, dim))
+        if cache is not None:
+            cache["key"], cache["block"] = key, block
+    d = block[k % rows]
     n = math.sqrt(float(d @ d))
     if n == 0.0:
         d = np.zeros(dim)

@@ -237,8 +237,28 @@ def test_run_rejects_bad_input_before_iterating(tmp_path, monkeypatch):
         ({"errors": dict(power, seed=False)}, "error: bad errors: seed must be an integer, got False"),
         ({"problem": dict(soft, dim=2.5)}, "error: bad problem: dim must be an integer, got 2.5"),
         ({"problem": {"kind": "identity", "dim": True, "z0": [1.0]}}, "error: bad problem: dim must be an integer, got True"),
+        ({"errors": dict(power, seed="5")}, "error: bad errors: seed must be an integer, got '5'"),
+        ({"errors": dict(power, seed="abc")}, "error: bad errors: seed must be an integer, got 'abc'"),
+        ({"engine": {"max_iter": "100"}}, "error: bad engine options: max_iter must be an integer, got '100'"),
+        ({"problem": dict(soft, dim="2")}, "error: bad problem: dim must be an integer, got '2'"),
+        ({"errors": dict(power, seed=None)}, "error: bad errors: seed must be an integer, got None"),
     ]
-    for i, (section, message) in enumerate(not_integers):
+    # real fields name themselves when float() cannot read the value
+    geometric = {"kind": "geometric", "magnitude": 1e-2, "ratio": 0.5}
+    not_numbers = [
+        ({"engine": {"tol": "fast"}}, "error: bad engine options: tol must be a number, got 'fast'"),
+        ({"engine": {"divergence_norm": [1.0]}}, "error: bad engine options: divergence_norm must be a number, got [1.0]"),
+        ({"schedule": {"alpha": 0.2, "lambda": "fast"}}, "error: bad schedule: lambda must be a number, got 'fast'"),
+        ({"schedule": {"alpha": "none", "lambda": 0.5}}, "error: bad schedule: alpha must be a number, got 'none'"),
+        ({"schedule": {"alpha": 0.0, "lambda": 0.5, "sigma": "x", "delta": 1.0}}, "error: bad schedule: sigma must be a number, got 'x'"),
+        ({"schedule": {"alpha": 0.2, "lambda": 0.5, "alpha_cap": {}}}, "error: bad schedule: alpha_cap must be a number, got {}"),
+        ({"errors": dict(power, magnitude="big")}, "error: bad errors: magnitude must be a number, got 'big'"),
+        ({"errors": dict(power, exponent="steep")}, "error: bad errors: exponent must be a number, got 'steep'"),
+        ({"errors": dict(geometric, ratio="half")}, "error: bad errors: ratio must be a number, got 'half'"),
+        ({"problem": dict(FEASIBLE["problem"], theta="half")}, "error: bad problem: theta must be a number, got 'half'"),
+        ({"problem": dict(soft, gamma="wide", dim=2)}, "error: bad problem: gamma must be a number, got 'wide'"),
+    ]
+    for i, (section, message) in enumerate(not_integers + not_numbers):
         path = _write(tmp_path, dict(FEASIBLE, **section), f"not_integer{i}.json")
         for command in ("run", "compare"):
             code, out, err = _main([command, path])

@@ -6,6 +6,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from kmsolve import applications
+from kmsolve.applications import lasso_fbs_pieces, plant_lasso, solve_fbs
+from kmsolve.engine import Problem, iterate
+from kmsolve.operators import make_soft_threshold, norm, quadratic_gradient, unwrap_averaged
 from kmsolve.schedules import (
     ErrorModel,
     ParamSchedule,
@@ -111,6 +115,133 @@ def test_emit_error_is_deterministic_and_norm_exact():
     assert not np.array_equal(a, c)
     z = emit_error(ErrorModel.zero(), 0, 6)
     assert np.array_equal(z, np.zeros(6))
+
+
+RUN_ARRAYS = ("z", "residuals", "err_norms", "step_norms", "dists")
+
+
+def _block_row(seed, k, dim, rows):
+    """The documented draw: row k % rows of the seeded block k // rows, unscaled."""
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(k // rows,))
+    return np.random.default_rng(ss).standard_normal((rows, dim))[k % rows]
+
+
+@pytest.mark.parametrize("dim, rows", [(1, 64), (8, 64), (200, 64), (16384, 1), (16385, 1)])
+def test_block_draw_is_the_same_with_or_without_a_cache(dim, rows):
+    m = ErrorModel.power_decay(0.3, 1.5, seed=17)
+    other = ErrorModel.geometric(0.5, 0.9, seed=18)
+    # scrambled, crossing several block boundaries, with repeats
+    ks = [0, rows - 1, rows, 3 * rows + 2, 1, 2 * rows - 1, 2 * rows, rows + 1, 5 * rows, rows]
+    ks = [int(k) for k in np.random.default_rng(dim).permutation(ks)]
+    cache, shared = {}, {}
+    for k in ks:
+        plain = emit_error(m, k, dim)
+        assert np.array_equal(emit_error(m, k, dim, cache), plain), (dim, k)
+        # one cache passed between two laws and seeds still returns each one's own draw
+        assert np.array_equal(emit_error(m, k, dim, shared), plain), (dim, k)
+        assert np.array_equal(emit_error(other, k, dim, shared), emit_error(other, k, dim)), (dim, k)
+        assert cache["block"].shape == (rows, dim)
+        target = m.norm_at(k)
+        assert abs(math.sqrt(float(plain @ plain)) - target) <= 1e-12 * target
+        d = _block_row(17, k, dim, rows)
+        assert np.array_equal(plain, d * (target / math.sqrt(float(d @ d)))), (dim, k)
+
+
+def _soft_problem(dim=8, seed=72):
+    rng = np.random.default_rng(seed)
+    return Problem(make_soft_threshold(0.2, dim), rng.uniform(-2, 2, dim), np.zeros(dim))
+
+
+def test_error_model_runs_step_with_the_uncached_draws_on_both_routes():
+    prob = _soft_problem()
+    op, dim = prob.operator, prob.operator.dim
+    m = ErrorModel.power_decay(0.05, 1.5, seed=73)
+    opts = dict(tol=-1.0, max_iter=300)  # dim 8 -> blocks of 64: five boundaries
+
+    def scheme_level(mu, k):
+        t_mu = np.asarray(op.apply(mu), dtype=float)
+        e = emit_error(m, k, dim)
+        return t_mu, t_mu + e, norm(e)
+
+    run = iterate(prob, constant_schedule(0.2, 1.2), m, **opts)
+    ref = iterate(prob, constant_schedule(0.2, 1.2), perturb=scheme_level, **opts)
+    for name in RUN_ARRAYS:
+        assert np.array_equal(getattr(run, name), getattr(ref, name)), name
+
+    # unwrap runs the core N with relaxation theta * lambda and error e / theta,
+    # and records theta times the core's residual and error norm
+    theta = op.theta
+    core = Problem(unwrap_averaged(op), prob.z0, prob.z_star)
+    n_apply = core.operator.apply
+
+    def core_level(mu, k):
+        n_mu = np.asarray(n_apply(mu), dtype=float)
+        e = emit_error(m, k, dim) / theta
+        return n_mu, n_mu + e, norm(e)
+
+    run = iterate(prob, constant_schedule(0.2, 1.2), m, route="unwrap", **opts)
+    ref = iterate(core, constant_schedule(0.2, 1.2 * theta), perturb=core_level, **opts)
+    for name in ("z", "step_norms", "dists"):
+        assert np.array_equal(getattr(run, name), getattr(ref, name)), name
+    assert np.array_equal(run.residuals, theta * ref.residuals)
+    assert np.array_equal(run.err_norms, theta * ref.err_norms)
+
+
+def test_two_runs_of_one_error_model_are_identical():
+    prob = _soft_problem()
+    m = ErrorModel.power_decay(0.05, 1.5, seed=74)
+    for route in ("direct", "unwrap"):
+        first, second = (
+            iterate(prob, constant_schedule(0.2, 1.2), m, tol=-1.0, max_iter=100, route=route)
+            for _ in range(2)
+        )
+        for name in RUN_ARRAYS:
+            assert np.array_equal(getattr(first, name), getattr(second, name)), (route, name)
+
+
+def test_fbs_channels_draw_by_seed(monkeypatch):
+    inst = plant_lasso(n_samples=30, n_features=20, support_size=4, reg=0.4, seed=75)
+    rho = quadratic_gradient(inst.matrix, inst.rhs).beta
+    resolvent, forward = lasso_fbs_pieces(inst, rho)
+    drawn = []
+
+    def recording(model, k, dim, *cache):
+        e = emit_error(model, k, dim, *cache)
+        drawn.append((model.seed, k, e))
+        return e
+
+    monkeypatch.setattr(applications, "emit_error", recording)
+
+    def directions(seed_fe, seed_re, route):
+        drawn.clear()
+        law = dict(magnitude=0.1, exponent=2.0)
+        run = solve_fbs(
+            resolvent,
+            forward,
+            rho,
+            inst.x_star + 0.3,
+            constant_schedule(0.2, 0.9),
+            forward_errors=ErrorModel.power_decay(**law, seed=seed_fe),
+            resolvent_errors=ErrorModel.power_decay(**law, seed=seed_re),
+            tol=-1.0,
+            max_iter=150,  # dim 20 -> blocks of 64: two boundaries
+            route=route,
+        )
+        # every in-run draw is the uncached one; the channels alternate, forward first
+        assert len(drawn) == 300
+        for seed, k, e in drawn:
+            assert np.array_equal(e, emit_error(ErrorModel.power_decay(**law, seed=seed), k, 20))
+        return run, [e for _, _, e in drawn[::2]], [e for _, _, e in drawn[1::2]]
+
+    for route in ("direct", "unwrap"):
+        same, fe_dirs, re_dirs = directions(5, 5, route)
+        assert all(np.array_equal(a, b) for a, b in zip(fe_dirs, re_dirs))
+        apart, fe_dirs, re_dirs = directions(5, 6, route)
+        assert not any(np.allclose(a, b) for a, b in zip(fe_dirs, re_dirs))
+        assert not np.array_equal(same.z, apart.z)
+        again, _, _ = directions(5, 6, route)
+        for name in RUN_ARRAYS:
+            assert np.array_equal(getattr(again, name), getattr(apart, name)), (route, name)
 
 
 def test_threshold_and_ceiling_pins():
