@@ -112,13 +112,21 @@ def _real(value, name: str) -> float:
         raise ValueError(f"{name} must be a number, got {value!r}") from None
 
 
+def _array(value, name: str) -> np.ndarray:
+    """`value` as np.asarray(value, dtype=float) reads it; a value it cannot read names the field."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name} must be an array of numbers: {exc}") from None
+
+
 @_config_errors("bad problem: ")
 def problem_from_config(cfg: dict) -> Problem:
     kind = _require(cfg, "kind", "problem")
     if kind == "affine":
         op = make_affine(
-            _require(cfg, "matrix", "problem"),
-            _require(cfg, "offset", "problem"),
+            _array(_require(cfg, "matrix", "problem"), "matrix"),
+            _array(_require(cfg, "offset", "problem"), "offset"),
             theta=_real(cfg.get("theta", 1.0), "theta"),
         )
     elif kind == "soft-threshold":
@@ -127,15 +135,18 @@ def problem_from_config(cfg: dict) -> Problem:
             _integer(_require(cfg, "dim", "problem"), "dim"),
         )
     elif kind == "box-projection":
-        op = make_box_projection(_require(cfg, "lo", "problem"), _require(cfg, "hi", "problem"))
+        op = make_box_projection(
+            _array(_require(cfg, "lo", "problem"), "lo"), _array(_require(cfg, "hi", "problem"), "hi")
+        )
     elif kind == "identity":
         op = make_identity(_integer(_require(cfg, "dim", "problem"), "dim"))
     else:
         raise ConfigError(f"unknown problem kind {kind!r}")
+    z_star = cfg.get("z_star")
     return Problem(
         operator=op,
-        z0=_require(cfg, "z0", "problem"),
-        z_star=cfg.get("z_star"),
+        z0=_array(_require(cfg, "z0", "problem"), "z0"),
+        z_star=None if z_star is None else _array(z_star, "z_star"),
     )
 
 
@@ -175,7 +186,10 @@ def errors_from_config(cfg: dict | None) -> ErrorModel:
         magnitude = _real(_require(cfg, "magnitude", "errors"), "magnitude")
         return ErrorModel.geometric(magnitude, _real(ratio, "ratio"), seed)
     if kind == "custom-list":
-        return ErrorModel.from_norms(_require(cfg, "norms", "errors"), seed)
+        norms = _require(cfg, "norms", "errors")
+        if _array(norms, "norms").ndim != 1:
+            raise ValueError(f"norms must be a list of numbers, got {norms!r}")
+        return ErrorModel.from_norms(norms, seed)
     raise ConfigError(f"unknown error kind {kind!r}")
 
 

@@ -227,8 +227,10 @@ def iterate(
             e_norm = 0.0
         else:
             t_mu, t_eff, e_norm = perturb_fn(mu, k)
-        r = theta * norm(t_mu - mu)
-        z_next = mu + (lam * theta) * (t_eff - mu)
+        d = t_mu - mu
+        r = theta * norm(d)
+        # an exact step's update direction is d itself
+        z_next = mu + (lam * theta) * (d if t_eff is t_mu else t_eff - mu)
 
         residuals.append(r)
         err_norms.append(theta * float(e_norm))

@@ -40,10 +40,16 @@ def as_point(x, dim: int | None = None, name: str = "point") -> Point:
 def norm(a) -> float:
     """Euclidean norm sqrt(a . a), with no shape check.
 
-    inf for a vector with an infinite entry or overflowing squares, NaN for
-    one with a NaN entry.
+    An ndarray goes straight to its own `dot`, the routine np.dot runs,
+    without np.dot's dispatch; a list or other array-like is converted by
+    np.asarray first.  Either way the value is math.sqrt(float(np.dot(a, a)))
+    bit for bit: inf for a vector with an infinite entry or overflowing
+    squares, NaN for one with a NaN entry.
     """
-    return math.sqrt(float(np.dot(a, a)))
+    try:
+        return math.sqrt(a.dot(a))
+    except AttributeError:
+        return norm(np.asarray(a))
 
 
 @dataclass(frozen=True)
@@ -113,9 +119,13 @@ def make_soft_threshold(gamma: float, dim: int) -> OperatorSpec:
 
 
 def make_box_projection(lo, hi) -> OperatorSpec:
-    """Projection onto the box [lo, hi] (componentwise).  Firmly nonexpansive."""
-    lo = as_point(lo, name="lo")
-    hi = as_point(hi, dim=lo.shape[0], name="hi")
+    """Projection onto the box [lo, hi] (componentwise).  Firmly nonexpansive.
+
+    The bounds are copied, so changing the caller's arrays later does not
+    move the box.
+    """
+    lo = as_point(lo, name="lo").copy()
+    hi = as_point(hi, dim=lo.shape[0], name="hi").copy()
     if not (lo <= hi).all():
         raise ValueError("box bounds require lo <= hi componentwise")
 
@@ -132,14 +142,21 @@ def make_affine(q, b, theta: float = 1.0) -> OperatorSpec:
     default theta = 1 that is nonexpansiveness, ||q||_2 <= 1, and a smaller
     theta implies it.  The bound gets a 1e-12 rounding allowance for the
     SVD, so an orthogonal q passes.
+
+    The operator keeps private copies of q and b, so the certificate covers
+    the map it applies even if the caller changes its arrays later.  The
+    copy of q is C- or F-contiguous (np.array keeps the layout), and on
+    such a matrix `q.dot(x)` rounds exactly like `q @ x`; on a strided view
+    the two products can differ in the last bit, so a run on a view rounds
+    like one on its contiguous copy.
     """
-    q = np.asarray(q, dtype=float)
+    q = np.array(q, dtype=float)
     if q.ndim != 2 or q.shape[0] != q.shape[1]:
         raise ValueError("q must be a square matrix")
-    b = as_point(b, dim=q.shape[0], name="b")
+    b = as_point(b, dim=q.shape[0], name="b").copy()
 
     def apply(x):
-        return q @ x + b
+        return q.dot(x) + b
 
     spec = OperatorSpec(apply=apply, theta=theta, dim=q.shape[0])
     # at theta = 1 the shift is exactly 0, so the certificate is ||q||_2 itself
@@ -160,6 +177,10 @@ def quadratic_gradient(m, b) -> IsmOperator:
     gradient (Baillon-Haddad), so beta = 1 / ||m||_2^2.  ||m||_2 is exact
     (see spectral_norm), so beta does not overstate the modulus beyond
     rounding.
+
+    The product m x uses the caller's m by reference, not a private copy,
+    which would hold one more matrix of m's size.  beta certifies m as
+    passed, so a caller that changes m afterwards voids it.
     """
     m = np.asarray(m, dtype=float)
     b = as_point(b, dim=m.shape[0], name="b")

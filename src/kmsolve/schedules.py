@@ -229,7 +229,7 @@ def emit_error(model: ErrorModel, k: int, dim: int, cache: dict | None = None) -
         if cache is not None:
             cache["key"], cache["block"] = key, block
     d = block[k % rows]
-    n = math.sqrt(float(d @ d))
+    n = math.sqrt(d.dot(d))
     if n == 0.0:
         d = np.zeros(dim)
         d[0] = 1.0

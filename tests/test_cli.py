@@ -258,7 +258,23 @@ def test_run_rejects_bad_input_before_iterating(tmp_path, monkeypatch):
         ({"problem": dict(FEASIBLE["problem"], theta="half")}, "error: bad problem: theta must be a number, got 'half'"),
         ({"problem": dict(soft, gamma="wide", dim=2)}, "error: bad problem: gamma must be a number, got 'wide'"),
     ]
-    for i, (section, message) in enumerate(not_integers + not_numbers):
+    # array fields name themselves when numpy cannot read them as float arrays
+    affine = FEASIBLE["problem"]
+    box = {"kind": "box-projection", "lo": [0.0, 0.0], "hi": [1.0, 1.0], "z0": [3.0, 2.0]}
+    no_float = "could not convert string to float"
+    not_arrays = [
+        ({"problem": dict(affine, z0=[3.0, "a"])}, f"error: bad problem: z0 must be an array of numbers: {no_float}: 'a'"),
+        ({"problem": dict(affine, z_star=[1.0, "b"])}, f"error: bad problem: z_star must be an array of numbers: {no_float}: 'b'"),
+        ({"problem": dict(affine, matrix="x")}, f"error: bad problem: matrix must be an array of numbers: {no_float}: 'x'"),
+        ({"problem": dict(affine, matrix=[[0.5, "x"], [0.0, 0.25]])}, f"error: bad problem: matrix must be an array of numbers: {no_float}: 'x'"),
+        ({"problem": dict(affine, offset=[0.5, "y"])}, f"error: bad problem: offset must be an array of numbers: {no_float}: 'y'"),
+        ({"problem": dict(box, lo=["low", 0.0])}, f"error: bad problem: lo must be an array of numbers: {no_float}: 'low'"),
+        ({"problem": dict(box, hi=[1.0, "high"])}, f"error: bad problem: hi must be an array of numbers: {no_float}: 'high'"),
+        ({"errors": {"kind": "custom-list", "norms": 5}}, "error: bad errors: norms must be a list of numbers, got 5"),
+        ({"errors": {"kind": "custom-list", "norms": "12"}}, "error: bad errors: norms must be a list of numbers, got '12'"),
+        ({"errors": {"kind": "custom-list", "norms": [0.1, "a"]}}, f"error: bad errors: norms must be an array of numbers: {no_float}: 'a'"),
+    ]
+    for i, (section, message) in enumerate(not_integers + not_numbers + not_arrays):
         path = _write(tmp_path, dict(FEASIBLE, **section), f"not_integer{i}.json")
         for command in ("run", "compare"):
             code, out, err = _main([command, path])

@@ -102,6 +102,34 @@ def test_zero_error_model_matches_exact_run_on_both_routes():
         assert zero.max_state_norm == exact.max_state_norm
 
 
+def test_exact_steps_equal_the_two_subtraction_restatement_on_both_routes():
+    # the loop forms N mu - mu once per exact step; a restatement that forms
+    # it twice, once for the residual and once for the update, is bit-equal
+    rng = np.random.default_rng(21)
+    n, theta, alpha, lam = 8, 0.5, 0.3, 1.2
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    q = (1.0 - theta) * np.eye(n) + 0.45 * u  # ||q - (1 - theta) I||_2 = 0.45 <= theta
+    b = rng.standard_normal(n)
+    z_star = np.linalg.solve(np.eye(n) - q, b)
+    prob = Problem(operator=make_affine(q, b, theta=theta), z0=z_star + rng.standard_normal(n), z_star=z_star)
+    for route, th in (("direct", 1.0), ("unwrap", theta)):
+        run = iterate(prob, constant_schedule(alpha, lam), tol=-1.0, max_iter=300, route=route)
+        z_prev = z = prob.z0
+        residuals, steps = [], []
+        for k in range(300):
+            a = 0.0 if k == 0 else alpha
+            mu = z if a == 0.0 else z + a * (z - z_prev)
+            t_mu = q @ mu + b
+            n_mu = t_mu if route == "direct" else (t_mu - (1.0 - th) * mu) / th
+            residuals.append(th * math.sqrt(float(np.dot(n_mu - mu, n_mu - mu))))
+            z_next = mu + (lam * th) * (n_mu - mu)
+            steps.append(math.sqrt(float(np.dot(z_next - z, z_next - z))))
+            z_prev, z = z, z_next
+        assert np.array_equal(run.z, z), route
+        assert np.array_equal(run.residuals, residuals), route
+        assert np.array_equal(run.step_norms, steps), route
+
+
 def test_km_rejects_inertial_schedules():
     with pytest.raises(ValueError):
         km(_halving_problem(), constant_schedule(0.3, 0.5))

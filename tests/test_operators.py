@@ -1,5 +1,7 @@
 """Operator constructors, their certificates, and the averagedness algebra."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,60 @@ def test_norm_matches_numpy():
     for _ in range(20):
         v = rng.standard_normal(rng.integers(1, 30))
         assert norm(v) == pytest.approx(np.linalg.norm(v), rel=1e-14)
+
+
+def test_norm_is_the_np_dot_norm_bit_for_bit():
+    rng = np.random.default_rng(10)
+    vectors = [rng.standard_normal(n) for n in (1, 2, 7, 8, 20, 199, 200, 2001)]
+    vectors.append(rng.standard_normal(60)[::3])  # strided view
+    vectors.append(rng.standard_normal((20, 3))[:, 1])  # column view
+    vectors += [np.array([np.inf, 1.0]), np.array([-np.inf]), np.array([np.nan, 1.0])]
+    vectors.append(np.array([1e200, 1e200]))  # squares overflow
+    vectors.append(np.zeros(4))
+    with np.errstate(over="ignore"):
+        for v in vectors:
+            expected = math.sqrt(float(np.dot(v, v)))
+            got = norm(v)
+            assert type(got) is float
+            assert got == expected or (math.isnan(got) and math.isnan(expected))
+        for seq in ([3.0, 4.0], (1, 2, 2), [1e200, 1e200]):
+            assert norm(seq) == math.sqrt(float(np.dot(seq, seq)))
+    assert norm([3.0, 4.0]) == 5.0
+
+
+def test_affine_apply_is_matmul_bit_for_bit():
+    # the operator's q.dot(x) rounds exactly like q @ x on its C- or
+    # F-ordered matrix, so trajectories match a restatement that uses @
+    rng = np.random.default_rng(12)
+    for n in (1, 8, 20, 200):
+        for order in ("C", "F"):
+            q = np.array(0.9 * np.linalg.qr(rng.standard_normal((n, n)))[0], order=order)
+            b = rng.standard_normal(n)
+            op = make_affine(q, b)
+            for _ in range(5):
+                x = rng.standard_normal(n)
+                assert op(x).tobytes() == (q @ x + b).tobytes()
+
+
+def test_certified_operators_own_their_data():
+    # a certificate covers the map built; the caller's arrays may change afterwards
+    q = 0.5 * np.eye(2)
+    b = np.array([1.0, 0.0])
+    affine = make_affine(q, b, theta=0.5)
+    q[:] = -3.0 * np.eye(2)
+    b[:] = 7.0
+    assert np.array_equal(affine([1.0, 0.0]), [1.5, 0.0])
+    qf = np.asfortranarray(0.5 * np.eye(2))
+    affine_f = make_affine(qf, np.zeros(2))
+    qf[0, 0] = 9.0
+    assert np.array_equal(affine_f([1.0, 1.0]), [0.5, 0.5])
+
+    lo = np.array([-1.0, 0.0])
+    hi = np.array([1.0, 2.0])
+    box = make_box_projection(lo, hi)
+    lo[:] = 5.0
+    hi[:] = 6.0
+    assert np.array_equal(box([-3.0, 5.0]), [-1.0, 2.0])
 
 
 def test_operator_spec_validates_theta():
