@@ -42,7 +42,7 @@ import numpy as np
 
 from .diagnostics import _min_residual_sq, consistency_report, rate_certificate
 from .engine import Problem, _check_options, inexact_km, iterate
-from .operators import make_affine, make_box_projection, make_identity, make_soft_threshold
+from .operators import as_point, make_affine, make_box_projection, make_identity, make_soft_threshold
 from .schedules import ErrorModel, constant_schedule, delayed_inertia_schedule, validate_schedule
 
 CSV_HEADER = "k,residual,err_norm,dist_to_star,delta_partial,min_residual_sq,rate_rhs"
@@ -124,9 +124,14 @@ def _array(value, name: str) -> np.ndarray:
 def problem_from_config(cfg: dict) -> Problem:
     kind = _require(cfg, "kind", "problem")
     if kind == "affine":
+        # shapes and finiteness are checked here first, so an error names the config field
+        matrix = _array(_require(cfg, "matrix", "problem"), "matrix")
+        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+            raise ValueError(f"matrix must be a square matrix, got shape {matrix.shape}")
+        offset = _array(_require(cfg, "offset", "problem"), "offset")
         op = make_affine(
-            _array(_require(cfg, "matrix", "problem"), "matrix"),
-            _array(_require(cfg, "offset", "problem"), "offset"),
+            matrix,
+            as_point(offset, dim=matrix.shape[0], name="offset"),
             theta=_real(cfg.get("theta", 1.0), "theta"),
         )
     elif kind == "soft-threshold":

@@ -85,20 +85,46 @@ class IsmOperator:
         return self.apply(x)
 
 
+# spectral_norm's memo: ((shape, C-order bytes) of the last matrix, its
+# spectral norm).  The empty key matches no matrix.
+_spectral_memo: tuple[tuple, float] = ((), 0.0)
+
+
 def spectral_norm(mat) -> float:
     """Largest singular value ||mat||_2, computed by an SVD.
 
     Exact up to floating-point rounding.  make_affine and quadratic_gradient
     need an upper bound on ||mat||_2, which an estimate converging from
     below (power iteration) cannot give.  Raises ValueError for non-matrices
-    and for non-finite entries.
+    and for non-finite entries, on every call.
+
+    The last result is memoized in one entry, keyed on the matrix's content:
+    its shape and the bytes of its float64 entries in C order, held as one
+    private, immutable copy of the size of that matrix.  A repeated matrix
+    is a hit whatever its memory layout or identity (an F-ordered copy
+    hits); any other shape or any changed bit, a flipped sign of zero
+    included, is a miss and runs the SVD.  So calling quadratic_gradient
+    twice on the same m, as the lasso pattern in the README does, takes one
+    SVD.  The memo never changes a value: a hit returns the float the SVD
+    gave for those very bits, and np.linalg.norm copies its input into its
+    own buffer, so the layout does not reach the result.  Key and value are
+    stored as one tuple in one assignment, so a concurrent reader sees a
+    matched pair; two threads that miss together both compute and the last
+    one stays.
     """
+    global _spectral_memo
     a = np.asarray(mat, dtype=float)
     if a.ndim != 2:
         raise ValueError("spectral_norm expects a matrix")
     if not np.isfinite(a).all():
         raise ValueError("matrix contains non-finite entries")
-    return float(np.linalg.norm(a, 2))
+    key = (a.shape, a.tobytes())
+    memo = _spectral_memo
+    if memo[0] == key:
+        return memo[1]
+    value = float(np.linalg.norm(a, 2))
+    _spectral_memo = (key, value)
+    return value
 
 
 def make_identity(dim: int, theta: float = 1.0) -> OperatorSpec:
@@ -176,7 +202,8 @@ def quadratic_gradient(m, b) -> IsmOperator:
     a convex function with an L-Lipschitz gradient has a (1/L)-cocoercive
     gradient (Baillon-Haddad), so beta = 1 / ||m||_2^2.  ||m||_2 is exact
     (see spectral_norm), so beta does not overstate the modulus beyond
-    rounding.
+    rounding.  A second call on the same m reuses the SVD through
+    spectral_norm's memo.
 
     The product m x uses the caller's m by reference, not a private copy,
     which would hold one more matrix of m's size.  beta certifies m as

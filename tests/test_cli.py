@@ -274,7 +274,16 @@ def test_run_rejects_bad_input_before_iterating(tmp_path, monkeypatch):
         ({"errors": {"kind": "custom-list", "norms": "12"}}, "error: bad errors: norms must be a list of numbers, got '12'"),
         ({"errors": {"kind": "custom-list", "norms": [0.1, "a"]}}, f"error: bad errors: norms must be an array of numbers: {no_float}: 'a'"),
     ]
-    for i, (section, message) in enumerate(not_integers + not_numbers + not_arrays):
+    # shape and finiteness errors of the affine arrays name the config field
+    bad_shapes = [
+        ({"problem": dict(affine, matrix=[[0.5, 0.0, 1.0]])}, "error: bad problem: matrix must be a square matrix, got shape (1, 3)"),
+        ({"problem": dict(affine, matrix=[0.5, 0.0])}, "error: bad problem: matrix must be a square matrix, got shape (2,)"),
+        ({"problem": dict(affine, offset=[1.0])}, "error: bad problem: offset has dimension 1, expected 2"),
+        ({"problem": dict(affine, offset=[[1.0], [0.0]])}, "error: bad problem: offset must be a vector, got shape (2, 1)"),
+        ({"problem": dict(affine, offset=[1.0, None])}, "error: bad problem: offset contains non-finite entries"),
+        ({"problem": dict(affine, matrix=[[0.5, None], [0.0, 0.25]])}, "error: bad problem: matrix contains non-finite entries"),
+    ]
+    for i, (section, message) in enumerate(not_integers + not_numbers + not_arrays + bad_shapes):
         path = _write(tmp_path, dict(FEASIBLE, **section), f"not_integer{i}.json")
         for command in ("run", "compare"):
             code, out, err = _main([command, path])

@@ -1,11 +1,13 @@
 """Operator constructors, their certificates, and the averagedness algebra."""
 
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from kmsolve.applications import plant_lasso
+from kmsolve.applications import lasso_fbs_pieces, plant_lasso
 from kmsolve.engine import Problem, iterate
 from kmsolve.operators import (
     IsmOperator,
@@ -119,7 +121,107 @@ def test_spectral_norm_matches_dense_svd():
     rng = np.random.default_rng(1)
     for _ in range(10):
         m = rng.standard_normal((rng.integers(2, 12), rng.integers(2, 12)))
-        assert spectral_norm(m) == pytest.approx(np.linalg.norm(m, 2), rel=1e-13)
+        assert spectral_norm(m) == np.linalg.norm(m, 2)  # fresh
+        assert spectral_norm(m) == np.linalg.norm(m, 2)  # repeated
+
+
+def _count_svds(monkeypatch):
+    """Count np.linalg.norm calls from here on; returns (calls, the unwrapped norm)."""
+    calls = []
+    real = np.linalg.norm
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counting)
+    return calls, real
+
+
+def test_spectral_norm_memo_hits_only_on_the_same_bits(monkeypatch):
+    calls, real = _count_svds(monkeypatch)
+
+    def check(a, svds):
+        before = len(calls)
+        value = spectral_norm(a)
+        assert value.hex() == float(real(np.asarray(a, dtype=float), 2)).hex()
+        assert len(calls) - before == svds
+
+    rng = np.random.default_rng(808)
+    base = rng.standard_normal((6, 4))
+    spectral_norm(np.eye(1))  # whatever an earlier test left in the memo, it is not base
+    check(base, 1)
+    check(base, 0)
+    check(np.asfortranarray(base), 0)  # same content, other layout
+    check(base.tolist(), 0)
+
+    ulp = base.copy()
+    ulp[2, 1] = np.nextafter(ulp[2, 1], np.inf)
+    check(ulp, 1)
+    check(base, 1)
+
+    zero = base.copy()
+    zero[0, 0] = 0.0
+    check(zero, 1)
+    zero[0, 0] = -0.0
+    check(zero, 1)
+
+    check(base, 1)
+    check(base.reshape(4, 6), 1)  # same buffer, other shape
+    check(base.ravel().reshape(6, 4), 1)
+
+    square = rng.standard_normal((5, 5))
+    check(square, 1)
+    check(square.T, 1)
+
+    mutable = base.copy()
+    check(mutable, 1)
+    mutable[1, 1] *= 2.0  # the caller changes its array after the call
+    check(mutable, 1)
+    check(mutable, 0)
+
+    for bad in (np.nan, np.inf):
+        broken = mutable.copy()
+        broken[3, 3] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            spectral_norm(broken)
+    check(mutable, 0)  # a refused matrix leaves the memo as it was
+
+
+def test_lasso_pattern_takes_one_svd_per_instance(monkeypatch):
+    instances = [plant_lasso(300, 200, seed=seed) for seed in (909, 910)]
+    spectral_norm(np.eye(1))
+    calls, _ = _count_svds(monkeypatch)
+    for inst in instances:
+        rho = quadratic_gradient(inst.matrix, inst.rhs).beta
+        _, forward = lasso_fbs_pieces(inst, rho)
+        assert forward.beta == rho
+    assert len(calls) == len(instances)
+
+
+def test_spectral_norm_memo_is_sound_under_threads():
+    # few matrices and many calls, so a thread often looks up a matrix that
+    # another thread has just stored or is about to replace
+    rng = np.random.default_rng(1010)
+    mats = [rng.standard_normal((4, 3)) for _ in range(3)]
+    expected = [float(np.linalg.norm(m, 2)) for m in mats]
+
+    def worker(shift):
+        wrong = 0
+        for i in range(1000):
+            j = (i + shift) % len(mats)
+            wrong += spectral_norm(mats[j]) != expected[j]
+        return wrong
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(worker, shift) for shift in range(4)]
+            wrong = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert wrong == [0, 0, 0, 0]
 
 
 def test_identity_returns_input_unchanged():
