@@ -24,10 +24,15 @@ with dist_1 = ||z^1 - z_star|| and
 
 where psi_i = ||z^i - z_star||^2 and sums run over i = 1..k.  Two
 variants are reported: the one above ("printed") and the same right-hand
-side with dist_1 squared ("squared").  They coincide at dist_1 = 1; the
-squared variant is the tighter of the two exactly when dist_1 < 1, and
-the printed variant can fail when dist_1 > 1, so `tighter` names the one
-to trust.
+side with dist_1 squared ("squared").  They coincide at dist_1 = 1, and
+`tighter` names the smaller of the two: "squared" when dist_1 < 1,
+"printed" otherwise.  Only the squared variant is a bound.  The printed
+one is the paper's printed form; it can fail when dist_1 > 1, so the
+variant `tighter` names there is not the one to trust.  For example,
+T z = -0.9 z from (100, 0) with alpha 0 and lambda 1/2 is feasible and
+converges, yet at k = 1 its best squared residual is 90.25 against a
+printed right-hand side of 20 (squared: 100).  `holds()` defaults to the
+`tighter` variant, so it can report a sound run as failing.
 
 The certificate runs validate_schedule's checks on the alpha_k, lambda_k
 the run recorded, so it covers exactly the steps that ran.  The ceiling

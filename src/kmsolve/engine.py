@@ -18,6 +18,15 @@ callback that owns the perturbed evaluation and returns the exact T mu^k,
 the perturbed output T mu^k + e^k and the error norm to record (the
 forward-backward solver folds two error sources into one term this way).
 
+The step vector z^{k+1} - z^k is formed once per step: its norm is
+recorded as the step length, and step k+1 reuses it as its inertia term
+(the same subtraction on the same operands, so the same bits); step 0
+uses z^0 - z^0, exact zeros.  alpha_k and lambda_k enter the array
+arithmetic as 0-d float64 arrays, which numpy multiplies faster than
+Python floats and to the same IEEE products.  They are rebuilt only when
+the schedule returns a different float object: a cache keyed on value
+would reuse +0.0 for -0.0 (they compare equal) and flip a signed zero.
+
 route="unwrap" rewrites a declared theta-averaged operator as
 T = (1 - theta) I + theta N and runs the same loop on the nonexpansive
 core N with relaxation theta * lambda_k and error e^k / theta.  In exact
@@ -204,8 +213,10 @@ def iterate(
     alpha_of = schedule.alpha_of
     lambda_of = schedule.lambda_of
     z_star = problem.z_star
+    sqrt = math.sqrt
 
-    z_prev = z = problem.z0
+    z = problem.z0
+    dz = z - z  # z^0 - z^{-1} with z^{-1} = z^0: exact zeros, z0 being finite
     residuals: list[float] = []
     err_norms: list[float] = []
     alphas: list[float] = []
@@ -217,34 +228,50 @@ def iterate(
     states = [z.copy()] if record_states else None
     max_norm = norm(z)
     stop_reason = "max-iter"
+    add_residual = residuals.append
+    add_err = err_norms.append
+    add_alpha = alphas.append
+    add_lambda = lambdas.append
+    add_step = steps.append
+    # 0-d float64 copies of the step scalars, rebuilt only when the schedule
+    # hands back a different float object (an `is not` key: -0.0 == 0.0)
+    a_key = lam_key = a_arr = relax_arr = None
 
     for k in range(max_iter):
         a = float(alpha_of(k))
         lam = float(lambda_of(k))
-        mu = z if a == 0.0 else z + a * (z - z_prev)
+        if a == 0.0:
+            mu = z
+        else:
+            if a is not a_key:
+                a_key, a_arr = a, np.array(a)
+            mu = z + a_arr * dz
+        if lam is not lam_key:
+            lam_key, relax_arr = lam, np.array(lam * theta)
         if perturb_fn is None:
             t_mu = t_eff = np.asarray(apply_op(mu), dtype=float)
             e_norm = 0.0
         else:
             t_mu, t_eff, e_norm = perturb_fn(mu, k)
         d = t_mu - mu
-        r = theta * norm(d)
+        r = theta * sqrt(d.dot(d))
         # an exact step's update direction is d itself
-        z_next = mu + (lam * theta) * (d if t_eff is t_mu else t_eff - mu)
+        z_next = mu + relax_arr * (d if t_eff is t_mu else t_eff - mu)
+        dz = z_next - z  # ||dz|| is step_norms[k]; dz is the next step's inertia term
 
-        residuals.append(r)
-        err_norms.append(theta * float(e_norm))
-        alphas.append(a)
-        lambdas.append(lam)
-        steps.append(norm(z_next - z))
+        add_residual(r)
+        add_err(theta * float(e_norm))
+        add_alpha(a)
+        add_lambda(lam)
+        add_step(sqrt(dz.dot(dz)))
         if dists is not None:
-            dists.append(norm(z_next - z_star))
+            x = z_next - z_star
+            dists.append(sqrt(x.dot(x)))
         if states is not None:
             states.append(z_next.copy())
 
-        z_prev = z
         z = z_next
-        zn = norm(z)
+        zn = sqrt(z.dot(z))
         if zn != zn:
             zn = math.inf
         if zn > max_norm:

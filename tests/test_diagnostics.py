@@ -81,6 +81,29 @@ def test_certificate_printed_variant_governs_far_starts():
     assert cert.tighter == "printed"
 
 
+def test_printed_certificate_variant_fails_on_a_feasible_far_start():
+    # erratum: the printed right-hand side (dist_1 + Delta_k) / (...) is not a
+    # bound.  T z = -0.9 z from (100, 0) with alpha 0, lambda 1/2 runs
+    # z^k = 100 / 20^k exactly; at k = 1 the best squared residual is
+    # (1.9 * 5)^2 = 90.25 against a printed bound of 5 / (1/2 * 1/2) = 20,
+    # while the squared form, 5^2 / (1/4) = 100, holds.  `tighter` names
+    # the failing variant here, because dist_1 = 5 >= 1.
+    prob = Problem(operator=make_affine(-0.9 * np.eye(2), np.zeros(2)), z0=[100.0, 0.0], z_star=[0.0, 0.0])
+    run = iterate(prob, constant_schedule(0.0, 0.5))
+    assert (run.stop_reason, run.iterations) == ("residual-tol", 11)
+    assert validate_schedule(run.schedule).feasible
+    cert = rate_certificate(run)
+    assert cert.valid
+    assert cert.dist1 == 5.0
+    assert cert.min_residual_sq[0] == 90.25
+    assert cert.rhs_printed[0] == 20.0
+    assert cert.rhs_squared[0] == 100.0
+    assert cert.min_residual_sq[0] > cert.rhs_printed[0]
+    assert not cert.holds("printed")
+    assert cert.holds("squared")
+    assert cert.tighter == "printed"
+
+
 def test_certificate_refusal_reasons():
     prob = _contraction(seed=24)
 

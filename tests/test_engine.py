@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from kmsolve.engine import Problem, inertial_km, inexact_km, iterate, km
-from kmsolve.operators import OperatorSpec, make_affine, make_identity, make_soft_threshold
-from kmsolve.schedules import ErrorModel, constant_schedule
+from kmsolve.operators import OperatorSpec, _core_value, make_affine, make_identity, make_soft_threshold
+from kmsolve.schedules import ErrorModel, ParamSchedule, constant_schedule
 
 
 def _halving_problem(z0=1.0, z_star=0.0):
@@ -128,6 +128,124 @@ def test_exact_steps_equal_the_two_subtraction_restatement_on_both_routes():
         assert np.array_equal(run.z, z), route
         assert np.array_equal(run.residuals, residuals), route
         assert np.array_equal(run.step_norms, steps), route
+
+
+def _norm(x):
+    return math.sqrt(float(np.dot(x, x)))
+
+
+def _restated_run(prob, alpha_of, lambda_of, steps, route="direct", perturb=None):
+    """The loop as its docstring states it, with Python-float scalars and
+    z^k - z^{k-1} formed from a kept z_prev on every step; returns the
+    final z, the states, the step norms, the distances and the largest
+    state norm."""
+    th = prob.operator.theta if route == "unwrap" else 1.0
+    z_prev = z = prob.z0
+    states, steps_out, dists = [z.copy()], [], [_norm(z - prob.z_star)]
+    max_norm = _norm(z)
+    for k in range(steps):
+        a, lam = float(alpha_of(k)), float(lambda_of(k))
+        mu = z if a == 0.0 else z + a * (z - z_prev)
+        if perturb is None:
+            t_mu = t_eff = prob.operator.apply(mu)
+        else:
+            t_mu, t_eff, _ = perturb(mu, k)
+        n_mu = t_mu if route == "direct" else _core_value(t_mu, mu, th)
+        if t_eff is t_mu:
+            direction = n_mu - mu
+        elif route == "direct":
+            direction = t_eff - mu
+        else:
+            direction = n_mu + (t_eff - (mu + th * (n_mu - mu))) / th - mu
+        z_next = mu + (lam * th) * direction
+        steps_out.append(_norm(z_next - z))
+        dists.append(_norm(z_next - prob.z_star))
+        states.append(z_next.copy())
+        z_prev, z = z, z_next
+        max_norm = max(max_norm, _norm(z))
+    return z, states, steps_out, dists, max_norm
+
+
+def _assert_run_equals_restatement(run, restated):
+    z, states, steps, dists, max_norm = restated
+    assert np.array_equal(run.z, z)
+    assert len(run.states) == len(states)
+    for got, want in zip(run.states, states):
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert np.array_equal(run.step_norms, steps)
+    assert np.array_equal(run.dists, dists)
+    assert run.max_state_norm == max_norm
+
+
+def _averaged_affine_problem(seed, n=8, theta=0.5):
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    q = (1.0 - theta) * np.eye(n) + 0.45 * u  # ||q - (1 - theta) I||_2 = 0.45 <= theta
+    b = rng.standard_normal(n)
+    z_star = np.linalg.solve(np.eye(n) - q, b)
+    op = make_affine(q, b, theta=theta)
+    return Problem(operator=op, z0=z_star + rng.standard_normal(n), z_star=z_star)
+
+
+@pytest.mark.parametrize("route", ["direct", "unwrap"])
+@pytest.mark.parametrize("perturbed", [False, True], ids=["exact", "perturb-callback"])
+def test_carried_step_vector_equals_the_z_prev_restatement(route, perturbed):
+    # the loop forms z^{k+1} - z^k once and reuses it as the next inertia
+    # term; a restatement that keeps z_prev and subtracts again is bit-equal
+    prob = _averaged_affine_problem(31)
+    direction = np.random.default_rng(32).standard_normal(prob.operator.dim)
+    perturb = None
+    if perturbed:
+
+        def perturb(mu, k):
+            t_mu = prob.operator.apply(mu)
+            e = (1e-3 / (k + 1) ** 2) * direction
+            return t_mu, t_mu + e, _norm(e)
+
+    sched = constant_schedule(0.3, 1.2)
+    run = iterate(prob, sched, perturb=perturb, tol=-1.0, max_iter=300, record_states=True, route=route)
+    restated = _restated_run(prob, sched.alpha_of, sched.lambda_of, 300, route, perturb)
+    _assert_run_equals_restatement(run, restated)
+
+
+def _fresh_floats(values):
+    # a new float object on every call, even when the value repeats
+    return lambda k: float.fromhex(values[k % len(values)].hex())
+
+
+@pytest.mark.parametrize("route", ["direct", "unwrap"])
+def test_step_scalar_cache_never_changes_a_bit(route):
+    # fresh float objects every step, with repeats, zeros and varying values,
+    # so the 0-d scalar arrays are rebuilt on every step; compared with
+    # Python-float arithmetic, and with a schedule returning the same
+    # objects (cache hits) mixed in
+    prob = _averaged_affine_problem(33)
+    alphas = [0.0, 0.3, 0.3, 0.1, 0.0, 0.25, 1.0 / 3.0]
+    lambdas = [1.2, 0.7, 0.7, 1.5, 1.0 / 3.0]
+    for alpha_of, lambda_of in (
+        (_fresh_floats(alphas), _fresh_floats(lambdas)),
+        (lambda k: alphas[k % len(alphas)], lambda k: lambdas[k % len(lambdas)]),
+        (lambda k: alphas[(k // 5) % len(alphas)], _fresh_floats(lambdas)),
+    ):
+        sched = ParamSchedule(alpha_of, lambda_of, alpha_cap=1.0 / 3.0, lambda_floor=1.0 / 3.0, lambda_ceiling=1.5)
+        run = iterate(prob, sched, tol=-1.0, max_iter=200, record_states=True, route=route)
+        restated = _restated_run(prob, alpha_of, lambda_of, 200, route)
+        _assert_run_equals_restatement(run, restated)
+
+
+def test_step_scalar_cache_keeps_signed_zero_relaxations_apart():
+    # -0.0 == 0.0, so a cache keyed on value would reuse -0.0 for +0.0; on
+    # T x = x / 2 a zero relaxation keeps mu, and the sign of its product
+    # with the direction decides the sign of a zero entry of z
+    prob = Problem(operator=make_affine(0.5 * np.eye(2), np.zeros(2)), z0=[-0.0, 1.0], z_star=[0.0, 0.0])
+    signed = [-0.0, 0.0]
+    for lambda_of in (_fresh_floats(signed), lambda k: signed[k % 2]):
+        sched = ParamSchedule(lambda k: 0.0, lambda_of, alpha_cap=0.0, lambda_floor=0.0, lambda_ceiling=0.0)
+        run = iterate(prob, sched, tol=-1.0, max_iter=6, record_states=True)
+        restated = _restated_run(prob, sched.alpha_of, lambda_of, 6)
+        _assert_run_equals_restatement(run, restated)
+        assert np.signbit(run.states[1][0]) and not np.signbit(run.states[2][0])
 
 
 def test_km_rejects_inertial_schedules():
