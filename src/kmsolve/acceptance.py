@@ -51,7 +51,8 @@ from .schedules import (
 )
 
 BIT_IDENTITY_TOL = 0.0  # criterion 1: trajectories must agree exactly
-RATE_START_DIST = 0.8  # criterion 2: start distance, kept below 1 for the printed bound
+RATE_START_DIST = 0.8  # criterion 2: start distance
+RATE_FAR_START_DIST = 3.0  # criterion 2: a start with dist1 > 1
 QUASI_FEJER_SLACK = 1e-10  # criterion 3: additive slack per step
 GRID_DRAWS = 1000  # criterion 4
 PROX_ORACLE_TOL = 1e-6  # criterion 5
@@ -185,11 +186,14 @@ def criterion_1() -> tuple[bool, str]:
 
 
 def criterion_2() -> tuple[bool, str]:
-    """The residual rate certificate holds at every computable step on five problems."""
+    """The residual rate certificate holds at every computable step on six problems, one far out."""
     cases = []
 
     prob_a = contraction_problem(dim=50, factor=0.9, seed=202)
     cases.append(("contraction", lambda: iterate(prob_a, constant_schedule(0.2, 0.5), max_iter=100_000)))
+
+    prob_f = contraction_problem(dim=50, factor=0.9, seed=206, start_dist=RATE_FAR_START_DIST)
+    cases.append(("contraction-far", lambda: iterate(prob_f, constant_schedule(0.1, 0.6), max_iter=100_000)))
 
     prob_b = quadratic_prox_problem(dim=30, cond=50.0, seed=7)
     cases.append(("quad-prox", lambda: iterate(prob_b, constant_schedule(0.15, 0.9), max_iter=100_000)))
@@ -230,20 +234,15 @@ def criterion_2() -> tuple[bool, str]:
 
     details = []
     ok = True
+    dist1s = []
     for name, go in cases:
         run = go()
         cert = rate_certificate(run)
-        case_ok = (
-            cert.valid
-            and cert.ks.size >= 1
-            and cert.dist1 < 1.0
-            and cert.tighter == "squared"
-            and cert.holds("squared")
-            and cert.holds("printed")
-        )
-        margin = float(np.min(cert.rhs_tighter - cert.min_residual_sq)) if cert.valid else math.nan
-        ok &= case_ok
-        details.append(f"{name} n={run.iterations} margin={margin:.1e}")
+        ok &= cert.valid and cert.ks.size >= 1 and cert.holds()
+        margin = float(np.min(cert.rhs_squared - cert.min_residual_sq)) if cert.valid else math.nan
+        dist1s.append(cert.dist1)
+        details.append(f"{name} n={run.iterations} dist1={cert.dist1:.2g} margin={margin:.1e}")
+    ok &= max(dist1s) > 1.0
     return ok, "; ".join(details)
 
 

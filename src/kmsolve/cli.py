@@ -249,7 +249,7 @@ def write_csv(path: str, result, cert) -> None:
     rhs = np.full(n, math.nan)
     if cert is not None and cert.valid:
         delta[cert.ks] = cert.delta
-        rhs[cert.ks] = cert.rhs_tighter
+        rhs[cert.ks] = cert.rhs_squared
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(CSV_HEADER + "\n")
         for row in zip(range(n), result.residuals, result.err_norms, dists, delta, mrs, rhs):
@@ -264,11 +264,8 @@ def _certificate_summary(cert) -> dict:
                 "ceiling": cert.ceiling,
                 "lambda_floor": cert.lambda_floor,
                 "dist1": cert.dist1,
-                "tighter": cert.tighter,
-                "holds_printed": cert.holds("printed"),
-                "holds_squared": cert.holds("squared"),
+                "holds_squared": cert.holds(),
                 "final_min_residual_sq": cert.min_residual_sq[-1],
-                "final_rhs_printed": cert.rhs_printed[-1],
                 "final_rhs_squared": cert.rhs_squared[-1],
             }
         )

@@ -14,7 +14,7 @@ Three layers, all computed from recorded run quantities:
 The certificate bounds the best residual seen so far:
 
     min_{1 <= i <= k} ||T mu^i - mu^i||^2
-        <= (dist_1 + Delta_k) / (k * lambda_floor * (1 - ceiling))
+        <= (dist_1^2 + Delta_k) / (k * lambda_floor * (1 - ceiling))
 
 with dist_1 = ||z^1 - z_star|| and
 
@@ -22,17 +22,15 @@ with dist_1 = ||z^1 - z_star|| and
             + sum_i 2 ||z^{i+1} - z_star|| lambda_i ||e^i||
             + sum_i alpha_i (1 + alpha_i) ||z^i - z^{i-1}||^2
 
-where psi_i = ||z^i - z_star||^2 and sums run over i = 1..k.  Two
-variants are reported: the one above ("printed") and the same right-hand
-side with dist_1 squared ("squared").  They coincide at dist_1 = 1, and
-`tighter` names the smaller of the two: "squared" when dist_1 < 1,
-"printed" otherwise.  Only the squared variant is a bound.  The printed
-one is the paper's printed form; it can fail when dist_1 > 1, so the
-variant `tighter` names there is not the one to trust.  For example,
-T z = -0.9 z from (100, 0) with alpha 0 and lambda 1/2 is feasible and
-converges, yet at k = 1 its best squared residual is 90.25 against a
-printed right-hand side of 20 (squared: 100).  `holds()` defaults to the
-`tighter` variant, so it can report a sound run as failing.
+where psi_i = ||z^i - z_star||^2 and sums run over i = 1..k.  In the
+exact zero-inertia case Delta_k = 0 and this is the standard KM estimate
+sum_k lambda_k (1 - lambda_k) ||T z^k - z^k||^2 <= ||z^1 - z_star||^2
+(Bauschke and Combettes, Convex Analysis and Monotone Operator Theory,
+ch. 5); Delta_k carries the inertia and error terms.  The paper's printed
+form, with dist_1 in place of dist_1^2, is not used: it is not a bound
+once dist_1 > 1.  T z = -0.9 z from (100, 0) with alpha 0 and lambda 1/2
+is feasible and converges, yet at k = 1 its best squared residual is
+90.25 against a printed right-hand side of 20 (squared: 100).
 
 The certificate runs validate_schedule's checks on the alpha_k, lambda_k
 the run recorded, so it covers exactly the steps that ran.  The ceiling
@@ -66,23 +64,10 @@ class RateCertificate:
     ks: np.ndarray
     min_residual_sq: np.ndarray
     delta: np.ndarray
-    rhs_printed: np.ndarray
     rhs_squared: np.ndarray
-    tighter: str
 
-    @property
-    def rhs_tighter(self) -> np.ndarray:
-        return self.rhs_squared if self.tighter == "squared" else self.rhs_printed
-
-    def holds(self, variant: str = "tighter") -> bool:
-        if not self.valid:
-            return False
-        rhs = {
-            "printed": self.rhs_printed,
-            "squared": self.rhs_squared,
-            "tighter": self.rhs_tighter,
-        }[variant]
-        return bool(np.all(self.min_residual_sq <= rhs))
+    def holds(self) -> bool:
+        return self.valid and bool(np.all(self.min_residual_sq <= self.rhs_squared))
 
 
 def _refused(reason: str) -> RateCertificate:
@@ -96,9 +81,7 @@ def _refused(reason: str) -> RateCertificate:
         ks=np.asarray([], dtype=int),
         min_residual_sq=empty,
         delta=empty,
-        rhs_printed=empty,
         rhs_squared=empty,
-        tighter="squared",
     )
 
 
@@ -143,10 +126,8 @@ def rate_certificate(result: RunResult) -> RateCertificate:
     step_term = np.cumsum(al[1:n] * (1.0 + al[1:n]) * st[0 : n - 1] ** 2)
     delta = drift + err_term + step_term
 
-    denom = kk * s.lambda_floor * (1.0 - ceiling)
     dist1 = float(d[1])
-    rhs_printed = (dist1 + delta) / denom
-    rhs_squared = (dist1 * dist1 + delta) / denom
+    rhs_squared = (dist1 * dist1 + delta) / (kk * s.lambda_floor * (1.0 - ceiling))
 
     return RateCertificate(
         valid=True,
@@ -157,9 +138,7 @@ def rate_certificate(result: RunResult) -> RateCertificate:
         ks=kk,
         min_residual_sq=_min_residual_sq(result.residuals),
         delta=delta,
-        rhs_printed=rhs_printed,
         rhs_squared=rhs_squared,
-        tighter="squared" if dist1 < 1.0 else "printed",
     )
 
 
@@ -220,12 +199,17 @@ def _tail_verdict(partial: np.ndarray) -> tuple[str, str]:
     Compares the mass added over the last half against the preceding
     quarter; a divergent-log curve adds about the same over both, a
     convergent one markedly less.  Conservative: slowly convergent series
-    can be flagged.  Used only when no declared law is available.
+    can be flagged.  Used only when no declared law is available.  A
+    non-finite total is flagged; under 8 steps the tail is not judged.
     """
     n = partial.size
     total = float(partial[-1]) if n else 0.0
-    if n < 8 or total <= 1e-12:
+    if not math.isfinite(total):
+        return "not-consistent", "non-finite total"
+    if total <= 1e-12:
         return "consistent", "negligible total"
+    if n < 8:
+        return "consistent", f"too few steps ({n}) to judge the tail"
     i1 = float(partial[-1] - partial[n // 2 - 1])
     i2 = float(partial[n // 2 - 1] - partial[n // 4 - 1])
     if i1 <= max(1e-12, 1e-9 * total):

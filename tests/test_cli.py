@@ -68,6 +68,40 @@ def test_run_writes_csv_with_exact_header(tmp_path):
             float(cell)
 
 
+def test_run_certifies_a_far_start(tmp_path):
+    # T z = -0.9 z from (100, 0): dist1 = 5, and at k = 1 the best squared
+    # residual 90.25 sits under the bound 5^2 / (1/2 * 1/2) = 100
+    cfg = {
+        "problem": {
+            "kind": "affine",
+            "matrix": [[-0.9, 0.0], [0.0, -0.9]],
+            "offset": [0.0, 0.0],
+            "z0": [100.0, 0.0],
+            "z_star": [0.0, 0.0],
+        },
+        "schedule": {"alpha": 0.0, "lambda": 0.5},
+    }
+    csv_path = tmp_path / "trace.csv"
+    code, out, _ = _main(["run", _write(tmp_path, cfg), "--csv", str(csv_path)])
+    assert code == 0
+    cert = json.loads(out)["certificate"]
+    assert set(cert) == {
+        "valid",
+        "reason",
+        "ceiling",
+        "lambda_floor",
+        "dist1",
+        "holds_squared",
+        "final_min_residual_sq",
+        "final_rhs_squared",
+    }
+    assert cert["dist1"] == 5.0
+    assert cert["holds_squared"] is True
+    rows = [line.split(",") for line in csv_path.read_text().splitlines()[2:]]
+    assert rows[0][5:] == ["90.25", "100"]
+    assert all(float(row[6]) >= float(row[5]) for row in rows)
+
+
 def test_run_nonconverged_exits_one(tmp_path):
     cfg = dict(FEASIBLE, engine={"max_iter": 3, "tol": 1e-10})
     code, out, _ = _main(["run", _write(tmp_path, cfg)])
@@ -390,7 +424,7 @@ def test_csv_cells_are_the_run_arrays_at_17_digits(tmp_path, monkeypatch):
         n = result.iterations
         nan = float("nan")
         mrs = [nan] + [min(r * r for r in result.residuals[1 : k + 1]) for k in range(1, n)]
-        bound = dict(zip(cert.ks.tolist(), zip(cert.delta, cert.rhs_tighter))) if cert else {}
+        bound = dict(zip(cert.ks.tolist(), zip(cert.delta, cert.rhs_squared))) if cert else {}
         want = [cli.CSV_HEADER]
         for k in range(n):
             d = result.dists[k] if result.dists is not None else nan

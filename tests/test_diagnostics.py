@@ -17,6 +17,7 @@ from kmsolve.schedules import (
     ParamSchedule,
     constant_schedule,
     delayed_inertia_schedule,
+    delta_threshold,
     lambda_ceiling_ii,
     validate_schedule,
 )
@@ -56,9 +57,7 @@ def test_certificate_matches_a_literal_recomputation():
         want = run.schedule.alpha_cap * drift + e_term + s_term
         assert cert.delta[idx] == pytest.approx(want, rel=1e-12, abs=1e-15)
         rhs_sq = (d[1] ** 2 + want) / (k * floor * (1.0 - ceiling))
-        rhs_pr = (d[1] + want) / (k * floor * (1.0 - ceiling))
         assert cert.rhs_squared[idx] == pytest.approx(rhs_sq, rel=1e-12)
-        assert cert.rhs_printed[idx] == pytest.approx(rhs_pr, rel=1e-12)
         assert cert.min_residual_sq[idx] == min(res[1 : k + 1]) ** 2
     assert cert.ks[-1] == n - 1
 
@@ -67,27 +66,15 @@ def test_certificate_bound_holds_on_a_clean_run():
     run = iterate(_contraction(seed=22), constant_schedule(0.15, 0.6), max_iter=100_000)
     cert = rate_certificate(run)
     assert cert.valid
-    assert cert.tighter == "squared"  # start distance below one
-    assert cert.holds("squared")
-    assert cert.holds("printed")
-    assert cert.holds()  # defaults to the tighter variant
+    assert cert.holds()
+    assert np.all(cert.min_residual_sq <= cert.rhs_squared)
 
 
-def test_certificate_printed_variant_governs_far_starts():
-    run = iterate(_contraction(seed=23, start_dist=3.0), constant_schedule(0.1, 0.6), max_iter=100_000)
-    cert = rate_certificate(run)
-    assert cert.valid
-    assert cert.dist1 > 1.0
-    assert cert.tighter == "printed"
-
-
-def test_printed_certificate_variant_fails_on_a_feasible_far_start():
-    # erratum: the printed right-hand side (dist_1 + Delta_k) / (...) is not a
-    # bound.  T z = -0.9 z from (100, 0) with alpha 0, lambda 1/2 runs
-    # z^k = 100 / 20^k exactly; at k = 1 the best squared residual is
-    # (1.9 * 5)^2 = 90.25 against a printed bound of 5 / (1/2 * 1/2) = 20,
-    # while the squared form, 5^2 / (1/4) = 100, holds.  `tighter` names
-    # the failing variant here, because dist_1 = 5 >= 1.
+def test_certificate_holds_on_a_feasible_far_start():
+    # T z = -0.9 z from (100, 0) with alpha 0, lambda 1/2 runs z^k = 100 / 20^k
+    # exactly; at k = 1 the best squared residual is (1.9 * 5)^2 = 90.25 against
+    # the bound 5^2 / (1/2 * 1/2) = 100.  The paper's printed form, with dist_1
+    # unsquared, would give 5 / (1/4) = 20 and fail this sound run.
     prob = Problem(operator=make_affine(-0.9 * np.eye(2), np.zeros(2)), z0=[100.0, 0.0], z_star=[0.0, 0.0])
     run = iterate(prob, constant_schedule(0.0, 0.5))
     assert (run.stop_reason, run.iterations) == ("residual-tol", 11)
@@ -96,12 +83,44 @@ def test_printed_certificate_variant_fails_on_a_feasible_far_start():
     assert cert.valid
     assert cert.dist1 == 5.0
     assert cert.min_residual_sq[0] == 90.25
-    assert cert.rhs_printed[0] == 20.0
     assert cert.rhs_squared[0] == 100.0
-    assert cert.min_residual_sq[0] > cert.rhs_printed[0]
-    assert not cert.holds("printed")
-    assert cert.holds("squared")
-    assert cert.tighter == "printed"
+    assert cert.holds()
+
+
+def _sweep_run(i):
+    """Run i of the soundness sweep: a feasible run on a scaled orthogonal map, both regimes."""
+    rng = np.random.default_rng(500 + i)
+    dim = int(rng.integers(2, 30))
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    q *= rng.uniform(0.5, 1.0)
+    z_star = rng.standard_normal(dim)
+    v = rng.standard_normal(dim)
+    start = 10.0 ** rng.uniform(-2.0, 2.0)
+    z0 = z_star + start / np.linalg.norm(v) * v
+    prob = Problem(operator=make_affine(q, z_star - q @ z_star), z0=z0, z_star=z_star)
+    if i % 2:
+        alpha, sigma = rng.uniform(0.0, 0.3), rng.uniform(0.0, 0.1)
+        delta = delta_threshold(alpha, sigma) + rng.uniform(0.1, 1.0)
+        lam = rng.uniform(0.1, 1.0) * lambda_ceiling_ii(alpha, sigma, delta)
+        sched = delayed_inertia_schedule(alpha, lam, sigma=sigma, delta=delta)
+    else:
+        sched = constant_schedule(rng.uniform(0.0, 0.6), rng.uniform(0.05, 0.95))
+    errors = None
+    if (i // 2) % 2:
+        errors = ErrorModel.power_decay(start * 10.0 ** rng.uniform(-3.0, -1.0), 2.0, seed=i)
+    return iterate(prob, sched, errors, max_iter=300)
+
+
+def test_certificate_is_sound_on_a_seeded_sweep():
+    # 100 runs: dims 2-29, start distances 1e-2 to 1e2, half regime II, half
+    # with power-decay errors; 42 of them start with dist_1 > 1
+    far = 0
+    for i in range(100):
+        cert = rate_certificate(_sweep_run(i))
+        assert cert.valid, (i, cert.reason)
+        assert cert.holds(), (i, float(np.max(cert.min_residual_sq / cert.rhs_squared)))
+        far += cert.dist1 > 1.0
+    assert far == 42
 
 
 def test_certificate_refusal_reasons():
@@ -271,6 +290,30 @@ def test_consistency_report_on_a_zero_inertia_overflow():
     assert rep.item("bounded-iterates").verdict == "not-consistent"
     inertia = rep.item("inertia-weighted-step-sum")
     assert (inertia.value, inertia.verdict, inertia.detail) == (0.0, "consistent", "no inertia")
+
+
+@pytest.mark.parametrize(
+    "magnitude, ratio, steps, verdict, detail",
+    [
+        # the state overflows in 5 steps, so the inertia-weighted sum is inf
+        (1e-3, 1e40, 5, "not-consistent", "non-finite total"),
+        # a geometric law with ratio above 1 (1e-3 * 2^k) stops at the budget of 6 steps
+        (1e-3, 2.0, 6, "consistent", "too few steps (6) to judge the tail"),
+    ],
+)
+def test_inertia_verdict_on_a_short_run(magnitude, ratio, steps, verdict, detail):
+    prob = Problem(operator=make_affine(0.5 * np.eye(2), np.zeros(2)), z0=[1.0, 0.0], z_star=[0.0, 0.0])
+    run = iterate(
+        prob,
+        constant_schedule(0.2, 0.5),
+        ErrorModel.geometric(magnitude, ratio, seed=1),
+        tol=-1.0,
+        max_iter=steps,
+        divergence_norm=math.inf,
+    )
+    assert run.iterations == steps
+    item = consistency_report(run).item("inertia-weighted-step-sum")
+    assert (item.verdict, item.detail) == (verdict, detail)
 
 
 def test_consistency_to_dict():

@@ -355,6 +355,56 @@ def test_fb_composition_validates_inputs():
         make_fb_composition(res, fwd, 0.0)
 
 
+def _averagedness_ratio(op, theta, x, y):
+    """(||Tx - Ty||^2 + ((1 - theta) / theta) ||(I - T)x - (I - T)y||^2) / ||x - y||^2.
+
+    T is theta-averaged iff this is at most 1 for every pair x != y.
+    """
+    d = op(x) - op(y)
+    r = (x - y) - d
+    return (d @ d + (1.0 - theta) / theta * (r @ r)) / ((x - y) @ (x - y))
+
+
+def _fb_lasso(rho_over_beta):
+    rng = np.random.default_rng(9)
+    fwd = quadratic_gradient(rng.standard_normal((12, 6)), rng.standard_normal(12))
+    rho = rho_over_beta * fwd.beta
+    op = make_fb_composition(make_soft_threshold(0.3 * rho, 6), fwd, rho)
+    assert op.theta == 2.0 * fwd.beta / (4.0 * fwd.beta - rho)
+    return op
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: make_soft_threshold(0.5, 6),
+        lambda: make_box_projection(-np.ones(6), np.linspace(-0.5, 2.0, 6)),
+        lambda: _fb_lasso(0.5),
+        lambda: _fb_lasso(1.0),
+        lambda: _fb_lasso(1.9),
+    ],
+    ids=["soft-threshold", "box-projection", "fb-rho-0.5-beta", "fb-rho-beta", "fb-rho-1.9-beta"],
+)
+def test_declared_theta_holds_on_sampled_pairs(make):
+    op = make()
+    rng = np.random.default_rng(10)
+    worst = 0.0
+    for _ in range(300):
+        x, y = rng.uniform(-3.0, 3.0, 6), rng.uniform(-3.0, 3.0, 6)
+        ratio = _averagedness_ratio(op, op.theta, x, y)
+        assert ratio <= 1.0 + 1e-12, ratio
+        worst = max(worst, ratio)
+    assert worst > 0.5  # the pairs probe the bound, not only its slack
+
+
+def test_averagedness_check_refuses_an_overstated_theta():
+    # inside [-gamma, gamma] both points map to 0, so the ratio is (1 - theta) / theta > 1 below 1/2
+    op = make_soft_threshold(0.5, 2)
+    x, y = np.array([0.1, -0.2]), np.array([-0.3, 0.4])
+    assert _averagedness_ratio(op, 0.5, x, y) == 1.0
+    assert _averagedness_ratio(op, 0.49, x, y) > 1.0 + 1e-12
+
+
 def test_unwrap_averaged_inverts_the_averaging_identity():
     # T = (1 - theta) I + theta N  must hold for the recovered N
     op = make_soft_threshold(0.4, 7)
