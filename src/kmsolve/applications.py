@@ -32,6 +32,7 @@ from .engine import Problem, RunResult, iterate
 from .operators import (
     IsmOperator,
     OperatorSpec,
+    _const,
     _fb_value,
     make_box_projection,
     make_fb_composition,
@@ -90,7 +91,7 @@ def solve_fbs(
     dim = resolvent.dim
     j = resolvent.apply
     fwd = forward.apply
-    r = float(rho)
+    r = _const(rho)
     fe_cache: dict = {}
     re_cache: dict = {}
 

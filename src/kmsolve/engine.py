@@ -26,6 +26,8 @@ arithmetic as 0-d float64 arrays, which numpy multiplies faster than
 Python floats and to the same IEEE products.  They are rebuilt only when
 the schedule returns a different float object: a cache keyed on value
 would reuse +0.0 for -0.0 (they compare equal) and flip a signed zero.
+On an exact run, T mu is coerced to a float64 ndarray; np.asarray is
+called only when it is not one already, since it would return it as is.
 
 route="unwrap" rewrites a declared theta-averaged operator as
 T = (1 - theta) I + theta N and runs the same loop on the nonexpansive
@@ -51,7 +53,7 @@ from typing import Callable
 
 import numpy as np
 
-from .operators import OperatorSpec, _core_value, as_point, norm, unwrap_averaged
+from .operators import OperatorSpec, _const, _core_value, as_point, norm, unwrap_averaged
 from .schedules import ErrorModel, ParamSchedule, constant_schedule, emit_error
 
 ROUTES = ("direct", "unwrap")
@@ -142,14 +144,16 @@ def _rescaled_perturb(cb: PerturbFn, theta: float) -> PerturbFn:
     step (perturbed output `is` T mu) stays exact.
     """
 
+    c, th = _const(1.0 - theta), _const(theta)
+
     def p(mu, k):
         t_mu, t_eff, _ = cb(mu, k)
-        n_mu = _core_value(t_mu, mu, theta)
+        n_mu = _core_value(t_mu, mu, c, th)
         if t_eff is t_mu:
             return n_mu, n_mu, 0.0
         # measured against the T mu the core step implies, mu + theta (N mu - mu),
         # not t_mu (they differ in rounding): this keeps the unwrap route bit-identical
-        e = (t_eff - (mu + theta * (n_mu - mu))) / theta
+        e = (t_eff - (mu + th * (n_mu - mu))) / th
         return n_mu, n_mu + e, norm(e)
 
     return p
@@ -214,6 +218,7 @@ def iterate(
     lambda_of = schedule.lambda_of
     z_star = problem.z_star
     sqrt = math.sqrt
+    ndarray, f64 = np.ndarray, np.dtype(float)
 
     z = problem.z0
     dz = z - z  # z^0 - z^{-1} with z^{-1} = z^0: exact zeros, z0 being finite
@@ -249,7 +254,11 @@ def iterate(
         if lam is not lam_key:
             lam_key, relax_arr = lam, np.array(lam * theta)
         if perturb_fn is None:
-            t_mu = t_eff = np.asarray(apply_op(mu), dtype=float)
+            t_mu = apply_op(mu)
+            # np.asarray would return a float64 ndarray as it is: skip its call
+            if t_mu.__class__ is not ndarray or t_mu.dtype is not f64:
+                t_mu = np.asarray(t_mu, dtype=float)
+            t_eff = t_mu
             e_norm = 0.0
         else:
             t_mu, t_eff, e_norm = perturb_fn(mu, k)

@@ -6,11 +6,25 @@ claim; firmly nonexpansive maps (proximity operators, projections,
 resolvents) carry theta = 1/2.  The factories below declare the constant
 their construction guarantees, and make_affine certifies a caller's claim
 exactly.  An OperatorSpec built by hand carries its theta unchecked.
+
+The built-in operators are closures that the loop calls on every step, so
+each binds its per-call scalars once, when it is built, as private
+read-only 0-d float64 arrays: gamma and the 0 of the soft threshold, theta
+and 1 - theta of the unwrapped core, and rho of the forward-backward step.
+numpy converts a Python float operand again on every ufunc call, and a 0-d
+array skips that.  The IEEE sum, difference, product, quotient and maximum
+of a float64 array with a 0-d float64 are those with the equal Python
+float, so on float64 points every value is the same to the bit.  One
+difference: a 0-d float64 is not a "weak" scalar under numpy's promotion
+rules (NEP 50), so these operators return float64 for a float32 input,
+where a Python float constant would keep float32.  The loop only ever
+passes float64 points.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from typing import Callable
 
@@ -21,6 +35,26 @@ Point = np.ndarray
 # Rounding allowance for make_affine's certificate: the computed largest
 # singular value of an orthogonal or identity q may land a few ulps above 1.
 _SPECTRAL_SLACK = 1e-12
+
+
+_F64 = np.dtype(float)
+_pack_f64 = struct.Struct("d").pack  # native byte order, as _F64
+
+
+def _const(value: float) -> np.ndarray:
+    """A read-only 0-d float64 array holding `value`, an operator's bound scalar.
+
+    Its 8 bytes live in an immutable bytes object, which makes the array
+    read-only and keeps its data out of the malloc heap.  Built by
+    np.array(value) instead, one long-lived 8-byte block per lasso set-up,
+    placed among the set-up's large temporaries, kept about 0.4 MB more
+    memory resident at the peak.
+    """
+    return np.ndarray((), _F64, _pack_f64(float(value)))
+
+
+# the 0 of the soft threshold's maximum, shared by every instance
+_ZERO = _const(0.0)
 
 
 def as_point(x, dim: int | None = None, name: str = "point") -> Point:
@@ -136,10 +170,10 @@ def make_soft_threshold(gamma: float, dim: int) -> OperatorSpec:
     """Coordinatewise soft threshold, prox of gamma * l1-norm.  Firmly nonexpansive."""
     if not gamma > 0.0:
         raise ValueError(f"gamma must be positive, got {gamma}")
-    g = float(gamma)
+    g = _const(gamma)
 
     def apply(x):
-        return np.sign(x) * np.maximum(np.abs(x) - g, 0.0)
+        return np.sign(x) * np.maximum(np.abs(x) - g, _ZERO)
 
     return OperatorSpec(apply=apply, theta=0.5, dim=dim)
 
@@ -236,7 +270,7 @@ def make_fb_composition(resolvent: OperatorSpec, forward: IsmOperator, rho: floa
     theta = 2.0 * beta / (4.0 * beta - rho)
     j = resolvent.apply
     fwd = forward.apply
-    r = float(rho)
+    r = _const(rho)
 
     def apply(x):
         return _fb_value(j, r, x, fwd(x))
@@ -244,24 +278,24 @@ def make_fb_composition(resolvent: OperatorSpec, forward: IsmOperator, rho: floa
     return OperatorSpec(apply=apply, theta=theta, dim=resolvent.dim)
 
 
-def _fb_value(j, r: float, x, b_x):
-    """The forward-backward step j(x - r b_x), given the forward value b_x at x."""
+def _fb_value(j, r: np.ndarray, x, b_x):
+    """The forward-backward step j(x - r b_x), given the forward value b_x at x and a 0-d rho r."""
     return j(x - r * b_x)
 
 
-def _core_value(t_x, x, theta: float):
-    """N x = (T x - (1 - theta) x) / theta, from T x of a theta-averaged T."""
-    return (t_x - (1.0 - theta) * x) / theta
+def _core_value(t_x, x, c: np.ndarray, theta: np.ndarray):
+    """N x = (T x - c x) / theta, from T x of a theta-averaged T; c is a 0-d 1 - theta."""
+    return (t_x - c * x) / theta
 
 
 def unwrap_averaged(t: OperatorSpec) -> OperatorSpec:
     """Recover the nonexpansive core N = (T - (1 - theta) I) / theta of an averaged T."""
     if t.theta >= 1.0:
         raise ValueError("theta = 1: no declared averagedness to unwrap")
-    th = t.theta
+    c, th = _const(1.0 - t.theta), _const(t.theta)
     f = t.apply
 
     def apply(x):
-        return _core_value(f(x), x, th)
+        return _core_value(f(x), x, c, th)
 
     return OperatorSpec(apply=apply, theta=1.0, dim=t.dim)

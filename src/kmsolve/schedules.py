@@ -129,7 +129,10 @@ class ErrorModel:
 
     Directions are uniform on the unit sphere, deterministic in
     (seed, k, dim): see `emit_error` for how they are drawn.  Non-summable
-    laws are constructible; ``summability`` flags them.
+    laws are constructible; ``summability`` flags them.  Where a power
+    leaves the float range, ``norm_at`` still returns the law's value: the
+    underflowed quotient (power-decay), or inf (0 at magnitude 0) where the
+    law itself overflows, which stops a run as diverged.
     """
 
     kind: str = "zero"
@@ -180,9 +183,18 @@ class ErrorModel:
         if self.kind == "zero":
             return 0.0
         if self.kind == "power-decay":
-            return self.magnitude / float(k + 1) ** self.exponent
+            base = float(k + 1)
+            try:
+                return self.magnitude / base**self.exponent
+            except OverflowError:  # base**exponent past the float range: the law underflows
+                return self.magnitude * base**-self.exponent
+            except ZeroDivisionError:  # base**exponent underflowed to 0 (exponent < 0)
+                return math.inf if self.magnitude else 0.0
         if self.kind == "geometric":
-            return self.magnitude * self.exponent**k
+            try:
+                return self.magnitude * self.exponent**k
+            except OverflowError:  # ratio > 1 past the float range
+                return math.inf if self.magnitude else 0.0
         return self.norms[k] if k < len(self.norms) else 0.0
 
     @property

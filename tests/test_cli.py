@@ -109,6 +109,27 @@ def test_run_nonconverged_exits_one(tmp_path):
     assert json.loads(out)["stop_reason"] == "max-iter"
 
 
+def test_run_survives_an_error_law_past_the_float_range(tmp_path):
+    # norm_at(5) of this summable law needs 6.0 ** 400, which overflows a float
+    cfg = {
+        "problem": {
+            "kind": "affine",
+            "matrix": [[0.5, 0], [0, 0.5]],
+            "offset": [0, 0],
+            "z0": [1, 1],
+            "z_star": [0, 0],
+        },
+        "schedule": {"alpha": 0.0, "lambda": 0.5},
+        "errors": {"kind": "power-decay", "magnitude": 1.0, "exponent": 400, "seed": 3},
+        "engine": {"tol": 1e-12, "max_iter": 100},
+    }
+    code, out, err = _main(["run", _write(tmp_path, cfg)])
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert data["stop_reason"] == "residual-tol"
+    assert data["certificate"]["holds_squared"] is True
+
+
 def test_run_without_solution_skips_certificate(tmp_path):
     cfg = json.loads(json.dumps(FEASIBLE))
     del cfg["problem"]["z_star"]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from kmsolve.engine import Problem, inertial_km, inexact_km, iterate, km
-from kmsolve.operators import OperatorSpec, _core_value, make_affine, make_identity, make_soft_threshold
+from kmsolve.operators import OperatorSpec, make_affine, make_identity, make_soft_threshold
 from kmsolve.schedules import ErrorModel, ParamSchedule, constant_schedule
 
 
@@ -150,7 +150,7 @@ def _restated_run(prob, alpha_of, lambda_of, steps, route="direct", perturb=None
             t_mu = t_eff = prob.operator.apply(mu)
         else:
             t_mu, t_eff, _ = perturb(mu, k)
-        n_mu = t_mu if route == "direct" else _core_value(t_mu, mu, th)
+        n_mu = t_mu if route == "direct" else (t_mu - (1.0 - th) * mu) / th
         if t_eff is t_mu:
             direction = n_mu - mu
         elif route == "direct":
@@ -246,6 +246,36 @@ def test_step_scalar_cache_keeps_signed_zero_relaxations_apart():
         restated = _restated_run(prob, sched.alpha_of, lambda_of, 6)
         _assert_run_equals_restatement(run, restated)
         assert np.signbit(run.states[1][0]) and not np.signbit(run.states[2][0])
+
+
+class _TaggedArray(np.ndarray):
+    pass
+
+
+@pytest.mark.parametrize("kind", ["list", "float32", "object", "subclass", "big-endian"])
+def test_exact_step_coerces_operator_output_to_float64(kind):
+    # the loop skips np.asarray for a float64 ndarray only; any other output is coerced
+    convert = {
+        "list": lambda v: v.tolist(),
+        "float32": lambda v: v.astype(np.float32),
+        "object": lambda v: v.astype(object),
+        "subclass": lambda v: v.view(_TaggedArray),
+        "big-endian": lambda v: v.astype(">f8"),
+    }[kind]
+    q = np.array([[0.5, 0.25], [0.0, 0.5]])
+    schedule = constant_schedule(0.3, 0.7)
+
+    def run(apply):
+        prob = Problem(OperatorSpec(apply=apply, theta=1.0, dim=2), z0=[1.0, -2.0])
+        return iterate(prob, schedule, max_iter=20, record_states=True)
+
+    odd = run(lambda x: convert(q.dot(x) + 0.125))
+    ref = run(lambda x: np.asarray(convert(q.dot(x) + 0.125), dtype=float))
+    assert odd.iterations == ref.iterations == 20
+    for got, want in zip(odd.states, ref.states):
+        assert type(got) is np.ndarray and got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+    assert odd.residuals.tobytes() == ref.residuals.tobytes()
 
 
 def test_km_rejects_inertial_schedules():

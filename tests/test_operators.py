@@ -231,16 +231,39 @@ def test_identity_returns_input_unchanged():
     assert op.theta == 1.0
 
 
+def _same_bits(got, want):
+    """Equal dtype, shape and bytes: a flipped sign of zero or a NaN in place of a number fails."""
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def test_soft_threshold_closed_form():
-    op = make_soft_threshold(0.3, 5)
+    # bytes, not np.array_equal, which calls -0.0 equal to +0.0
+    gamma = 0.3
+    op = make_soft_threshold(gamma, 11)
+    edges = np.array(
+        [-0.0, 0.0, -0.1, -0.3 + 2e-16, 0.1, 0.3, -0.3, 0.3 + 1e-9, -2.0, 1.5, math.nan]
+    )
     rng = np.random.default_rng(2)
-    for _ in range(50):
-        x = rng.uniform(-2, 2, 5)
-        want = np.sign(x) * np.maximum(np.abs(x) - 0.3, 0.0)
-        assert np.array_equal(op(x), want)
+    for x in [edges] + [rng.uniform(-2, 2, 11) for _ in range(50)]:
+        want = np.sign(x) * np.maximum(np.abs(x) - gamma, 0.0)
+        assert _same_bits(op(x), want)
+    got = op(edges)
+    # inside [-gamma, gamma] the value is -0.0 for x in [-gamma, 0) and +0.0 for x = -0.0
+    # (np.sign(-0.0) is +0.0); the clip form x - clip(x, -gamma, gamma) gives +0.0 throughout
+    assert list(np.signbit(got[:7])) == [False, False, True, True, False, False, True]
+    assert not got[:7].any()
+    assert got[7] > 0.0 and got[8] == -1.7 and got[9] == 1.2 and math.isnan(got[10])
     assert op.theta == 0.5
     with pytest.raises(ValueError, match="gamma"):
         make_soft_threshold(0.0, 5)
+
+
+def test_soft_threshold_returns_float64_for_float32_input():
+    # its gamma and 0 are 0-d float64 arrays, not weak Python scalars (NEP 50)
+    x = np.array([-1.0, 0.1, 2.0], dtype=np.float32)
+    got = make_soft_threshold(0.3, 3)(x)
+    assert got.dtype == np.float64
+    assert _same_bits(got, np.sign(x) * np.maximum(np.abs(x) - np.float64(0.3), np.float64(0.0)))
 
 
 def test_soft_threshold_is_firmly_nonexpansive():
@@ -415,6 +438,30 @@ def test_unwrap_averaged_inverts_the_averaging_identity():
         x = rng.uniform(-2, 2, 7)
         recomposed = (1.0 - op.theta) * x + op.theta * n_op(x)
         assert np.allclose(recomposed, op(x), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: make_soft_threshold(0.4, 6), lambda: _fb_lasso(1.9)], ids=["theta-half", "fb-theta"]
+)
+def test_unwrap_averaged_is_the_python_float_formula_bit_for_bit(make):
+    op = make()
+    th = op.theta
+    assert th == 0.5 or (th * 2**40) % 1.0 != 0.0  # the FB case is far from dyadic
+    n_op = unwrap_averaged(op)
+    rng = np.random.default_rng(7)
+    for x in [np.array([-0.0, 0.0, -0.1, 0.2, 3.0, -2.5])] + [rng.uniform(-3, 3, 6) for _ in range(50)]:
+        assert _same_bits(n_op(x), (op(x) - (1.0 - th) * x) / th)
+
+
+def test_fb_composition_is_the_python_float_step_bit_for_bit():
+    rng = np.random.default_rng(8)
+    mat, rhs = rng.standard_normal((12, 6)), rng.standard_normal(12)
+    fwd = quadratic_gradient(mat, rhs)
+    rho = 1.3 * fwd.beta
+    res = make_soft_threshold(0.3 * rho, 6)
+    op = make_fb_composition(res, fwd, rho)
+    for x in [np.array([-0.0, 0.0, -0.1, 0.2, 3.0, -2.5])] + [rng.uniform(-3, 3, 6) for _ in range(50)]:
+        assert _same_bits(op(x), res(x - float(rho) * fwd(x)))
 
 
 def test_unwrap_averaged_rejects_theta_one():

@@ -9,7 +9,7 @@ import pytest
 from kmsolve import applications
 from kmsolve.applications import lasso_fbs_pieces, plant_lasso, solve_fbs
 from kmsolve.engine import Problem, iterate
-from kmsolve.operators import make_soft_threshold, norm, quadratic_gradient, unwrap_averaged
+from kmsolve.operators import make_affine, make_soft_threshold, norm, quadratic_gradient, unwrap_averaged
 from kmsolve.schedules import (
     ErrorModel,
     ParamSchedule,
@@ -93,6 +93,35 @@ def test_error_norm_laws():
     c = ErrorModel.from_norms([0.3, 0.2, 0.1])
     assert c.norm_at(1) == 0.2
     assert ErrorModel.zero().norm_at(10) == 0.0
+
+
+def test_error_norm_laws_past_the_float_range():
+    # in range, the value is the law's own formula, bit for bit
+    for mag, ex, k in [(2.0, 1.5, 3), (0.7, 2.5, 999), (1.0, 400.0, 4), (1e-3, -3.0, 7)]:
+        assert ErrorModel.power_decay(mag, ex).norm_at(k) == mag / float(k + 1) ** ex
+    for mag, ratio, k in [(1.0, 0.5, 4), (0.3, 1.7, 300), (1.0, 2.0, 1023), (1.0, 0.5, 5000)]:
+        assert ErrorModel.geometric(mag, ratio).norm_at(k) == mag * ratio**k
+    # 6.0 ** 400 overflows, the law itself underflows (to a subnormal here)
+    tiny = ErrorModel.power_decay(1.0, 400.0)
+    assert tiny.summability == "summable"
+    assert tiny.norm_at(5) == 6.0**-400 and 0.0 < tiny.norm_at(5) < 1e-300
+    assert ErrorModel.power_decay(0.0, 400.0).norm_at(5) == 0.0
+    # 6.0 ** -400 underflows to 0, the law itself overflows
+    assert ErrorModel.power_decay(1.0, -400.0).norm_at(5) == math.inf
+    assert ErrorModel.power_decay(0.0, -400.0).norm_at(5) == 0.0
+    # 2.0 ** 2000 overflows
+    assert ErrorModel.geometric(0.0, 2.0).norm_at(2000) == 0.0
+    assert ErrorModel.geometric(1e-300, 2.0).norm_at(2000) == math.inf
+
+
+def test_overflowing_error_law_stops_the_run_as_diverged():
+    # 1e-300 * 2**k is finite through k = 1023 and past the float range at k = 1024
+    prob = Problem(make_affine(0.5 * np.eye(2), np.zeros(2)), [1.0, 1.0], [0.0, 0.0])
+    law = ErrorModel.geometric(1e-300, 2.0, seed=3)
+    run = iterate(prob, constant_schedule(0.0, 0.5), law, tol=-1.0, max_iter=3000)
+    assert run.stop_reason == "diverged"
+    assert run.iterations == 1025
+    assert math.isfinite(run.err_norms[-2]) and run.err_norms[-1] == math.inf
 
 
 def test_summability_verdicts():
