@@ -25,7 +25,6 @@ from .diagnostics import (
     rate_certificate,
 )
 from .engine import (
-    ROUTES,
     Problem,
     RunResult,
     inertial_km,
@@ -44,7 +43,6 @@ from .operators import (
     norm,
     quadratic_gradient,
     spectral_norm,
-    unwrap_averaged,
 )
 from .schedules import (
     ERROR_KINDS,
@@ -63,7 +61,6 @@ from .schedules import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ROUTES",
     "ERROR_KINDS",
     "Problem",
     "RunResult",
@@ -81,7 +78,6 @@ __all__ = [
     "make_box_projection",
     "make_fb_composition",
     "quadratic_gradient",
-    "unwrap_averaged",
     "ParamSchedule",
     "constant_schedule",
     "delayed_inertia_schedule",

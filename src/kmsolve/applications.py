@@ -50,18 +50,24 @@ def solve_ppa(
     errors: ErrorModel | None = None,
     *,
     z_star=None,
-    route: str = "unwrap",
+    route: str = "direct",
     **engine_options,
 ) -> RunResult:
     """Proximal point iteration on a firmly nonexpansive resolvent.
 
-    Runs through the unwrapped nonexpansive core by default, which admits
-    relaxations up to 2; route="direct" applies the resolvent as-is.
+    The resolvent is 1/2-averaged, so relaxations up to 2 are admissible
+    (`validate_schedule(schedule, theta=0.5)`).  `route` is inert:
+    "direct" and "unwrap" run the same iteration, and any other value is
+    refused.  It stays only because the benchmark's small-exact workload
+    passes route="unwrap"; it goes in the benchmark change that edits
+    that call.
     """
+    if route not in ("direct", "unwrap"):
+        raise ValueError(f"unknown route {route!r}")
     if resolvent.theta != 0.5:
         raise ValueError("proximal point needs a firmly nonexpansive resolvent (theta = 1/2)")
     prob = Problem(operator=resolvent, z0=z0, z_star=z_star)
-    return iterate(prob, schedule, errors, route=route, **engine_options)
+    return iterate(prob, schedule, errors, **engine_options)
 
 
 def solve_fbs(
@@ -74,19 +80,18 @@ def solve_fbs(
     forward_errors: ErrorModel | None = None,
     resolvent_errors: ErrorModel | None = None,
     z_star=None,
-    route: str = "direct",
     **engine_options,
 ) -> RunResult:
     """Relaxed inertial forward-backward splitting.
 
-    The direct route with zero inertia and zero errors is exactly the
-    classical iteration z <- z + lambda (J(z - rho B z) - z).
+    With zero inertia and zero errors this is exactly the classical
+    iteration z <- z + lambda (J(z - rho B z) - z).
     """
     fe = forward_errors if forward_errors is not None else ErrorModel.zero()
     re = resolvent_errors if resolvent_errors is not None else ErrorModel.zero()
     prob = Problem(operator=make_fb_composition(resolvent, forward, rho), z0=z0, z_star=z_star)
     if fe.kind == "zero" and re.kind == "zero":
-        return iterate(prob, schedule, None, route=route, **engine_options)
+        return iterate(prob, schedule, None, **engine_options)
 
     dim = resolvent.dim
     j = resolvent.apply
@@ -105,7 +110,7 @@ def solve_fbs(
             t_pert = t_pert + emit_error(re, k, dim, re_cache)
         return t_mu, t_pert, 0.0 if t_pert is t_mu else norm(t_pert - t_mu)
 
-    return iterate(prob, schedule, perturb=perturb, route=route, **engine_options)
+    return iterate(prob, schedule, perturb=perturb, **engine_options)
 
 
 @dataclass(frozen=True)

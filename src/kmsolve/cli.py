@@ -202,15 +202,14 @@ _ENGINE_TYPES = {
     "tol": _real,
     "max_iter": _integer,
     "divergence_norm": _real,
-    "route": lambda value, name: str(value),
 }
 
 
 @_config_errors("bad engine options: ")
-def _engine_options(cfg: dict, problem: Problem) -> dict:
+def _engine_options(cfg: dict) -> dict:
     """The engine section as `iterate` keywords, refused here rather than mid-command."""
     opts = {key: cast(cfg[key], key) for key, cast in _ENGINE_TYPES.items() if key in cfg}
-    _check_options(problem, **opts)
+    _check_options(**opts)
     return opts
 
 
@@ -219,7 +218,7 @@ def _load_run(cfg: dict):
     problem = problem_from_config(_section(cfg, "problem"))
     schedule = schedule_from_config(_section(cfg, "schedule"))
     errors = errors_from_config(_section(cfg, "errors", required=False))
-    return problem, schedule, errors, _engine_options(_section(cfg, "engine", required=False), problem)
+    return problem, schedule, errors, _engine_options(_section(cfg, "engine", required=False))
 
 
 def _clean(obj):
@@ -277,7 +276,6 @@ def _run_summary(result, report, cert) -> dict:
         "stop_reason": result.stop_reason,
         "converged": result.converged,
         "iterations": result.iterations,
-        "route": result.route,
         "final_residual": result.residual,
         "final_dist": result.dist_to_star,
         "feasibility": report.to_dict(),

@@ -29,13 +29,6 @@ would reuse +0.0 for -0.0 (they compare equal) and flip a signed zero.
 On an exact run, T mu is coerced to a float64 ndarray; np.asarray is
 called only when it is not one already, since it would return it as is.
 
-route="unwrap" rewrites a declared theta-averaged operator as
-T = (1 - theta) I + theta N and runs the same loop on the nonexpansive
-core N with relaxation theta * lambda_k and error e^k / theta.  In exact
-arithmetic the z^k sequence is unchanged, but relaxations up to 1/theta
-become admissible.  Recorded residuals and error norms are rescaled by
-theta so both routes report the same scheme-level quantities.
-
 Stopping: residual <= tol wins every tie, then a norm blowup past
 `divergence_norm`, then the iteration budget.  A negative tol disables
 the residual stop, which pins the horizon exactly; a NaN tol or
@@ -53,10 +46,8 @@ from typing import Callable
 
 import numpy as np
 
-from .operators import OperatorSpec, _const, _core_value, as_point, norm, unwrap_averaged
+from .operators import OperatorSpec, as_point, norm
 from .schedules import ErrorModel, ParamSchedule, constant_schedule, emit_error
-
-ROUTES = ("direct", "unwrap")
 
 PerturbFn = Callable[[np.ndarray, int], tuple[np.ndarray, np.ndarray, float]]
 
@@ -101,7 +92,6 @@ class RunResult:
     dists: np.ndarray | None
     states: list[np.ndarray] | None
     max_state_norm: float
-    route: str
     errors: ErrorModel | None = field(repr=False)
     problem: Problem = field(repr=False)
     schedule: ParamSchedule = field(repr=False)
@@ -117,8 +107,8 @@ class RunResult:
         return float(self.dists[-1])
 
 
-def _model_perturb(model: ErrorModel, apply_op, dim: int, scale: float) -> PerturbFn:
-    """Perturbation of `apply_op` from a declared law; `scale` divides the vector (unwrap route).
+def _model_perturb(model: ErrorModel, apply_op, dim: int) -> PerturbFn:
+    """Perturbation of `apply_op` from a declared law.
 
     The closure owns the run's direction cache (see `emit_error`).
     """
@@ -129,48 +119,18 @@ def _model_perturb(model: ErrorModel, apply_op, dim: int, scale: float) -> Pertu
         if model.norm_at(k) == 0.0:
             return t_mu, t_mu, 0.0
         e = emit_error(model, k, dim, cache)
-        if scale != 1.0:
-            e /= scale
         return t_mu, t_mu + e, norm(e)
 
     return p
 
 
-def _rescaled_perturb(cb: PerturbFn, theta: float) -> PerturbFn:
-    """Adapt a scheme-level perturb callback to the unwrapped core.
-
-    The callback speaks about T; the loop runs on N, derived from the
-    callback's exact T mu.  Its error is divided by theta, and an exact
-    step (perturbed output `is` T mu) stays exact.
-    """
-
-    c, th = _const(1.0 - theta), _const(theta)
-
-    def p(mu, k):
-        t_mu, t_eff, _ = cb(mu, k)
-        n_mu = _core_value(t_mu, mu, c, th)
-        if t_eff is t_mu:
-            return n_mu, n_mu, 0.0
-        # measured against the T mu the core step implies, mu + theta (N mu - mu),
-        # not t_mu (they differ in rounding): this keeps the unwrap route bit-identical
-        e = (t_eff - (mu + th * (n_mu - mu))) / th
-        return n_mu, n_mu + e, norm(e)
-
-    return p
-
-
-def _check_options(problem: Problem, **opts) -> None:
+def _check_options(**opts) -> None:
     """Raise ValueError for an engine option `iterate` refuses; only the keys given are checked."""
     for name in ("tol", "divergence_norm"):
         if name in opts and math.isnan(opts[name]):
             raise ValueError(f"{name} must not be NaN")
     if opts.get("max_iter", 0) < 0:
         raise ValueError("max_iter must be nonnegative")
-    route = opts.get("route", "direct")
-    if route not in ROUTES:
-        raise ValueError(f"unknown route {route!r}")
-    if route == "unwrap" and problem.operator.theta >= 1.0:
-        raise ValueError("route 'unwrap' needs an averaged problem (theta < 1)")
 
 
 @np.errstate(over="ignore")
@@ -184,7 +144,6 @@ def iterate(
     max_iter: int = 1_000_000,
     divergence_norm: float = 1e12,
     record_states: bool = False,
-    route: str = "direct",
 ) -> RunResult:
     """Run the loop until the residual stop, a blowup, or the budget.
 
@@ -196,24 +155,15 @@ def iterate(
     rate certificate and consistency report built on them, are only as
     good as the T mu the callback returns.
     """
-    _check_options(problem, tol=tol, max_iter=max_iter, divergence_norm=divergence_norm, route=route)
+    _check_options(tol=tol, max_iter=max_iter, divergence_norm=divergence_norm)
     if perturb is not None and errors is not None:
         raise ValueError("pass an ErrorModel or a perturb callback, not both")
 
-    # theta scales the relaxation and the recorded residuals and error
-    # norms; it is 1 on the direct route.
-    if route == "unwrap":
-        apply_op = unwrap_averaged(problem.operator).apply
-        theta = problem.operator.theta
-    else:
-        apply_op = problem.operator.apply
-        theta = 1.0
+    apply_op = problem.operator.apply
     # None marks the exact case: the loop then skips the callback.
     perturb_fn = perturb
     if errors is not None and errors.kind != "zero":
-        perturb_fn = _model_perturb(errors, apply_op, problem.operator.dim, theta)
-    elif perturb is not None and route == "unwrap":
-        perturb_fn = _rescaled_perturb(perturb, theta)
+        perturb_fn = _model_perturb(errors, apply_op, problem.operator.dim)
     alpha_of = schedule.alpha_of
     lambda_of = schedule.lambda_of
     z_star = problem.z_star
@@ -240,7 +190,7 @@ def iterate(
     add_step = steps.append
     # 0-d float64 copies of the step scalars, rebuilt only when the schedule
     # hands back a different float object (an `is not` key: -0.0 == 0.0)
-    a_key = lam_key = a_arr = relax_arr = None
+    a_key = lam_key = a_arr = lam_arr = None
 
     for k in range(max_iter):
         a = float(alpha_of(k))
@@ -252,7 +202,7 @@ def iterate(
                 a_key, a_arr = a, np.array(a)
             mu = z + a_arr * dz
         if lam is not lam_key:
-            lam_key, relax_arr = lam, np.array(lam * theta)
+            lam_key, lam_arr = lam, np.array(lam)
         if perturb_fn is None:
             t_mu = apply_op(mu)
             # np.asarray would return a float64 ndarray as it is: skip its call
@@ -263,13 +213,13 @@ def iterate(
         else:
             t_mu, t_eff, e_norm = perturb_fn(mu, k)
         d = t_mu - mu
-        r = theta * sqrt(d.dot(d))
+        r = sqrt(d.dot(d))
         # an exact step's update direction is d itself
-        z_next = mu + relax_arr * (d if t_eff is t_mu else t_eff - mu)
+        z_next = mu + lam_arr * (d if t_eff is t_mu else t_eff - mu)
         dz = z_next - z  # ||dz|| is step_norms[k]; dz is the next step's inertia term
 
         add_residual(r)
-        add_err(theta * float(e_norm))
+        add_err(float(e_norm))
         add_alpha(a)
         add_lambda(lam)
         add_step(sqrt(dz.dot(dz)))
@@ -305,7 +255,6 @@ def iterate(
         dists=None if dists is None else np.asarray(dists),
         states=states,
         max_state_norm=float(max_norm),
-        route=route,
         errors=errors,
         problem=problem,
         schedule=schedule,

@@ -9,8 +9,8 @@ exactly.  An OperatorSpec built by hand carries its theta unchecked.
 
 The built-in operators are closures that the loop calls on every step, so
 each binds its per-call scalars once, when it is built, as private
-read-only 0-d float64 arrays: gamma and the 0 of the soft threshold, theta
-and 1 - theta of the unwrapped core, and rho of the forward-backward step.
+read-only 0-d float64 arrays: gamma and the 0 of the soft threshold, and
+rho of the forward-backward step.
 numpy converts a Python float operand again on every ufunc call, and a 0-d
 array skips that.  The IEEE sum, difference, product, quotient and maximum
 of a float64 array with a 0-d float64 are those with the equal Python
@@ -161,9 +161,9 @@ def spectral_norm(mat) -> float:
     return value
 
 
-def make_identity(dim: int, theta: float = 1.0) -> OperatorSpec:
-    """The identity map.  It is theta-averaged for every theta, so callers may declare one."""
-    return OperatorSpec(apply=lambda x: np.asarray(x, dtype=float), theta=theta, dim=dim)
+def make_identity(dim: int) -> OperatorSpec:
+    """The identity map, declared nonexpansive (theta = 1)."""
+    return OperatorSpec(apply=lambda x: np.asarray(x, dtype=float), theta=1.0, dim=dim)
 
 
 def make_soft_threshold(gamma: float, dim: int) -> OperatorSpec:
@@ -244,6 +244,8 @@ def quadratic_gradient(m, b) -> IsmOperator:
     passed, so a caller that changes m afterwards voids it.
     """
     m = np.asarray(m, dtype=float)
+    if m.ndim != 2:
+        raise ValueError(f"m must be a matrix, got shape {m.shape}")
     b = as_point(b, dim=m.shape[0], name="b")
     sigma = spectral_norm(m)
     if sigma == 0.0:
@@ -281,21 +283,3 @@ def make_fb_composition(resolvent: OperatorSpec, forward: IsmOperator, rho: floa
 def _fb_value(j, r: np.ndarray, x, b_x):
     """The forward-backward step j(x - r b_x), given the forward value b_x at x and a 0-d rho r."""
     return j(x - r * b_x)
-
-
-def _core_value(t_x, x, c: np.ndarray, theta: np.ndarray):
-    """N x = (T x - c x) / theta, from T x of a theta-averaged T; c is a 0-d 1 - theta."""
-    return (t_x - c * x) / theta
-
-
-def unwrap_averaged(t: OperatorSpec) -> OperatorSpec:
-    """Recover the nonexpansive core N = (T - (1 - theta) I) / theta of an averaged T."""
-    if t.theta >= 1.0:
-        raise ValueError("theta = 1: no declared averagedness to unwrap")
-    c, th = _const(1.0 - t.theta), _const(t.theta)
-    f = t.apply
-
-    def apply(x):
-        return _core_value(f(x), x, c, th)
-
-    return OperatorSpec(apply=apply, theta=1.0, dim=t.dim)

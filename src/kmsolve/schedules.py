@@ -331,6 +331,8 @@ def validate_schedule(s: ParamSchedule, horizon: int = 1000, theta: float = 1.0)
     """
     if not (0.0 < theta <= 1.0):
         raise ValueError(f"theta must lie in (0, 1], got {theta}")
+    if isinstance(horizon, bool) or horizon < 0:
+        raise ValueError(f"horizon must be a nonnegative integer, got {horizon!r}")
     ks = range(horizon + 1)
     alphas = np.fromiter(map(s.alpha_of, ks), float, len(ks))
     lambdas = np.fromiter(map(s.lambda_of, ks), float, len(ks))

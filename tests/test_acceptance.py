@@ -43,7 +43,7 @@ def test_criterion_6_lasso_end_to_end():
     _check(6)
 
 
-def test_criterion_7_route_equivalence():
+def test_criterion_7_rate_certificate_soundness():
     _check(7)
 
 

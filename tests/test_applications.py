@@ -39,7 +39,6 @@ def test_ppa_converges_to_the_prox_fixed_point():
         z_star=np.zeros(6),
     )
     assert run.converged
-    assert run.route == "unwrap"  # the default for this front end
     assert np.linalg.norm(run.z) <= 1e-8
 
 
@@ -107,20 +106,10 @@ def test_fbs_resolvent_call_counts():
         ({"resolvent_errors": ErrorModel.power_decay(0.1, 2.0, seed=56)}, 25),
     ]
     for channel, resolvent_calls in perturbed:
-        for route in ("direct", "unwrap"):
-            calls.update(resolvent=0, forward=0)
-            solve_fbs(
-                counted,
-                counted_fwd,
-                rho,
-                np.zeros(20),
-                constant_schedule(0.0, 0.9),
-                tol=-1.0,
-                max_iter=25,
-                route=route,
-                **channel,
-            )
-            assert calls == {"resolvent": resolvent_calls, "forward": 25}, (channel, route)
+        calls.update(resolvent=0, forward=0)
+        sched = constant_schedule(0.0, 0.9)
+        solve_fbs(counted, counted_fwd, rho, np.zeros(20), sched, tol=-1.0, max_iter=25, **channel)
+        assert calls == {"resolvent": resolvent_calls, "forward": 25}, channel
 
 
 def test_perturbed_fbs_matches_the_two_forward_recurrence():
@@ -158,22 +147,21 @@ def test_perturbed_fbs_matches_the_two_forward_recurrence():
                 t_pert = t_pert + emit_error(re, k, 20)
             return t_mu, t_pert, norm(t_pert - t_mu)
 
-        for route in ("direct", "unwrap"):
-            opts = dict(tol=-1.0, max_iter=60, route=route)
-            run = solve_fbs(
-                resolvent,
-                forward,
-                rho,
-                z0,
-                sched,
-                forward_errors=fe,
-                resolvent_errors=re,
-                z_star=inst.x_star,
-                **opts,
-            )
-            ref = iterate(prob, sched, perturb=two_forward, **opts)
-            for name in ("z", "residuals", "err_norms", "step_norms", "dists"):
-                assert np.array_equal(getattr(run, name), getattr(ref, name))
+        opts = dict(tol=-1.0, max_iter=60)
+        run = solve_fbs(
+            resolvent,
+            forward,
+            rho,
+            z0,
+            sched,
+            forward_errors=fe,
+            resolvent_errors=re,
+            z_star=inst.x_star,
+            **opts,
+        )
+        ref = iterate(prob, sched, perturb=two_forward, **opts)
+        for name in ("z", "residuals", "err_norms", "step_norms", "dists"):
+            assert np.array_equal(getattr(run, name), getattr(ref, name))
 
 
 def test_plant_lasso_produces_a_certified_minimizer():

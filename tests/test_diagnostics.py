@@ -17,7 +17,6 @@ from kmsolve.schedules import (
     ParamSchedule,
     constant_schedule,
     delayed_inertia_schedule,
-    delta_threshold,
     lambda_ceiling_ii,
     validate_schedule,
 )
@@ -85,42 +84,6 @@ def test_certificate_holds_on_a_feasible_far_start():
     assert cert.min_residual_sq[0] == 90.25
     assert cert.rhs_squared[0] == 100.0
     assert cert.holds()
-
-
-def _sweep_run(i):
-    """Run i of the soundness sweep: a feasible run on a scaled orthogonal map, both regimes."""
-    rng = np.random.default_rng(500 + i)
-    dim = int(rng.integers(2, 30))
-    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
-    q *= rng.uniform(0.5, 1.0)
-    z_star = rng.standard_normal(dim)
-    v = rng.standard_normal(dim)
-    start = 10.0 ** rng.uniform(-2.0, 2.0)
-    z0 = z_star + start / np.linalg.norm(v) * v
-    prob = Problem(operator=make_affine(q, z_star - q @ z_star), z0=z0, z_star=z_star)
-    if i % 2:
-        alpha, sigma = rng.uniform(0.0, 0.3), rng.uniform(0.0, 0.1)
-        delta = delta_threshold(alpha, sigma) + rng.uniform(0.1, 1.0)
-        lam = rng.uniform(0.1, 1.0) * lambda_ceiling_ii(alpha, sigma, delta)
-        sched = delayed_inertia_schedule(alpha, lam, sigma=sigma, delta=delta)
-    else:
-        sched = constant_schedule(rng.uniform(0.0, 0.6), rng.uniform(0.05, 0.95))
-    errors = None
-    if (i // 2) % 2:
-        errors = ErrorModel.power_decay(start * 10.0 ** rng.uniform(-3.0, -1.0), 2.0, seed=i)
-    return iterate(prob, sched, errors, max_iter=300)
-
-
-def test_certificate_is_sound_on_a_seeded_sweep():
-    # 100 runs: dims 2-29, start distances 1e-2 to 1e2, half regime II, half
-    # with power-decay errors; 42 of them start with dist_1 > 1
-    far = 0
-    for i in range(100):
-        cert = rate_certificate(_sweep_run(i))
-        assert cert.valid, (i, cert.reason)
-        assert cert.holds(), (i, float(np.max(cert.min_residual_sq / cert.rhs_squared)))
-        far += cert.dist1 > 1.0
-    assert far == 42
 
 
 def test_certificate_refusal_reasons():

@@ -1,14 +1,16 @@
-"""The iteration loop: traces, stopping rules, reductions, and routes."""
+"""The iteration loop: traces, stopping rules, reductions, and relaxation."""
 
+import hashlib
 import math
 import warnings
 
 import numpy as np
 import pytest
 
+from kmsolve.applications import box_intersection_pieces, solve_ppa
 from kmsolve.engine import Problem, inertial_km, inexact_km, iterate, km
-from kmsolve.operators import OperatorSpec, make_affine, make_identity, make_soft_threshold
-from kmsolve.schedules import ErrorModel, ParamSchedule, constant_schedule
+from kmsolve.operators import OperatorSpec, make_affine, make_fb_composition, make_identity, make_soft_threshold
+from kmsolve.schedules import ErrorModel, ParamSchedule, constant_schedule, validate_schedule
 
 
 def _halving_problem(z0=1.0, z_star=0.0):
@@ -84,26 +86,25 @@ def test_reductions_are_bit_identical():
             assert np.array_equal(a, b)
 
 
-def test_zero_error_model_matches_exact_run_on_both_routes():
+def test_zero_error_model_matches_exact_run():
     rng = np.random.default_rng(11)
     prob = Problem(
         operator=make_soft_threshold(0.2, 5), z0=rng.uniform(-2, 2, 5), z_star=np.zeros(5)
     )
     sched = constant_schedule(0.1, 1.2)
-    for route in ("direct", "unwrap"):
-        opts = dict(tol=-1.0, max_iter=200, record_states=True, route=route)
-        exact = iterate(prob, sched, None, **opts)
-        zero = iterate(prob, sched, ErrorModel.zero(), **opts)
-        for name in ("z", "residuals", "err_norms", "step_norms", "dists"):
-            assert np.array_equal(getattr(exact, name), getattr(zero, name))
-        for a, b in zip(exact.states, zero.states):
-            assert np.array_equal(a, b)
-        assert np.all(zero.err_norms == 0.0)
-        assert zero.max_state_norm == exact.max_state_norm
+    opts = dict(tol=-1.0, max_iter=200, record_states=True)
+    exact = iterate(prob, sched, None, **opts)
+    zero = iterate(prob, sched, ErrorModel.zero(), **opts)
+    for name in ("z", "residuals", "err_norms", "step_norms", "dists"):
+        assert np.array_equal(getattr(exact, name), getattr(zero, name))
+    for a, b in zip(exact.states, zero.states):
+        assert np.array_equal(a, b)
+    assert np.all(zero.err_norms == 0.0)
+    assert zero.max_state_norm == exact.max_state_norm
 
 
-def test_exact_steps_equal_the_two_subtraction_restatement_on_both_routes():
-    # the loop forms N mu - mu once per exact step; a restatement that forms
+def test_exact_steps_equal_the_two_subtraction_restatement():
+    # the loop forms T mu - mu once per exact step; a restatement that forms
     # it twice, once for the residual and once for the update, is bit-equal
     rng = np.random.default_rng(21)
     n, theta, alpha, lam = 8, 0.5, 0.3, 1.2
@@ -112,34 +113,31 @@ def test_exact_steps_equal_the_two_subtraction_restatement_on_both_routes():
     b = rng.standard_normal(n)
     z_star = np.linalg.solve(np.eye(n) - q, b)
     prob = Problem(operator=make_affine(q, b, theta=theta), z0=z_star + rng.standard_normal(n), z_star=z_star)
-    for route, th in (("direct", 1.0), ("unwrap", theta)):
-        run = iterate(prob, constant_schedule(alpha, lam), tol=-1.0, max_iter=300, route=route)
-        z_prev = z = prob.z0
-        residuals, steps = [], []
-        for k in range(300):
-            a = 0.0 if k == 0 else alpha
-            mu = z if a == 0.0 else z + a * (z - z_prev)
-            t_mu = q @ mu + b
-            n_mu = t_mu if route == "direct" else (t_mu - (1.0 - th) * mu) / th
-            residuals.append(th * math.sqrt(float(np.dot(n_mu - mu, n_mu - mu))))
-            z_next = mu + (lam * th) * (n_mu - mu)
-            steps.append(math.sqrt(float(np.dot(z_next - z, z_next - z))))
-            z_prev, z = z, z_next
-        assert np.array_equal(run.z, z), route
-        assert np.array_equal(run.residuals, residuals), route
-        assert np.array_equal(run.step_norms, steps), route
+    run = iterate(prob, constant_schedule(alpha, lam), tol=-1.0, max_iter=300)
+    z_prev = z = prob.z0
+    residuals, steps = [], []
+    for k in range(300):
+        a = 0.0 if k == 0 else alpha
+        mu = z if a == 0.0 else z + a * (z - z_prev)
+        t_mu = q @ mu + b
+        residuals.append(math.sqrt(float(np.dot(t_mu - mu, t_mu - mu))))
+        z_next = mu + lam * (t_mu - mu)
+        steps.append(math.sqrt(float(np.dot(z_next - z, z_next - z))))
+        z_prev, z = z, z_next
+    assert np.array_equal(run.z, z)
+    assert np.array_equal(run.residuals, residuals)
+    assert np.array_equal(run.step_norms, steps)
 
 
 def _norm(x):
     return math.sqrt(float(np.dot(x, x)))
 
 
-def _restated_run(prob, alpha_of, lambda_of, steps, route="direct", perturb=None):
+def _restated_run(prob, alpha_of, lambda_of, steps, perturb=None):
     """The loop as its docstring states it, with Python-float scalars and
     z^k - z^{k-1} formed from a kept z_prev on every step; returns the
     final z, the states, the step norms, the distances and the largest
     state norm."""
-    th = prob.operator.theta if route == "unwrap" else 1.0
     z_prev = z = prob.z0
     states, steps_out, dists = [z.copy()], [], [_norm(z - prob.z_star)]
     max_norm = _norm(z)
@@ -147,17 +145,10 @@ def _restated_run(prob, alpha_of, lambda_of, steps, route="direct", perturb=None
         a, lam = float(alpha_of(k)), float(lambda_of(k))
         mu = z if a == 0.0 else z + a * (z - z_prev)
         if perturb is None:
-            t_mu = t_eff = prob.operator.apply(mu)
+            t_eff = prob.operator.apply(mu)
         else:
-            t_mu, t_eff, _ = perturb(mu, k)
-        n_mu = t_mu if route == "direct" else (t_mu - (1.0 - th) * mu) / th
-        if t_eff is t_mu:
-            direction = n_mu - mu
-        elif route == "direct":
-            direction = t_eff - mu
-        else:
-            direction = n_mu + (t_eff - (mu + th * (n_mu - mu))) / th - mu
-        z_next = mu + (lam * th) * direction
+            _, t_eff, _ = perturb(mu, k)
+        z_next = mu + lam * (t_eff - mu)
         steps_out.append(_norm(z_next - z))
         dists.append(_norm(z_next - prob.z_star))
         states.append(z_next.copy())
@@ -188,9 +179,8 @@ def _averaged_affine_problem(seed, n=8, theta=0.5):
     return Problem(operator=op, z0=z_star + rng.standard_normal(n), z_star=z_star)
 
 
-@pytest.mark.parametrize("route", ["direct", "unwrap"])
 @pytest.mark.parametrize("perturbed", [False, True], ids=["exact", "perturb-callback"])
-def test_carried_step_vector_equals_the_z_prev_restatement(route, perturbed):
+def test_carried_step_vector_equals_the_z_prev_restatement(perturbed):
     # the loop forms z^{k+1} - z^k once and reuses it as the next inertia
     # term; a restatement that keeps z_prev and subtracts again is bit-equal
     prob = _averaged_affine_problem(31)
@@ -204,8 +194,8 @@ def test_carried_step_vector_equals_the_z_prev_restatement(route, perturbed):
             return t_mu, t_mu + e, _norm(e)
 
     sched = constant_schedule(0.3, 1.2)
-    run = iterate(prob, sched, perturb=perturb, tol=-1.0, max_iter=300, record_states=True, route=route)
-    restated = _restated_run(prob, sched.alpha_of, sched.lambda_of, 300, route, perturb)
+    run = iterate(prob, sched, perturb=perturb, tol=-1.0, max_iter=300, record_states=True)
+    restated = _restated_run(prob, sched.alpha_of, sched.lambda_of, 300, perturb)
     _assert_run_equals_restatement(run, restated)
 
 
@@ -214,8 +204,7 @@ def _fresh_floats(values):
     return lambda k: float.fromhex(values[k % len(values)].hex())
 
 
-@pytest.mark.parametrize("route", ["direct", "unwrap"])
-def test_step_scalar_cache_never_changes_a_bit(route):
+def test_step_scalar_cache_never_changes_a_bit():
     # fresh float objects every step, with repeats, zeros and varying values,
     # so the 0-d scalar arrays are rebuilt on every step; compared with
     # Python-float arithmetic, and with a schedule returning the same
@@ -229,8 +218,8 @@ def test_step_scalar_cache_never_changes_a_bit(route):
         (lambda k: alphas[(k // 5) % len(alphas)], _fresh_floats(lambdas)),
     ):
         sched = ParamSchedule(alpha_of, lambda_of, alpha_cap=1.0 / 3.0, lambda_floor=1.0 / 3.0, lambda_ceiling=1.5)
-        run = iterate(prob, sched, tol=-1.0, max_iter=200, record_states=True, route=route)
-        restated = _restated_run(prob, alpha_of, lambda_of, 200, route)
+        run = iterate(prob, sched, tol=-1.0, max_iter=200, record_states=True)
+        restated = _restated_run(prob, alpha_of, lambda_of, 200)
         _assert_run_equals_restatement(run, restated)
 
 
@@ -359,9 +348,34 @@ def test_errors_and_perturb_are_mutually_exclusive():
         )
 
 
+def _run_digest(run):
+    h = hashlib.sha256()
+    for name in ("z", "residuals", "err_norms", "alphas", "lambdas", "step_norms", "dists"):
+        h.update(getattr(run, name).tobytes())
+    for state in run.states:
+        h.update(state.tobytes())
+    h.update(f"{run.stop_reason} {run.iterations} {run.max_state_norm.hex()}".encode())
+    return h.hexdigest()
+
+
+def _ppa_args():
+    rng = np.random.default_rng(41)
+    return make_soft_threshold(0.3, 8), rng.uniform(-2, 2, 8), constant_schedule(0.1, 1.5)
+
+
+def test_unwrap_route_matches_direct_route():
+    # solve_ppa's route is inert: "direct" and "unwrap" run the one loop, bit for bit
+    opts = dict(z_star=np.zeros(8), tol=-1.0, max_iter=500, record_states=True)
+    for errors in (None, ErrorModel.power_decay(0.1, 2.0, seed=42)):
+        default = _run_digest(solve_ppa(*_ppa_args(), errors, **opts))
+        for route in ("direct", "unwrap"):
+            run = solve_ppa(*_ppa_args(), errors, route=route, **opts)
+            assert _run_digest(run) == default, (errors, route)
+
+
 def test_unknown_route_rejected():
     with pytest.raises(ValueError, match="unknown route 'sideways'"):
-        iterate(_halving_problem(), constant_schedule(0.0, 0.5), route="sideways")
+        solve_ppa(*_ppa_args(), route="sideways")
 
 
 def test_negative_max_iter_rejected():
@@ -369,31 +383,28 @@ def test_negative_max_iter_rejected():
         iterate(_halving_problem(), constant_schedule(0.0, 0.5), max_iter=-1)
 
 
-def test_unwrap_route_requires_declared_averagedness():
-    with pytest.raises(ValueError, match=r"route 'unwrap' needs an averaged problem \(theta < 1\)"):
-        iterate(_halving_problem(), constant_schedule(0.0, 0.5), route="unwrap")
-
-
-def test_unwrap_route_matches_direct_route():
-    rng = np.random.default_rng(9)
-    prob = Problem(operator=make_soft_threshold(0.2, 5), z0=rng.uniform(-2, 2, 5))
-    sched = constant_schedule(0.1, 1.4)  # above 1: only legal thanks to theta = 1/2
-    opts = dict(tol=-1.0, max_iter=300, record_states=True)
-    d = iterate(prob, sched, route="direct", **opts)
-    u = iterate(prob, sched, route="unwrap", **opts)
-    for a, b in zip(d.states, u.states):
-        assert np.max(np.abs(a - b)) <= 1e-12
-    assert np.max(np.abs(d.residuals - u.residuals)) <= 1e-12
-    assert np.array_equal(d.lambdas, u.lambdas)  # recorded at scheme level on both routes
-
-
-def test_unwrap_route_stops_at_the_same_iteration():
-    rng = np.random.default_rng(10)
-    prob = Problem(operator=make_soft_threshold(0.2, 5), z0=rng.uniform(-2, 2, 5))
-    sched = constant_schedule(0.1, 1.4)
-    d = iterate(prob, sched, route="direct", tol=1e-10)
-    u = iterate(prob, sched, route="unwrap", tol=1e-10)
-    assert (d.iterations, d.stop_reason) == (u.iterations, u.stop_reason)
+def test_averaged_operators_run_over_relaxed_on_the_one_loop():
+    # relaxations past 1 are admissible for a theta-averaged T up to 1/theta,
+    # and iterate runs them on T itself: lambda 1.5 on a resolvent (theta 1/2),
+    # lambda 1.2 on the box forward-backward map P1 P2 (theta 2/3)
+    rng = np.random.default_rng(707)
+    prox = make_soft_threshold(0.3, 10)
+    fb = make_fb_composition(
+        *box_intersection_pieces(np.full(6, -1.0), np.full(6, 0.5), np.full(6, -0.2), np.full(6, 1.3)), 1.0
+    )
+    assert fb.theta == 2.0 / 3.0
+    limits = []
+    for op, z0, sched in (
+        (prox, rng.uniform(-2.0, 2.0, 10), constant_schedule(0.1, 1.5)),
+        (fb, rng.uniform(1.0, 2.5, 6), constant_schedule(0.05, 1.2)),
+    ):
+        assert not validate_schedule(sched).feasible
+        assert validate_schedule(sched, theta=op.theta).feasible
+        run = iterate(Problem(operator=op, z0=z0), sched)
+        assert run.stop_reason == "residual-tol"
+        limits.append(run.z)
+    assert np.max(np.abs(limits[0])) <= 1e-9  # the soft threshold's only fixed point is 0
+    assert np.all((limits[1] >= -0.2) & (limits[1] <= 0.5))  # a point of both boxes
 
 
 def test_error_model_norms_are_recorded_per_step():
@@ -413,7 +424,6 @@ def test_result_shapes_and_defaults():
     assert run.states is None  # recording is off by default
     assert run.residual == run.residuals[-1]
     assert run.dist_to_star == run.dists[-1]
-    assert run.route == "direct"
 
 
 def test_dists_absent_without_a_known_solution():
@@ -438,9 +448,6 @@ def test_one_operator_application_per_iteration():
     op = OperatorSpec(apply=apply, theta=0.5, dim=None)
     prob = Problem(operator=op, z0=[1.0])
     iterate(prob, constant_schedule(0.2, 0.5), tol=-1.0, max_iter=30)
-    assert calls["n"] == 30
-    calls["n"] = 0
-    iterate(prob, constant_schedule(0.2, 0.5), tol=-1.0, max_iter=30, route="unwrap")
     assert calls["n"] == 30
 
 

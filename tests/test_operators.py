@@ -21,7 +21,6 @@ from kmsolve.operators import (
     norm,
     quadratic_gradient,
     spectral_norm,
-    unwrap_averaged,
 )
 from kmsolve.schedules import constant_schedule, validate_schedule
 
@@ -318,7 +317,7 @@ def test_affine_certificate_refuses_a_false_averagedness_claim():
     unchecked = OperatorSpec(apply=lambda x: q @ x, theta=0.5, dim=3)
     sched = constant_schedule(0.0, 1.9)
     assert validate_schedule(sched, theta=0.5).feasible
-    run = iterate(Problem(operator=unchecked, z0=np.ones(3)), sched, route="unwrap")
+    run = iterate(Problem(operator=unchecked, z0=np.ones(3)), sched)
     assert (run.stop_reason, run.iterations) == ("diverged", 27)
 
 
@@ -355,6 +354,13 @@ def test_quadratic_gradient_modulus_is_inverse_square_spectral_norm():
     assert lasso.beta == pytest.approx(1.0 / np.linalg.norm(inst.matrix, 2) ** 2, rel=1e-13)
     with pytest.raises(ValueError, match="IsmOperator"):
         quadratic_gradient(np.zeros((3, 2)), np.zeros(3))
+
+
+@pytest.mark.parametrize("m", [5.0, [1.0], np.ones((2, 2, 2))], ids=["scalar", "vector", "3-d"])
+def test_quadratic_gradient_refuses_a_non_matrix_by_name(m):
+    # the shape is checked before b's length is read from it
+    with pytest.raises(ValueError, match=r"m must be a matrix, got shape"):
+        quadratic_gradient(m, [1.0])
 
 
 def test_fb_composition_averagedness_formula():
@@ -428,31 +434,6 @@ def test_averagedness_check_refuses_an_overstated_theta():
     assert _averagedness_ratio(op, 0.49, x, y) > 1.0 + 1e-12
 
 
-def test_unwrap_averaged_inverts_the_averaging_identity():
-    # T = (1 - theta) I + theta N  must hold for the recovered N
-    op = make_soft_threshold(0.4, 7)
-    n_op = unwrap_averaged(op)
-    assert n_op.theta == 1.0
-    rng = np.random.default_rng(6)
-    for _ in range(50):
-        x = rng.uniform(-2, 2, 7)
-        recomposed = (1.0 - op.theta) * x + op.theta * n_op(x)
-        assert np.allclose(recomposed, op(x), rtol=0, atol=1e-15)
-
-
-@pytest.mark.parametrize(
-    "make", [lambda: make_soft_threshold(0.4, 6), lambda: _fb_lasso(1.9)], ids=["theta-half", "fb-theta"]
-)
-def test_unwrap_averaged_is_the_python_float_formula_bit_for_bit(make):
-    op = make()
-    th = op.theta
-    assert th == 0.5 or (th * 2**40) % 1.0 != 0.0  # the FB case is far from dyadic
-    n_op = unwrap_averaged(op)
-    rng = np.random.default_rng(7)
-    for x in [np.array([-0.0, 0.0, -0.1, 0.2, 3.0, -2.5])] + [rng.uniform(-3, 3, 6) for _ in range(50)]:
-        assert _same_bits(n_op(x), (op(x) - (1.0 - th) * x) / th)
-
-
 def test_fb_composition_is_the_python_float_step_bit_for_bit():
     rng = np.random.default_rng(8)
     mat, rhs = rng.standard_normal((12, 6)), rng.standard_normal(12)
@@ -462,8 +443,3 @@ def test_fb_composition_is_the_python_float_step_bit_for_bit():
     op = make_fb_composition(res, fwd, rho)
     for x in [np.array([-0.0, 0.0, -0.1, 0.2, 3.0, -2.5])] + [rng.uniform(-3, 3, 6) for _ in range(50)]:
         assert _same_bits(op(x), res(x - float(rho) * fwd(x)))
-
-
-def test_unwrap_averaged_rejects_theta_one():
-    with pytest.raises(ValueError, match="theta"):
-        unwrap_averaged(make_identity(3))

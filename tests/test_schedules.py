@@ -9,7 +9,7 @@ import pytest
 from kmsolve import applications
 from kmsolve.applications import lasso_fbs_pieces, plant_lasso, solve_fbs
 from kmsolve.engine import Problem, iterate
-from kmsolve.operators import make_affine, make_soft_threshold, norm, quadratic_gradient, unwrap_averaged
+from kmsolve.operators import make_affine, make_soft_threshold, norm, quadratic_gradient
 from kmsolve.schedules import (
     ErrorModel,
     ParamSchedule,
@@ -181,7 +181,7 @@ def _soft_problem(dim=8, seed=72):
     return Problem(make_soft_threshold(0.2, dim), rng.uniform(-2, 2, dim), np.zeros(dim))
 
 
-def test_error_model_runs_step_with_the_uncached_draws_on_both_routes():
+def test_error_model_runs_step_with_the_uncached_draws():
     prob = _soft_problem()
     op, dim = prob.operator, prob.operator.dim
     m = ErrorModel.power_decay(0.05, 1.5, seed=73)
@@ -197,35 +197,13 @@ def test_error_model_runs_step_with_the_uncached_draws_on_both_routes():
     for name in RUN_ARRAYS:
         assert np.array_equal(getattr(run, name), getattr(ref, name)), name
 
-    # unwrap runs the core N with relaxation theta * lambda and error e / theta,
-    # and records theta times the core's residual and error norm
-    theta = op.theta
-    core = Problem(unwrap_averaged(op), prob.z0, prob.z_star)
-    n_apply = core.operator.apply
-
-    def core_level(mu, k):
-        n_mu = np.asarray(n_apply(mu), dtype=float)
-        e = emit_error(m, k, dim) / theta
-        return n_mu, n_mu + e, norm(e)
-
-    run = iterate(prob, constant_schedule(0.2, 1.2), m, route="unwrap", **opts)
-    ref = iterate(core, constant_schedule(0.2, 1.2 * theta), perturb=core_level, **opts)
-    for name in ("z", "step_norms", "dists"):
-        assert np.array_equal(getattr(run, name), getattr(ref, name)), name
-    assert np.array_equal(run.residuals, theta * ref.residuals)
-    assert np.array_equal(run.err_norms, theta * ref.err_norms)
-
 
 def test_two_runs_of_one_error_model_are_identical():
     prob = _soft_problem()
     m = ErrorModel.power_decay(0.05, 1.5, seed=74)
-    for route in ("direct", "unwrap"):
-        first, second = (
-            iterate(prob, constant_schedule(0.2, 1.2), m, tol=-1.0, max_iter=100, route=route)
-            for _ in range(2)
-        )
-        for name in RUN_ARRAYS:
-            assert np.array_equal(getattr(first, name), getattr(second, name)), (route, name)
+    first, second = (iterate(prob, constant_schedule(0.2, 1.2), m, tol=-1.0, max_iter=100) for _ in range(2))
+    for name in RUN_ARRAYS:
+        assert np.array_equal(getattr(first, name), getattr(second, name)), name
 
 
 def test_fbs_channels_draw_by_seed(monkeypatch):
@@ -241,7 +219,7 @@ def test_fbs_channels_draw_by_seed(monkeypatch):
 
     monkeypatch.setattr(applications, "emit_error", recording)
 
-    def directions(seed_fe, seed_re, route):
+    def directions(seed_fe, seed_re):
         drawn.clear()
         law = dict(magnitude=0.1, exponent=2.0)
         run = solve_fbs(
@@ -254,7 +232,6 @@ def test_fbs_channels_draw_by_seed(monkeypatch):
             resolvent_errors=ErrorModel.power_decay(**law, seed=seed_re),
             tol=-1.0,
             max_iter=150,  # dim 20 -> blocks of 64: two boundaries
-            route=route,
         )
         # every in-run draw is the uncached one; the channels alternate, forward first
         assert len(drawn) == 300
@@ -262,15 +239,14 @@ def test_fbs_channels_draw_by_seed(monkeypatch):
             assert np.array_equal(e, emit_error(ErrorModel.power_decay(**law, seed=seed), k, 20))
         return run, [e for _, _, e in drawn[::2]], [e for _, _, e in drawn[1::2]]
 
-    for route in ("direct", "unwrap"):
-        same, fe_dirs, re_dirs = directions(5, 5, route)
-        assert all(np.array_equal(a, b) for a, b in zip(fe_dirs, re_dirs))
-        apart, fe_dirs, re_dirs = directions(5, 6, route)
-        assert not any(np.allclose(a, b) for a, b in zip(fe_dirs, re_dirs))
-        assert not np.array_equal(same.z, apart.z)
-        again, _, _ = directions(5, 6, route)
-        for name in RUN_ARRAYS:
-            assert np.array_equal(getattr(again, name), getattr(apart, name)), (route, name)
+    same, fe_dirs, re_dirs = directions(5, 5)
+    assert all(np.array_equal(a, b) for a, b in zip(fe_dirs, re_dirs))
+    apart, fe_dirs, re_dirs = directions(5, 6)
+    assert not any(np.allclose(a, b) for a, b in zip(fe_dirs, re_dirs))
+    assert not np.array_equal(same.z, apart.z)
+    again, _, _ = directions(5, 6)
+    for name in RUN_ARRAYS:
+        assert np.array_equal(getattr(again, name), getattr(apart, name)), name
 
 
 def test_threshold_and_ceiling_pins():
@@ -375,6 +351,16 @@ def test_scaled_ceiling_admits_overrelaxation():
     assert validate_schedule(s, theta=1.0).to_dict() == base.to_dict()
     with pytest.raises(ValueError):
         validate_schedule(s, theta=1.5)
+
+
+@pytest.mark.parametrize("horizon", [-1, -5, True, False])
+def test_validate_schedule_refuses_a_negative_or_boolean_horizon(horizon):
+    with pytest.raises(ValueError, match="horizon must be a nonnegative integer"):
+        validate_schedule(constant_schedule(0.1, 0.5), horizon=horizon)
+
+
+def test_validate_schedule_samples_only_k0_at_horizon_zero():
+    assert validate_schedule(constant_schedule(0.1, 0.5), horizon=0).feasible
 
 
 def test_report_to_dict_is_json_friendly():
