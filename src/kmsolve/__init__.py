@@ -24,14 +24,7 @@ from .diagnostics import (
     quasi_fejer_violations,
     rate_certificate,
 )
-from .engine import (
-    Problem,
-    RunResult,
-    inertial_km,
-    inexact_km,
-    iterate,
-    km,
-)
+from .engine import Problem, RunResult, iterate
 from .operators import (
     IsmOperator,
     OperatorSpec,
@@ -65,9 +58,6 @@ __all__ = [
     "Problem",
     "RunResult",
     "iterate",
-    "km",
-    "inexact_km",
-    "inertial_km",
     "OperatorSpec",
     "IsmOperator",
     "norm",

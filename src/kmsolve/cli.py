@@ -41,7 +41,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from .diagnostics import _min_residual_sq, consistency_report, rate_certificate
-from .engine import Problem, _check_options, inexact_km, iterate
+from .engine import Problem, _check_options, iterate
 from .operators import as_point, make_affine, make_box_projection, make_identity, make_soft_threshold
 from .schedules import ErrorModel, constant_schedule, delayed_inertia_schedule, validate_schedule
 
@@ -307,11 +307,10 @@ def cmd_validate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    cfg = _load_config(args.config)
-    problem, schedule, errors, opts = _load_run(cfg)
+    problem, schedule, errors, opts = _load_run(_load_config(args.config))
     inertial_run = iterate(problem, schedule, errors, **opts)
-    # the loop reads only alpha_k and lambda_k, so the bounds are not needed
-    plain_run = inexact_km(problem, float(cfg["schedule"]["lambda"]), errors, **opts)
+    # a config schedule's lambda_k is constant: the plain run keeps it and drops the inertia
+    plain_run = iterate(problem, constant_schedule(0.0, schedule.lambda_of(0)), errors, **opts)
 
     def brief(r):
         return {

@@ -219,13 +219,16 @@ def _tail_verdict(partial: np.ndarray) -> tuple[str, str]:
     return "consistent", "tail flattening"
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def consistency_report(result: RunResult) -> ConsistencyReport:
     """Verdicts for the hypotheses deferred to runtime.
 
     The weighted-error item trusts the declared error law when the run
     carried one; otherwise, and always for the inertia term, a tail
     heuristic on the partial sums decides.  Verdicts describe hypothesis
-    consistency, not convergence of the run itself.
+    consistency, not convergence of the run itself.  A sum that meets an
+    infinite parameter (inf * 0 is NaN) has a non-finite total, which is
+    flagged, without a numpy warning.
     """
     items = []
 

@@ -7,9 +7,8 @@ One step, from the pair (z^k, z^{k-1}):
 
 The classical relaxed iteration is alpha_k = 0 with zero errors, the
 inexact variant keeps the errors, and the inertial variant keeps the
-extrapolation.  The named wrappers below delegate to this single loop
-body, so those reductions are bit-identical to the general path, not
-merely equivalent up to rounding.
+extrapolation.  Each is a call of `iterate`, the one entry point: the
+classical one is iterate(problem, constant_schedule(0.0, lam)).
 
 The operator is applied once per step, at the extrapolated point, and the
 recorded residual ||T mu^k - mu^k|| is measured there before any error
@@ -34,20 +33,24 @@ Stopping: residual <= tol wins every tie, then a norm blowup past
 the residual stop, which pins the horizon exactly; a NaN tol or
 divergence_norm is rejected.  A non-finite state is caught through its
 norm, which is then inf or NaN (NaN counts as inf), so it always stops
-the run as diverged; numpy's overflow warning is silenced for the run,
-so a finite state whose squares overflow stops the same way.
+the run as diverged, even on a step whose residual meets tol (a NaN or
+infinite lambda_k times a zero T mu - mu does that).  A finite state
+whose squares overflow also has norm inf and stops as diverged, unless
+its residual meets tol: on a finite state the residual wins the tie.
+numpy's overflow and invalid-value warnings are silenced for the run.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .operators import OperatorSpec, as_point, norm
-from .schedules import ErrorModel, ParamSchedule, constant_schedule, emit_error
+from .schedules import ErrorModel, ParamSchedule, emit_error
 
 PerturbFn = Callable[[np.ndarray, int], tuple[np.ndarray, np.ndarray, float]]
 
@@ -129,11 +132,15 @@ def _check_options(**opts) -> None:
     for name in ("tol", "divergence_norm"):
         if name in opts and math.isnan(opts[name]):
             raise ValueError(f"{name} must not be NaN")
-    if opts.get("max_iter", 0) < 0:
-        raise ValueError("max_iter must be nonnegative")
+    if "max_iter" in opts:
+        max_iter = opts["max_iter"]
+        if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral):
+            raise ValueError(f"max_iter must be an integer, got {max_iter!r}")
+        if max_iter < 0:
+            raise ValueError("max_iter must be nonnegative")
 
 
-@np.errstate(over="ignore")
+@np.errstate(over="ignore", invalid="ignore")
 def iterate(
     problem: Problem,
     schedule: ParamSchedule,
@@ -236,7 +243,8 @@ def iterate(
         if zn > max_norm:
             max_norm = zn
         if r <= tol:
-            stop_reason = "residual-tol"
+            # norm inf: a non-finite state, or finite entries whose squares overflow
+            stop_reason = "residual-tol" if zn < math.inf or np.isfinite(z).all() else "diverged"
             break
         if zn >= divergence_norm:
             stop_reason = "diverged"
@@ -260,25 +268,3 @@ def iterate(
         schedule=schedule,
     )
 
-
-def _zero_inertia(relaxation) -> ParamSchedule:
-    if isinstance(relaxation, ParamSchedule):
-        if relaxation.alpha_cap != 0.0:
-            raise ValueError("this wrapper needs a schedule with alpha identically 0")
-        return relaxation
-    return constant_schedule(0.0, float(relaxation))
-
-
-def km(problem: Problem, relaxation, **kwargs) -> RunResult:
-    """Relaxed fixed-point iteration: no inertia, exact evaluations."""
-    return iterate(problem, _zero_inertia(relaxation), errors=None, **kwargs)
-
-
-def inexact_km(problem: Problem, relaxation, errors: ErrorModel, **kwargs) -> RunResult:
-    """Relaxed iteration with perturbed evaluations, no inertia."""
-    return iterate(problem, _zero_inertia(relaxation), errors=errors, **kwargs)
-
-
-def inertial_km(problem: Problem, schedule: ParamSchedule, **kwargs) -> RunResult:
-    """Inertial relaxed iteration with exact evaluations."""
-    return iterate(problem, schedule, errors=None, **kwargs)

@@ -24,6 +24,7 @@ passes float64 points.
 from __future__ import annotations
 
 import math
+import numbers
 import struct
 from dataclasses import dataclass
 from typing import Callable
@@ -95,10 +96,11 @@ class OperatorSpec:
     dim: int | None  # None when the operator works in any dimension
 
     def __post_init__(self):
-        if not (0.0 < self.theta <= 1.0):
+        if isinstance(self.theta, bool) or not (0.0 < self.theta <= 1.0):
             raise ValueError(f"theta must lie in (0, 1], got {self.theta}")
-        if self.dim is not None and int(self.dim) < 1:
-            raise ValueError("dim must be a positive integer")
+        dim = self.dim
+        if dim is not None and (isinstance(dim, bool) or not isinstance(dim, numbers.Integral) or dim < 1):
+            raise ValueError(f"dim must be a positive integer, got {dim!r}")
 
     def __call__(self, x: Point) -> Point:
         return self.apply(x)
@@ -168,8 +170,8 @@ def make_identity(dim: int) -> OperatorSpec:
 
 def make_soft_threshold(gamma: float, dim: int) -> OperatorSpec:
     """Coordinatewise soft threshold, prox of gamma * l1-norm.  Firmly nonexpansive."""
-    if not gamma > 0.0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    if not (gamma > 0.0 and math.isfinite(gamma)):
+        raise ValueError(f"gamma must be a finite positive real, got {gamma}")
     g = _const(gamma)
 
     def apply(x):

@@ -30,6 +30,7 @@ validate_schedule(s, theta=theta) multiplies the relaxation ceiling bound
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -329,9 +330,9 @@ def validate_schedule(s: ParamSchedule, horizon: int = 1000, theta: float = 1.0)
     the plain validation.  Regime II raises ValueError when
     alpha_cap >= 1, where its formulas are undefined.
     """
-    if not (0.0 < theta <= 1.0):
+    if isinstance(theta, bool) or not (0.0 < theta <= 1.0):
         raise ValueError(f"theta must lie in (0, 1], got {theta}")
-    if isinstance(horizon, bool) or horizon < 0:
+    if isinstance(horizon, bool) or not isinstance(horizon, numbers.Integral) or horizon < 0:
         raise ValueError(f"horizon must be a nonnegative integer, got {horizon!r}")
     ks = range(horizon + 1)
     alphas = np.fromiter(map(s.alpha_of, ks), float, len(ks))

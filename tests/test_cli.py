@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from kmsolve import cli
-from kmsolve.engine import inexact_km
-from kmsolve.schedules import delta_threshold
+from kmsolve.engine import iterate
+from kmsolve.schedules import constant_schedule, delta_threshold
 
 FEASIBLE = {
     "problem": {
@@ -198,7 +198,7 @@ def test_compare_reports_iteration_ratio(tmp_path):
     assert data["iteration_ratio"] == data["plain"]["iterations"] / data["inertial"]["iterations"]
 
 
-def test_compare_plain_block_is_an_inexact_km_run(tmp_path):
+def test_compare_plain_block_is_the_zero_inertia_run(tmp_path):
     cfg = dict(
         FEASIBLE,
         schedule={"alpha": 0.2, "lambda": 0.5, "lambda_floor": 0.4, "lambda_ceiling": 0.6},
@@ -207,9 +207,9 @@ def test_compare_plain_block_is_an_inexact_km_run(tmp_path):
     )
     code, out, _ = _main(["compare", _write(tmp_path, cfg)])
     assert code == 0
-    run = inexact_km(
+    run = iterate(
         cli.problem_from_config(cfg["problem"]),
-        0.5,
+        constant_schedule(0.0, 0.5),
         cli.errors_from_config(cfg["errors"]),
         tol=1e-6,
         max_iter=5000,
@@ -435,6 +435,30 @@ def test_stdout_is_strict_json_on_non_finite_values(tmp_path):
         assert code == 1
         _strict_json(out)
     assert _strict_json(_main(["validate", nan_lambda])[1])["feasible"] is False
+
+
+@pytest.mark.parametrize("lam", ["nan", "inf"])
+def test_a_lost_state_is_not_reported_as_convergence(tmp_path, lam):
+    # the identity's residual is 0 at every point, and lambda * 0 is NaN
+    cfg = {"problem": {"kind": "identity", "dim": 2, "z0": [1.0, 2.0]}, "schedule": {"alpha": 0.0, "lambda": lam}}
+    path = _write(tmp_path, cfg)
+    code, out, _ = _main(["run", path])
+    assert code == 1
+    data = _strict_json(out)
+    assert (data["stop_reason"], data["converged"]) == ("diverged", False)
+    code, out, _ = _main(["compare", path])
+    assert code == 1
+    data = _strict_json(out)
+    assert data["inertial"]["stop_reason"] == data["plain"]["stop_reason"] == "diverged"
+
+
+def test_an_infinite_gamma_is_a_bad_config(tmp_path):
+    problem = {"kind": "soft-threshold", "gamma": "inf", "dim": 2, "z0": [1.0, 2.0]}
+    path = _write(tmp_path, dict(FEASIBLE, problem=problem))
+    for command in ("run", "compare"):
+        code, out, err = _main([command, path])
+        assert code == 2 and out == ""
+        assert err.startswith("error: bad problem: gamma must be a finite positive real, got inf")
 
 
 def test_csv_cells_are_the_run_arrays_at_17_digits(tmp_path, monkeypatch):

@@ -10,7 +10,7 @@ from kmsolve.diagnostics import (
     quasi_fejer_violations,
     rate_certificate,
 )
-from kmsolve.engine import Problem, OperatorSpec, iterate, km
+from kmsolve.engine import Problem, OperatorSpec, iterate
 from kmsolve.operators import make_affine, make_identity
 from kmsolve.schedules import (
     ErrorModel,
@@ -238,7 +238,7 @@ def test_consistency_report_flags_divergent_error_law():
 
 def test_consistency_report_flags_divergence():
     op = OperatorSpec(apply=lambda x: 2.0 * x, theta=1.0, dim=None)
-    run = km(Problem(operator=op, z0=[1.0]), 0.9, tol=-1.0, divergence_norm=1e6)
+    run = iterate(Problem(operator=op, z0=[1.0]), constant_schedule(0.0, 0.9), tol=-1.0, divergence_norm=1e6)
     rep = consistency_report(run)
     assert rep.item("bounded-iterates").verdict == "not-consistent"
     assert rep.verdict == "not-consistent"
@@ -247,7 +247,7 @@ def test_consistency_report_flags_divergence():
 def test_consistency_report_on_a_zero_inertia_overflow():
     # the state overflows to inf in two steps, so alpha_k * ||step||^2 would be 0 * inf
     op = make_affine([[-1.0]], [0.0])
-    run = km(Problem(operator=op, z0=[1.0]), 1e100, max_iter=5, divergence_norm=1e308)
+    run = iterate(Problem(operator=op, z0=[1.0]), constant_schedule(0.0, 1e100), max_iter=5, divergence_norm=1e308)
     assert run.stop_reason == "diverged" and math.isinf(run.step_norms[-1])
     rep = consistency_report(run)
     assert rep.item("bounded-iterates").verdict == "not-consistent"
@@ -280,7 +280,7 @@ def test_inertia_verdict_on_a_short_run(magnitude, ratio, steps, verdict, detail
 
 
 def test_consistency_to_dict():
-    run = km(_contraction(seed=30), 0.5, max_iter=100_000)
+    run = iterate(_contraction(seed=30), constant_schedule(0.0, 0.5), max_iter=100_000)
     d = consistency_report(run).to_dict()
     assert d["verdict"] == "consistent"
     assert len(d["items"]) == 3

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from kmsolve.applications import box_intersection_pieces, solve_ppa
-from kmsolve.engine import Problem, inertial_km, inexact_km, iterate, km
+from kmsolve.engine import Problem, iterate
 from kmsolve.operators import OperatorSpec, make_affine, make_fb_composition, make_identity, make_soft_threshold
 from kmsolve.schedules import ErrorModel, ParamSchedule, constant_schedule, validate_schedule
 
@@ -22,9 +22,7 @@ def _halving_problem(z0=1.0, z_star=0.0):
 def test_inertial_trace_matches_hand_computation():
     # alpha = lambda = 1/2, T x = x/2, z0 = 1: every quantity is dyadic, so
     # the comparison is exact.  mu_k = z_k + a(z_k - z_{k-1}) with z_{-1} = z_0.
-    run = inertial_km(
-        _halving_problem(), constant_schedule(0.5, 0.5), tol=-1.0, max_iter=3, record_states=True
-    )
+    run = iterate(_halving_problem(), constant_schedule(0.5, 0.5), tol=-1.0, max_iter=3, record_states=True)
     zs = [float(s[0]) for s in run.states]
     assert zs == [1.0, 0.75, 0.46875, 0.24609375]
     assert run.residuals.tolist() == [0.5, 0.3125, 0.1640625]
@@ -63,27 +61,10 @@ def test_perturbed_trace_replays_the_documented_recurrence():
 
 def test_first_step_ignores_inertia():
     # z_{-1} = z_0, so step one matches the zero-inertia run exactly
-    heavy = inertial_km(_halving_problem(), constant_schedule(0.9, 0.5), tol=-1.0, max_iter=2, record_states=True)
-    plain = km(_halving_problem(), 0.5, tol=-1.0, max_iter=2, record_states=True)
+    heavy = iterate(_halving_problem(), constant_schedule(0.9, 0.5), tol=-1.0, max_iter=2, record_states=True)
+    plain = iterate(_halving_problem(), constant_schedule(0.0, 0.5), tol=-1.0, max_iter=2, record_states=True)
     assert np.array_equal(heavy.states[1], plain.states[1])
     assert not np.array_equal(heavy.states[2], plain.states[2])
-
-
-def test_reductions_are_bit_identical():
-    rng = np.random.default_rng(8)
-    q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
-    prob = Problem(operator=make_affine(0.95 * q, rng.standard_normal(6)), z0=rng.standard_normal(6))
-    opts = dict(tol=-1.0, max_iter=400, record_states=True)
-    runs = [
-        km(prob, 0.6, **opts),
-        inexact_km(prob, 0.6, ErrorModel.zero(), **opts),
-        inertial_km(prob, constant_schedule(0.0, 0.6), **opts),
-        iterate(prob, constant_schedule(0.0, 0.6), ErrorModel.zero(), **opts),
-    ]
-    for r in runs[1:]:
-        assert np.array_equal(runs[0].residuals, r.residuals)
-        for a, b in zip(runs[0].states, r.states):
-            assert np.array_equal(a, b)
 
 
 def test_zero_error_model_matches_exact_run():
@@ -267,11 +248,6 @@ def test_exact_step_coerces_operator_output_to_float64(kind):
     assert odd.residuals.tobytes() == ref.residuals.tobytes()
 
 
-def test_km_rejects_inertial_schedules():
-    with pytest.raises(ValueError):
-        km(_halving_problem(), constant_schedule(0.3, 0.5))
-
-
 def test_residual_measured_before_error_is_added():
     # identity operator: residual 0 at the start point, so the run stops
     # immediately even though the perturbation moves the iterate
@@ -291,7 +267,7 @@ def test_residual_measured_before_error_is_added():
 
 
 def test_negative_tol_disables_residual_stop():
-    run = km(_halving_problem(), 0.5, tol=-1.0, max_iter=25)
+    run = iterate(_halving_problem(), constant_schedule(0.0, 0.5), tol=-1.0, max_iter=25)
     assert run.stop_reason == "max-iter"
     assert not run.converged
     assert run.iterations == 25
@@ -300,7 +276,7 @@ def test_negative_tol_disables_residual_stop():
 def test_divergence_stop():
     op = OperatorSpec(apply=lambda x: 2.0 * x, theta=1.0, dim=None)
     prob = Problem(operator=op, z0=[1.0])
-    run = km(prob, 0.9, tol=-1.0, max_iter=10_000, divergence_norm=1e6)
+    run = iterate(prob, constant_schedule(0.0, 0.9), tol=-1.0, max_iter=10_000, divergence_norm=1e6)
     assert run.stop_reason == "diverged"
     assert not run.converged
     assert run.iterations < 10_000
@@ -318,7 +294,7 @@ def test_non_finite_norm_stops_as_diverged(value, divergence_norm):
     prob = Problem(operator=op, z0=[1.0, 2.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        run = km(prob, 1.0, tol=-1.0, max_iter=50, divergence_norm=divergence_norm)
+        run = iterate(prob, constant_schedule(0.0, 1.0), tol=-1.0, max_iter=50, divergence_norm=divergence_norm)
     assert bool(np.isfinite(run.z).all()) == math.isfinite(value)
     assert run.stop_reason == "diverged"
     assert run.iterations == 1
@@ -328,14 +304,44 @@ def test_non_finite_norm_stops_as_diverged(value, divergence_norm):
 def test_nan_stopping_thresholds_are_rejected():
     for name in ("tol", "divergence_norm"):
         with pytest.raises(ValueError, match=f"{name} must not be NaN"):
-            km(_halving_problem(), 0.5, max_iter=10, **{name: math.nan})
+            iterate(_halving_problem(), constant_schedule(0.0, 0.5), max_iter=10, **{name: math.nan})
 
 
 def test_residual_stop_wins_ties_against_divergence():
     # identity at a huge start point: both rules fire on the same iteration
     prob = Problem(operator=make_identity(2), z0=np.full(2, 1e13))
-    run = km(prob, 0.5, tol=1e-10, divergence_norm=1e12)
+    run = iterate(prob, constant_schedule(0.0, 0.5), tol=1e-10, divergence_norm=1e12)
     assert run.stop_reason == "residual-tol"
+
+
+@pytest.mark.parametrize(
+    "operator, z0, lam",
+    [(make_identity(2), [1.0, 2.0], math.nan), (make_soft_threshold(0.3, 3), [0.0, 0.0, 0.0], math.inf)],
+    ids=["identity-nan-lambda", "soft-threshold-inf-lambda"],
+)
+def test_non_finite_state_stops_as_diverged_when_the_residual_meets_tol(operator, z0, lam):
+    # T mu = mu, so the residual is 0 and meets tol, while lambda times the
+    # zero vector T mu - mu is NaN: the state is lost, not converged.  Any
+    # numpy warning is an error under the test configuration.
+    run = iterate(Problem(operator=operator, z0=z0), constant_schedule(0.0, lam))
+    assert run.residuals.tolist() == [0.0]
+    assert np.isnan(run.z).all()
+    assert run.stop_reason == "diverged"
+    assert not run.converged
+    assert run.max_state_norm == math.inf
+
+
+def test_residual_stop_wins_ties_on_a_finite_state_whose_squares_overflow():
+    prob = Problem(operator=make_identity(2), z0=np.full(2, 1e200))
+    run = iterate(prob, constant_schedule(0.0, 0.5), tol=1e-10, divergence_norm=math.inf)
+    assert np.isfinite(run.z).all() and run.max_state_norm == math.inf
+    assert run.stop_reason == "residual-tol" and run.converged
+
+
+@pytest.mark.parametrize("max_iter", [2.5, 3.0, True, None, "3"])
+def test_max_iter_must_be_an_integer(max_iter):
+    with pytest.raises(ValueError, match="max_iter must be an integer"):
+        iterate(_halving_problem(), constant_schedule(0.0, 0.5), max_iter=max_iter)
 
 
 def test_errors_and_perturb_are_mutually_exclusive():
@@ -415,7 +421,7 @@ def test_error_model_norms_are_recorded_per_step():
 
 
 def test_result_shapes_and_defaults():
-    run = km(_halving_problem(), 0.5, tol=-1.0, max_iter=7)
+    run = iterate(_halving_problem(), constant_schedule(0.0, 0.5), tol=-1.0, max_iter=7)
     n = run.iterations
     assert n == 7
     for arr in (run.residuals, run.err_norms, run.alphas, run.lambdas, run.step_norms):
@@ -428,7 +434,7 @@ def test_result_shapes_and_defaults():
 
 def test_dists_absent_without_a_known_solution():
     prob = Problem(operator=make_affine(np.array([[0.5]]), np.zeros(1)), z0=[1.0])
-    run = km(prob, 0.5, tol=-1.0, max_iter=3)
+    run = iterate(prob, constant_schedule(0.0, 0.5), tol=-1.0, max_iter=3)
     assert run.dists is None
 
 
@@ -453,5 +459,5 @@ def test_one_operator_application_per_iteration():
 
 def test_max_state_norm_includes_the_final_state():
     prob = Problem(operator=make_identity(1), z0=[7.0])
-    run = km(prob, 0.5, tol=1e-10)
+    run = iterate(prob, constant_schedule(0.0, 0.5), tol=1e-10)
     assert run.max_state_norm == 7.0

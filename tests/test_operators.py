@@ -103,10 +103,20 @@ def test_certified_operators_own_their_data():
 
 def test_operator_spec_validates_theta():
     f = lambda x: x
-    with pytest.raises(ValueError, match="theta"):
-        OperatorSpec(apply=f, theta=0.0, dim=None)
-    with pytest.raises(ValueError, match="theta"):
-        OperatorSpec(apply=f, theta=1.5, dim=None)
+    for bad in (0.0, 1.5, True):
+        with pytest.raises(ValueError, match="theta"):
+            OperatorSpec(apply=f, theta=bad, dim=None)
+
+
+@pytest.mark.parametrize("dim", [2.5, 2.0, True, 0, -1, "3"])
+def test_operator_spec_refuses_a_dim_that_is_not_a_positive_integer(dim):
+    with pytest.raises(ValueError, match="dim must be a positive integer"):
+        OperatorSpec(apply=lambda x: x, theta=1.0, dim=dim)
+
+
+def test_operator_spec_keeps_an_integer_dim():
+    assert OperatorSpec(apply=lambda x: x, theta=1.0, dim=np.int64(3)).dim == 3
+    assert make_soft_threshold(0.3, 4).dim == 4
 
 
 def test_ism_operator_requires_positive_finite_beta():
@@ -253,8 +263,9 @@ def test_soft_threshold_closed_form():
     assert not got[:7].any()
     assert got[7] > 0.0 and got[8] == -1.7 and got[9] == 1.2 and math.isnan(got[10])
     assert op.theta == 0.5
-    with pytest.raises(ValueError, match="gamma"):
-        make_soft_threshold(0.0, 5)
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="gamma must be a finite positive real"):
+            make_soft_threshold(bad, 5)
 
 
 def test_soft_threshold_returns_float64_for_float32_input():

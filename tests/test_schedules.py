@@ -349,12 +349,20 @@ def test_scaled_ceiling_admits_overrelaxation():
     assert scaled.feasible
     assert scaled.scaling_theta == 0.5
     assert validate_schedule(s, theta=1.0).to_dict() == base.to_dict()
-    with pytest.raises(ValueError):
-        validate_schedule(s, theta=1.5)
+    for bad in (1.5, 0.0, True):
+        with pytest.raises(ValueError, match="theta must lie in"):
+            validate_schedule(s, theta=bad)
 
 
 @pytest.mark.parametrize("horizon", [-1, -5, True, False])
 def test_validate_schedule_refuses_a_negative_or_boolean_horizon(horizon):
+    with pytest.raises(ValueError, match="horizon must be a nonnegative integer"):
+        validate_schedule(constant_schedule(0.1, 0.5), horizon=horizon)
+
+
+@pytest.mark.parametrize("horizon", [2.5, 3.0, None, "3"])
+def test_validate_schedule_refuses_a_non_integer_horizon_by_name(horizon):
+    # range() and < would raise a TypeError that does not name the parameter
     with pytest.raises(ValueError, match="horizon must be a nonnegative integer"):
         validate_schedule(constant_schedule(0.1, 0.5), horizon=horizon)
 
