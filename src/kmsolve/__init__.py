@@ -44,7 +44,6 @@ from .schedules import (
     ErrorModel,
     ParamSchedule,
     constant_schedule,
-    delayed_inertia_schedule,
     delta_threshold,
     emit_error,
     lambda_ceiling_ii,
@@ -70,7 +69,6 @@ __all__ = [
     "quadratic_gradient",
     "ParamSchedule",
     "constant_schedule",
-    "delayed_inertia_schedule",
     "ErrorModel",
     "emit_error",
     "ConditionCheck",

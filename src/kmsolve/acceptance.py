@@ -44,7 +44,6 @@ from .operators import make_affine, make_box_projection, make_soft_threshold, no
 from .schedules import (
     ErrorModel,
     constant_schedule,
-    delayed_inertia_schedule,
     delta_threshold,
     emit_error,
     lambda_ceiling_ii,
@@ -209,7 +208,7 @@ def criterion_2() -> tuple[bool, str]:
     cases.append(("quad-prox", lambda: iterate(prob_b, constant_schedule(0.15, 0.9), max_iter=100_000)))
 
     prob_c = interval_prox_problem()
-    sched_c = delayed_inertia_schedule(0.1, CEILING_PIN, sigma=0.01, delta=1.0)
+    sched_c = constant_schedule(0.1, CEILING_PIN, sigma=0.01, delta=1.0)
     cases.append(("interval-at-ceiling", lambda: iterate(prob_c, sched_c, max_iter=100_000)))
 
     resolvent_d = make_soft_threshold(0.3, 1)
@@ -293,7 +292,7 @@ def criterion_4() -> tuple[bool, str]:
         sg = float(rng.uniform(1e-3, 2.0))
         dl = float(rng.uniform(1e-3, 3.0))
         lm = float(rng.uniform(0.01, 1.2))
-        s = delayed_inertia_schedule(a, lm, sigma=sg, delta=dl)
+        s = constant_schedule(a, lm, sigma=sg, delta=dl)
         rep = validate_schedule(s, horizon=8)
         c = a * (1.0 + a) + a * dl + sg
         direct = (dl > delta_threshold(a, sg)) and ((a + dl * lm) * c + dl * lm <= dl)
@@ -306,13 +305,9 @@ def criterion_4() -> tuple[bool, str]:
         and lambda_ceiling_ii(0.0, 0.3, 1.0) == 1.0 / 1.3
         and delta_threshold(0.5, 0.0) == INFEASIBLE_THRESHOLD_PIN
     )
-    at_ceiling = validate_schedule(
-        delayed_inertia_schedule(0.1, CEILING_PIN, sigma=0.01, delta=1.0), horizon=8
-    ).feasible
-    infeasible_example = not validate_schedule(
-        delayed_inertia_schedule(0.5, 0.3, sigma=0.0, delta=0.4), horizon=8
-    ).feasible
-    passed = mismatches == 0 and pins_ok and at_ceiling and infeasible_example
+    at_ceiling = validate_schedule(constant_schedule(0.1, CEILING_PIN, sigma=0.01, delta=1.0), horizon=8).feasible
+    infeasible = not validate_schedule(constant_schedule(0.5, 0.3, sigma=0.0, delta=0.4), horizon=8).feasible
+    passed = mismatches == 0 and pins_ok and at_ceiling and infeasible
     return (
         passed,
         f"{GRID_DRAWS} draws, {mismatches} disagreements; pinned constants "
@@ -427,7 +422,7 @@ def _sweep_run(i: int):
         alpha, sigma = rng.uniform(0.0, 0.3), rng.uniform(0.0, 0.1)
         delta = delta_threshold(alpha, sigma) + rng.uniform(0.1, 1.0)
         lam = rng.uniform(0.1, 1.0) * lambda_ceiling_ii(alpha, sigma, delta)
-        sched = delayed_inertia_schedule(alpha, lam, sigma=sigma, delta=delta)
+        sched = constant_schedule(alpha, lam, sigma=sigma, delta=delta)
     else:
         sched = constant_schedule(rng.uniform(0.0, 0.6), rng.uniform(0.05, 0.95))
     errors = None

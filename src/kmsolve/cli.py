@@ -43,7 +43,7 @@ import numpy as np
 from .diagnostics import _min_residual_sq, consistency_report, rate_certificate
 from .engine import Problem, _check_options, iterate
 from .operators import as_point, make_affine, make_box_projection, make_identity, make_soft_threshold
-from .schedules import ErrorModel, constant_schedule, delayed_inertia_schedule, validate_schedule
+from .schedules import ErrorModel, constant_schedule, validate_schedule
 
 CSV_HEADER = "k,residual,err_norm,dist_to_star,delta_partial,min_residual_sq,rate_rhs"
 
@@ -157,17 +157,14 @@ def problem_from_config(cfg: dict) -> Problem:
 
 @_config_errors("bad schedule: ")
 def schedule_from_config(cfg: dict):
-    """Constant parameters (regime I), or with sigma and delta the delayed-inertia regime II."""
+    """A constant schedule: regime I, or regime II with sigma and delta (see constant_schedule)."""
     alpha = _real(cfg.get("alpha", 0.0), "alpha")
     lam = _real(_require(cfg, "lambda", "schedule"), "lambda")
     optional = {
         key: None if cfg.get(key) is None else _real(cfg[key], key)
         for key in ("sigma", "delta", "alpha_cap", "lambda_floor", "lambda_ceiling")
     }
-    if optional["sigma"] is None or optional["delta"] is None:
-        # ParamSchedule refuses exactly one of the pair
-        return constant_schedule(alpha, lam, **optional)
-    return delayed_inertia_schedule(alpha, lam, **optional)
+    return constant_schedule(alpha, lam, **optional)
 
 
 @_config_errors("bad errors: ")
@@ -271,13 +268,19 @@ def _certificate_summary(cert) -> dict:
     return out
 
 
-def _run_summary(result, report, cert) -> dict:
+def _brief(result) -> dict:
     return {
         "stop_reason": result.stop_reason,
         "converged": result.converged,
         "iterations": result.iterations,
         "final_residual": result.residual,
         "final_dist": result.dist_to_star,
+    }
+
+
+def _run_summary(result, report, cert) -> dict:
+    return {
+        **_brief(result),
         "feasibility": report.to_dict(),
         "certificate": None if cert is None else _certificate_summary(cert),
         "consistency": consistency_report(result).to_dict(),
@@ -311,20 +314,10 @@ def cmd_compare(args) -> int:
     inertial_run = iterate(problem, schedule, errors, **opts)
     # a config schedule's lambda_k is constant: the plain run keeps it and drops the inertia
     plain_run = iterate(problem, constant_schedule(0.0, schedule.lambda_of(0)), errors, **opts)
-
-    def brief(r):
-        return {
-            "stop_reason": r.stop_reason,
-            "converged": r.converged,
-            "iterations": r.iterations,
-            "final_residual": r.residual,
-            "final_dist": r.dist_to_star,
-        }
-
     ratio = None
     if inertial_run.converged and plain_run.converged and inertial_run.iterations:
         ratio = plain_run.iterations / inertial_run.iterations
-    _print_json({"inertial": brief(inertial_run), "plain": brief(plain_run), "iteration_ratio": ratio})
+    _print_json({"inertial": _brief(inertial_run), "plain": _brief(plain_run), "iteration_ratio": ratio})
     return 0 if (inertial_run.converged and plain_run.converged) else 1
 
 

@@ -44,7 +44,7 @@ certificate even though it may well converge.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,35 +54,20 @@ from .schedules import _check_sequences
 
 @dataclass(frozen=True)
 class RateCertificate:
-    """Arrays indexed by k = ks[j]; empty with a reason when not issued."""
+    """Arrays indexed by k = ks[j]; a refusal, RateCertificate(False, reason), has NaNs and empty arrays."""
 
     valid: bool
     reason: str
-    ceiling: float
-    lambda_floor: float
-    dist1: float
-    ks: np.ndarray
-    min_residual_sq: np.ndarray
-    delta: np.ndarray
-    rhs_squared: np.ndarray
+    ceiling: float = math.nan
+    lambda_floor: float = math.nan
+    dist1: float = math.nan
+    ks: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
+    min_residual_sq: np.ndarray = field(default_factory=lambda: np.empty(0))
+    delta: np.ndarray = field(default_factory=lambda: np.empty(0))
+    rhs_squared: np.ndarray = field(default_factory=lambda: np.empty(0))
 
     def holds(self) -> bool:
         return self.valid and bool(np.all(self.min_residual_sq <= self.rhs_squared))
-
-
-def _refused(reason: str) -> RateCertificate:
-    empty = np.asarray([], dtype=float)
-    return RateCertificate(
-        valid=False,
-        reason=reason,
-        ceiling=math.nan,
-        lambda_floor=math.nan,
-        dist1=math.nan,
-        ks=np.asarray([], dtype=int),
-        min_residual_sq=empty,
-        delta=empty,
-        rhs_squared=empty,
-    )
 
 
 def _min_residual_sq(residuals: np.ndarray) -> np.ndarray:
@@ -100,15 +85,15 @@ def rate_certificate(result: RunResult) -> RateCertificate:
     s = result.schedule
     n = result.iterations
     if n < 2:
-        return _refused("needs at least two iterations")
+        return RateCertificate(False, "needs at least two iterations")
     report = _check_sequences(s, result.alphas, result.lambdas, 1.0)
     if not report.feasible:
         reason = "schedule infeasible under its declared regime: " + "; ".join(report.violations)
-        return _refused(reason)
+        return RateCertificate(False, reason)
     if not s.lambda_floor > 0.0:
-        return _refused("needs a positive relaxation floor")
+        return RateCertificate(False, "needs a positive relaxation floor")
     if result.dists is None:
-        return _refused("needs a known solution")
+        return RateCertificate(False, "needs a known solution")
 
     # at theta = 1 the report's lambda_max is the closed-form regime-II ceiling
     ceiling = report.lambda_max if s.condition_set == "II" else s.lambda_ceiling

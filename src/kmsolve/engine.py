@@ -130,6 +130,8 @@ def _model_perturb(model: ErrorModel, apply_op, dim: int) -> PerturbFn:
 def _check_options(**opts) -> None:
     """Raise ValueError for an engine option `iterate` refuses; only the keys given are checked."""
     for name in ("tol", "divergence_norm"):
+        if name in opts and not isinstance(opts[name], numbers.Real):
+            raise ValueError(f"{name} must be a real number, got {opts[name]!r}")
         if name in opts and math.isnan(opts[name]):
             raise ValueError(f"{name} must not be NaN")
     if "max_iter" in opts:

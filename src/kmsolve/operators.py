@@ -96,8 +96,9 @@ class OperatorSpec:
     dim: int | None  # None when the operator works in any dimension
 
     def __post_init__(self):
-        if isinstance(self.theta, bool) or not (0.0 < self.theta <= 1.0):
-            raise ValueError(f"theta must lie in (0, 1], got {self.theta}")
+        theta = self.theta
+        if isinstance(theta, bool) or not (isinstance(theta, numbers.Real) and 0.0 < theta <= 1.0):
+            raise ValueError(f"theta must lie in (0, 1], got {theta}")
         dim = self.dim
         if dim is not None and (isinstance(dim, bool) or not isinstance(dim, numbers.Integral) or dim < 1):
             raise ValueError(f"dim must be a positive integer, got {dim!r}")
@@ -114,7 +115,7 @@ class IsmOperator:
     beta: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.beta) and self.beta > 0.0):
+        if not (isinstance(self.beta, numbers.Real) and 0.0 < self.beta < math.inf):
             raise ValueError(f"beta must be a positive real, got {self.beta}")
 
     def __call__(self, x: Point) -> Point:
@@ -170,7 +171,7 @@ def make_identity(dim: int) -> OperatorSpec:
 
 def make_soft_threshold(gamma: float, dim: int) -> OperatorSpec:
     """Coordinatewise soft threshold, prox of gamma * l1-norm.  Firmly nonexpansive."""
-    if not (gamma > 0.0 and math.isfinite(gamma)):
+    if not (isinstance(gamma, numbers.Real) and 0.0 < gamma < math.inf):
         raise ValueError(f"gamma must be a finite positive real, got {gamma}")
     g = _const(gamma)
 

@@ -22,6 +22,9 @@ which yields the explicit relaxation ceiling
     lambda_max = (delta - alpha [alpha (1 + alpha) + alpha delta + sigma])
                  / (delta [1 + alpha (1 + alpha) + alpha delta + sigma]).
 
+constant_schedule builds a schedule of either regime; with sigma and
+delta its first inertial weight is 0 and it takes no lambda_ceiling.
+
 Averaged operators admit larger relaxation: for a theta-averaged operator,
 validate_schedule(s, theta=theta) multiplies the relaxation ceiling bound
 (1 in regime I, lambda_max in regime II) by 1/theta.
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -44,7 +47,9 @@ class ParamSchedule:
     """Inertia and relaxation sequences with their declared bounds.
 
     sigma and delta are only meaningful for regime II and must be supplied
-    together.  Construction never validates feasibility; the validators do.
+    together.  lambda_ceiling is read in regime I only: regime II's ceiling
+    is lambda_max(alpha_cap, sigma, delta).  Construction never validates
+    feasibility; the validators do.
     """
 
     alpha_of: Callable[[int], float]
@@ -74,11 +79,20 @@ def constant_schedule(
     sigma: float | None = None,
     delta: float | None = None,
 ) -> ParamSchedule:
-    """Constant alpha_k and lambda_k; caps and floor default to the constants."""
+    """Constant alpha_k and lambda_k; caps and floor default to the constants.
+
+    With sigma and delta the schedule is regime II's: alpha_0 = 0, as that
+    regime demands, then the constant alpha.  Its relaxation ceiling is
+    lambda_max(alpha_cap, sigma, delta), so a lambda_ceiling passed with
+    them is refused rather than ignored.
+    """
     a = float(alpha)
     l = float(lam)
+    regime_ii = sigma is not None and delta is not None
+    if regime_ii and lambda_ceiling is not None:
+        raise ValueError("lambda_ceiling is regime I only: sigma and delta set the ceiling lambda_max")
     return ParamSchedule(
-        alpha_of=lambda k: a,
+        alpha_of=(lambda k: 0.0 if k == 0 else a) if regime_ii else (lambda k: a),
         lambda_of=lambda k: l,
         alpha_cap=a if alpha_cap is None else float(alpha_cap),
         lambda_floor=l if lambda_floor is None else float(lambda_floor),
@@ -86,35 +100,6 @@ def constant_schedule(
         sigma=sigma,
         delta=delta,
     )
-
-
-def delayed_inertia_schedule(
-    alpha: float,
-    lam: float,
-    *,
-    sigma: float,
-    delta: float,
-    alpha_cap: float | None = None,
-    lambda_floor: float | None = None,
-    lambda_ceiling: float | None = None,
-) -> ParamSchedule:
-    """alpha_0 = 0 then constant alpha (nondecreasing), constant lambda.
-
-    The natural constant-parameter schedule for regime II, which demands
-    zero inertia at k = 0.  Caps and floor default to the constants, as
-    in constant_schedule.
-    """
-    a = float(alpha)
-    base = constant_schedule(
-        a,
-        lam,
-        alpha_cap=alpha_cap,
-        lambda_floor=lambda_floor,
-        lambda_ceiling=lambda_ceiling,
-        sigma=float(sigma),
-        delta=float(delta),
-    )
-    return replace(base, alpha_of=lambda k: 0.0 if k == 0 else a)
 
 
 @dataclass(frozen=True)
@@ -145,10 +130,12 @@ class ErrorModel:
     def __post_init__(self):
         if self.kind not in ERROR_KINDS:
             raise ValueError(f"unknown error kind {self.kind!r}")
-        if self.magnitude < 0.0 or not math.isfinite(self.magnitude):
+        if not (isinstance(self.magnitude, numbers.Real) and 0.0 <= self.magnitude < math.inf):
             raise ValueError("magnitude must be a finite nonnegative real")
         if isinstance(self.seed, bool) or not (isinstance(self.seed, int) and self.seed >= 0):
             raise ValueError("seed must be a nonnegative integer")
+        if not isinstance(self.exponent, numbers.Real):
+            raise ValueError(f"exponent must be a real number, got {self.exponent!r}")
         if self.kind == "geometric" and not self.exponent > 0.0:
             raise ValueError("geometric law needs a positive ratio in `exponent`")
         if not math.isfinite(self.exponent):
@@ -330,7 +317,7 @@ def validate_schedule(s: ParamSchedule, horizon: int = 1000, theta: float = 1.0)
     the plain validation.  Regime II raises ValueError when
     alpha_cap >= 1, where its formulas are undefined.
     """
-    if isinstance(theta, bool) or not (0.0 < theta <= 1.0):
+    if isinstance(theta, bool) or not (isinstance(theta, numbers.Real) and 0.0 < theta <= 1.0):
         raise ValueError(f"theta must lie in (0, 1], got {theta}")
     if isinstance(horizon, bool) or not isinstance(horizon, numbers.Integral) or horizon < 0:
         raise ValueError(f"horizon must be a nonnegative integer, got {horizon!r}")

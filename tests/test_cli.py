@@ -190,6 +190,18 @@ def test_regime_ii_config_keeps_its_alpha_cap(tmp_path):
     assert json.loads(out)["delta_threshold"] == delta_threshold(0.3, 0.01)
 
 
+def test_regime_ii_config_refuses_a_lambda_ceiling(tmp_path):
+    sched = {"alpha": 0.1, "lambda": 0.7, "sigma": 0.01, "delta": 1.0, "lambda_ceiling": 0.5}
+    path = _write(tmp_path, dict(FEASIBLE, schedule=sched))
+    for command in ("run", "validate", "compare"):
+        code, out, err = _main([command, path])
+        assert (code, out) == (2, ""), command
+        assert err.startswith("error: bad schedule: lambda_ceiling is regime I only"), command
+    # a null lambda_ceiling reads as absent
+    sched["lambda_ceiling"] = None
+    assert _main(["validate", _write(tmp_path, dict(FEASIBLE, schedule=sched))])[0] == 0
+
+
 def test_compare_reports_iteration_ratio(tmp_path):
     code, out, _ = _main(["compare", _write(tmp_path, FEASIBLE)])
     assert code == 0

@@ -16,7 +16,6 @@ from kmsolve.schedules import (
     ErrorModel,
     ParamSchedule,
     constant_schedule,
-    delayed_inertia_schedule,
     lambda_ceiling_ii,
     validate_schedule,
 )
@@ -110,6 +109,11 @@ def test_certificate_refusal_reasons():
     refused = rate_certificate(iterate(prob, constant_schedule(0.2, 1.0), tol=-1.0, max_iter=10))
     assert not refused.valid
     assert refused.holds() is False
+    # a refusal carries NaN scalars and empty arrays: integer ks, float quantities
+    assert all(math.isnan(x) for x in (refused.ceiling, refused.lambda_floor, refused.dist1))
+    assert refused.ks.shape == (0,) and refused.ks.dtype == np.dtype(int)
+    for arr in (refused.min_residual_sq, refused.delta, refused.rhs_squared):
+        assert arr.shape == (0,) and arr.dtype == np.float64
 
 
 def test_certificate_refuses_parameters_past_the_validated_horizon():
@@ -167,7 +171,7 @@ def test_certificate_refuses_parameters_past_the_validated_horizon():
 def test_certificate_ceiling_per_regime():
     run_i = iterate(_contraction(seed=25), constant_schedule(0.2, 0.7), tol=-1.0, max_iter=5)
     assert rate_certificate(run_i).ceiling == 0.7
-    sched = delayed_inertia_schedule(0.1, 0.5, sigma=0.01, delta=1.0)
+    sched = constant_schedule(0.1, 0.5, sigma=0.01, delta=1.0)
     run_ii = iterate(_contraction(seed=25), sched, tol=-1.0, max_iter=5)
     assert rate_certificate(run_ii).ceiling == lambda_ceiling_ii(0.1, 0.01, 1.0)
 

@@ -307,6 +307,14 @@ def test_nan_stopping_thresholds_are_rejected():
             iterate(_halving_problem(), constant_schedule(0.0, 0.5), max_iter=10, **{name: math.nan})
 
 
+@pytest.mark.parametrize(
+    "name, value", [("tol", "1e-3"), ("tol", None), ("divergence_norm", None), ("divergence_norm", "1e12")]
+)
+def test_stopping_thresholds_that_are_not_numbers_are_refused_by_name(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be a real number, got"):
+        iterate(_halving_problem(), constant_schedule(0.0, 0.5), max_iter=10, **{name: value})
+
+
 def test_residual_stop_wins_ties_against_divergence():
     # identity at a huge start point: both rules fire on the same iteration
     prob = Problem(operator=make_identity(2), z0=np.full(2, 1e13))

@@ -103,8 +103,8 @@ def test_certified_operators_own_their_data():
 
 def test_operator_spec_validates_theta():
     f = lambda x: x
-    for bad in (0.0, 1.5, True):
-        with pytest.raises(ValueError, match="theta"):
+    for bad in (0.0, 1.5, True, "0.5", None, [0.5]):
+        with pytest.raises(ValueError, match="theta must lie in"):
             OperatorSpec(apply=f, theta=bad, dim=None)
 
 
@@ -121,8 +121,8 @@ def test_operator_spec_keeps_an_integer_dim():
 
 def test_ism_operator_requires_positive_finite_beta():
     f = lambda x: x
-    for bad in (0.0, -1.0, np.inf, np.nan):
-        with pytest.raises(ValueError, match="beta"):
+    for bad in (0.0, -1.0, np.inf, np.nan, "1", None):
+        with pytest.raises(ValueError, match="beta must be a positive real"):
             IsmOperator(apply=f, beta=bad)
 
 
@@ -263,7 +263,7 @@ def test_soft_threshold_closed_form():
     assert not got[:7].any()
     assert got[7] > 0.0 and got[8] == -1.7 and got[9] == 1.2 and math.isnan(got[10])
     assert op.theta == 0.5
-    for bad in (0.0, -1.0, math.inf, math.nan):
+    for bad in (0.0, -1.0, math.inf, math.nan, "0.3", None):
         with pytest.raises(ValueError, match="gamma must be a finite positive real"):
             make_soft_threshold(bad, 5)
 

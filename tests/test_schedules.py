@@ -14,7 +14,6 @@ from kmsolve.schedules import (
     ErrorModel,
     ParamSchedule,
     constant_schedule,
-    delayed_inertia_schedule,
     delta_threshold,
     emit_error,
     lambda_ceiling_ii,
@@ -50,16 +49,26 @@ def test_sigma_and_delta_must_come_together():
         )
 
 
-def test_delayed_inertia_schedule_zeroes_the_first_weight():
-    s = delayed_inertia_schedule(0.1, 0.5, sigma=0.01, delta=1.0)
+def test_constant_schedule_with_sigma_and_delta_zeroes_the_first_weight():
+    s = constant_schedule(0.1, 0.5, sigma=0.01, delta=1.0)
     assert s.alpha_of(0) == 0.0
     assert s.alpha_of(1) == 0.1
     assert s.alpha_of(100) == 0.1
     assert s.condition_set == "II"
     assert s.alpha_cap == 0.1
-    capped = delayed_inertia_schedule(0.1, 0.5, sigma=0.01, delta=1.0, alpha_cap=0.3)
+    assert validate_schedule(s).feasible
+    capped = constant_schedule(0.1, 0.5, sigma=0.01, delta=1.0, alpha_cap=0.3)
     assert capped.alpha_cap == 0.3
     assert capped.alpha_of(0) == 0.0 and capped.alpha_of(1) == 0.1
+    # without the pair the first weight is the constant
+    assert constant_schedule(0.1, 0.5).alpha_of(0) == 0.1
+
+
+def test_regime_ii_refuses_a_lambda_ceiling():
+    # regime II's ceiling is lambda_max(alpha_cap, sigma, delta); a declared one would go unread
+    with pytest.raises(ValueError, match="lambda_ceiling is regime I only"):
+        constant_schedule(0.1, 0.7, sigma=0.01, delta=1.0, lambda_ceiling=0.5)
+    assert constant_schedule(0.1, 0.5, lambda_ceiling=0.6).lambda_ceiling == 0.6
 
 
 def test_error_model_validation():
@@ -82,6 +91,10 @@ def test_error_model_validation():
         ErrorModel.geometric(1e-2, math.inf)
     with pytest.raises(ValueError):
         ErrorModel.geometric(1e-2, math.nan)
+    for name, value in [("magnitude", "1"), ("magnitude", None), ("exponent", None), ("exponent", "2")]:
+        for kind in ("power-decay", "geometric"):
+            with pytest.raises(ValueError, match=f"{name} must be a"):
+                ErrorModel(**{"kind": kind, "magnitude": 1.0, "exponent": 0.5, name: value})
 
 
 def test_error_norm_laws():
@@ -287,7 +300,7 @@ def test_regime_i_warns_on_zero_floor():
 
 
 def test_regime_ii_boundary_is_feasible():
-    s = delayed_inertia_schedule(0.1, CEILING_PIN, sigma=0.01, delta=1.0)
+    s = constant_schedule(0.1, CEILING_PIN, sigma=0.01, delta=1.0)
     rep = validate_schedule(s)
     assert rep.feasible
     assert rep.lambda_max == CEILING_PIN
@@ -296,19 +309,27 @@ def test_regime_ii_boundary_is_feasible():
 
 
 def test_regime_ii_rejects_above_ceiling():
-    s = delayed_inertia_schedule(0.1, CEILING_PIN + 1e-9, sigma=0.01, delta=1.0)
+    s = constant_schedule(0.1, CEILING_PIN + 1e-9, sigma=0.01, delta=1.0)
     assert not validate_schedule(s).feasible
 
 
 def test_regime_ii_rejects_small_delta():
-    s = delayed_inertia_schedule(0.1, 0.2, sigma=0.01, delta=0.01)
+    s = constant_schedule(0.1, 0.2, sigma=0.01, delta=0.01)
     rep = validate_schedule(s)
     assert not rep.feasible
     assert any("delta" in v for v in rep.violations)
 
 
 def test_regime_ii_requires_zero_initial_weight():
-    s = constant_schedule(0.1, 0.2, sigma=0.01, delta=1.0)
+    s = ParamSchedule(
+        alpha_of=lambda k: 0.1,
+        lambda_of=lambda k: 0.2,
+        alpha_cap=0.1,
+        lambda_floor=0.2,
+        lambda_ceiling=0.2,
+        sigma=0.01,
+        delta=1.0,
+    )
     rep = validate_schedule(s)
     assert not rep.feasible
 
@@ -321,7 +342,7 @@ def test_regime_ii_validator_matches_raw_inequality():
         sg = float(rng.uniform(1e-3, 2.0))
         dl = float(rng.uniform(1e-3, 3.0))
         lm = float(rng.uniform(0.01, 1.2))
-        rep = validate_schedule(delayed_inertia_schedule(a, lm, sigma=sg, delta=dl), horizon=8)
+        rep = validate_schedule(constant_schedule(a, lm, sigma=sg, delta=dl), horizon=8)
         c = a * (1.0 + a) + a * dl + sg
         direct = (dl > delta_threshold(a, sg)) and ((a + dl * lm) * c + dl * lm <= dl)
         assert rep.feasible == direct, (a, sg, dl, lm)
@@ -329,10 +350,10 @@ def test_regime_ii_validator_matches_raw_inequality():
 
 def test_validate_schedule_dispatches_on_condition_set():
     assert validate_schedule(constant_schedule(0.1, 0.5)).condition_set == "I"
-    s = delayed_inertia_schedule(0.1, 0.5, sigma=0.01, delta=1.0)
+    s = constant_schedule(0.1, 0.5, sigma=0.01, delta=1.0)
     assert validate_schedule(s).condition_set == "II"
     with pytest.raises(ValueError, match="alpha_cap"):
-        validate_schedule(delayed_inertia_schedule(1.0, 0.5, sigma=0.01, delta=1.0))
+        validate_schedule(constant_schedule(1.0, 0.5, sigma=0.01, delta=1.0))
     # a NaN parameter anywhere in the scan is infeasible in both regimes
     for base in (constant_schedule(0.1, 0.5), s):
         nan_lambda = replace(base, lambda_of=lambda k: math.nan if k == 5 else 0.5)
@@ -349,7 +370,7 @@ def test_scaled_ceiling_admits_overrelaxation():
     assert scaled.feasible
     assert scaled.scaling_theta == 0.5
     assert validate_schedule(s, theta=1.0).to_dict() == base.to_dict()
-    for bad in (1.5, 0.0, True):
+    for bad in (1.5, 0.0, True, "0.5", None, [0.5]):
         with pytest.raises(ValueError, match="theta must lie in"):
             validate_schedule(s, theta=bad)
 
