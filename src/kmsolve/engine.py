@@ -31,7 +31,10 @@ called only when it is not one already, since it would return it as is.
 Stopping: residual <= tol wins every tie, then a norm blowup past
 `divergence_norm`, then the iteration budget.  A negative tol disables
 the residual stop, which pins the horizon exactly; a NaN tol or
-divergence_norm is rejected.  A non-finite state is caught through its
+divergence_norm is rejected.  The state norm ||z^{k+1}|| is exact whenever
+it could set the recorded maximum, meet `divergence_norm` or decide the
+residual tie; on other steps a running upper bound shows that it can do
+none of these and it is not taken.  A non-finite state is caught through its
 norm, which is then inf or NaN (NaN counts as inf), so it always stops
 the run as diverged, even on a step whose residual meets tol (a NaN or
 infinite lambda_k times a zero T mu - mu does that).  A finite state
@@ -53,6 +56,11 @@ from .operators import OperatorSpec, as_point, norm
 from .schedules import ErrorModel, ParamSchedule, emit_error
 
 PerturbFn = Callable[[np.ndarray, int], tuple[np.ndarray, np.ndarray, float]]
+
+# Margins of the running bound on ||z|| in `iterate`, argued there.
+_GROW = 1.0 + 1e-12
+_SHRINK = 1.0 - 1e-6
+_FLOOR = 1e-140
 
 
 @dataclass(frozen=True)
@@ -191,6 +199,23 @@ def iterate(
         dists = [norm(z - z_star)]
     states = [z.copy()] if record_states else None
     max_norm = norm(z)
+    # `reach` bounds ||z^k|| from above: the last exact norm plus the step
+    # norms since.  A step whose reach is below `limit` and whose residual
+    # misses tol skips the exact norm, which could then change nothing.
+    # Why (Higham, Accuracy and Stability, 2nd ed., 3.1 and 4.2), with
+    # u = 2**-53 and n = dim: a computed sqrt(x.x) is within a factor
+    # 1 +- (n/2 + 1)u of ||x||, plus sqrt(n) 2e-162 from underflowed
+    # squares, and forming dz costs one more u.  Each update of reach rounds
+    # twice, which _GROW > (1 - u)**-2 absorbs, and _FLOOR * 1e-12 covers
+    # the underflow term; so ||z^k|| <= (1 + (n/2 + 4)u) reach after any
+    # number of steps.  The norm the step skips would be at most
+    # (1 + (n + 6)u) reach < min(max_norm, divergence_norm): it sets no
+    # maximum and stops nothing while (n + 6)u < 1e-6, n up to about 9e9.
+    # A NaN or inf reach fails `reach < limit`, as does any reach when the
+    # limit is 0 or negative, so those steps take the norm.
+    reach = max_norm + _FLOOR
+    limit = min(max_norm, divergence_norm) * _SHRINK
+    grow = _GROW
     stop_reason = "max-iter"
     add_residual = residuals.append
     add_err = err_norms.append
@@ -231,7 +256,8 @@ def iterate(
         add_err(float(e_norm))
         add_alpha(a)
         add_lambda(lam)
-        add_step(sqrt(dz.dot(dz)))
+        s = sqrt(dz.dot(dz))
+        add_step(s)
         if dists is not None:
             x = z_next - z_star
             dists.append(sqrt(x.dot(x)))
@@ -239,6 +265,9 @@ def iterate(
             states.append(z_next.copy())
 
         z = z_next
+        reach = reach * grow + s
+        if reach < limit and r > tol:
+            continue
         zn = sqrt(z.dot(z))
         if zn != zn:
             zn = math.inf
@@ -251,6 +280,8 @@ def iterate(
         if zn >= divergence_norm:
             stop_reason = "diverged"
             break
+        reach = zn + _FLOOR
+        limit = min(max_norm, divergence_norm) * _SHRINK
 
     return RunResult(
         stop_reason=stop_reason,

@@ -270,6 +270,8 @@ def make_fb_composition(resolvent: OperatorSpec, forward: IsmOperator, rho: floa
     if resolvent.theta != 0.5:
         raise ValueError("resolvent must be firmly nonexpansive (theta = 1/2)")
     beta = forward.beta
+    if not isinstance(rho, numbers.Real):
+        raise ValueError(f"rho must be a real number, got {rho!r}")
     if not (0.0 < rho < 2.0 * beta):
         raise ValueError(f"rho must lie in (0, 2*beta) = (0, {2.0 * beta}), got {rho}")
     theta = 2.0 * beta / (4.0 * beta - rho)

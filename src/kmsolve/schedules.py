@@ -86,20 +86,27 @@ def constant_schedule(
     lambda_max(alpha_cap, sigma, delta), so a lambda_ceiling passed with
     them is refused rather than ignored.
     """
-    a = float(alpha)
-    l = float(lam)
+    a = _real(alpha, "alpha")
+    l = _real(lam, "lam")
     regime_ii = sigma is not None and delta is not None
     if regime_ii and lambda_ceiling is not None:
         raise ValueError("lambda_ceiling is regime I only: sigma and delta set the ceiling lambda_max")
     return ParamSchedule(
         alpha_of=(lambda k: 0.0 if k == 0 else a) if regime_ii else (lambda k: a),
         lambda_of=lambda k: l,
-        alpha_cap=a if alpha_cap is None else float(alpha_cap),
-        lambda_floor=l if lambda_floor is None else float(lambda_floor),
-        lambda_ceiling=l if lambda_ceiling is None else float(lambda_ceiling),
-        sigma=sigma,
-        delta=delta,
+        alpha_cap=a if alpha_cap is None else _real(alpha_cap, "alpha_cap"),
+        lambda_floor=l if lambda_floor is None else _real(lambda_floor, "lambda_floor"),
+        lambda_ceiling=l if lambda_ceiling is None else _real(lambda_ceiling, "lambda_ceiling"),
+        sigma=None if sigma is None else _real(sigma, "sigma"),
+        delta=None if delta is None else _real(delta, "delta"),
     )
+
+
+def _real(value, name: str) -> float:
+    """`value` as a float; a value that is not a real number (NaN and inf are) names the parameter."""
+    if not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -132,8 +139,9 @@ class ErrorModel:
             raise ValueError(f"unknown error kind {self.kind!r}")
         if not (isinstance(self.magnitude, numbers.Real) and 0.0 <= self.magnitude < math.inf):
             raise ValueError("magnitude must be a finite nonnegative real")
-        if isinstance(self.seed, bool) or not (isinstance(self.seed, int) and self.seed >= 0):
+        if isinstance(self.seed, bool) or not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
             raise ValueError("seed must be a nonnegative integer")
+        object.__setattr__(self, "seed", int(self.seed))
         if not isinstance(self.exponent, numbers.Real):
             raise ValueError(f"exponent must be a real number, got {self.exponent!r}")
         if self.kind == "geometric" and not self.exponent > 0.0:

@@ -10,7 +10,7 @@ import pytest
 from kmsolve.applications import box_intersection_pieces, solve_ppa
 from kmsolve.engine import Problem, iterate
 from kmsolve.operators import OperatorSpec, make_affine, make_fb_composition, make_identity, make_soft_threshold
-from kmsolve.schedules import ErrorModel, ParamSchedule, constant_schedule, validate_schedule
+from kmsolve.schedules import ErrorModel, ParamSchedule, constant_schedule, emit_error, validate_schedule
 
 
 def _halving_problem(z0=1.0, z_star=0.0):
@@ -84,70 +84,8 @@ def test_zero_error_model_matches_exact_run():
     assert zero.max_state_norm == exact.max_state_norm
 
 
-def test_exact_steps_equal_the_two_subtraction_restatement():
-    # the loop forms T mu - mu once per exact step; a restatement that forms
-    # it twice, once for the residual and once for the update, is bit-equal
-    rng = np.random.default_rng(21)
-    n, theta, alpha, lam = 8, 0.5, 0.3, 1.2
-    u, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    q = (1.0 - theta) * np.eye(n) + 0.45 * u  # ||q - (1 - theta) I||_2 = 0.45 <= theta
-    b = rng.standard_normal(n)
-    z_star = np.linalg.solve(np.eye(n) - q, b)
-    prob = Problem(operator=make_affine(q, b, theta=theta), z0=z_star + rng.standard_normal(n), z_star=z_star)
-    run = iterate(prob, constant_schedule(alpha, lam), tol=-1.0, max_iter=300)
-    z_prev = z = prob.z0
-    residuals, steps = [], []
-    for k in range(300):
-        a = 0.0 if k == 0 else alpha
-        mu = z if a == 0.0 else z + a * (z - z_prev)
-        t_mu = q @ mu + b
-        residuals.append(math.sqrt(float(np.dot(t_mu - mu, t_mu - mu))))
-        z_next = mu + lam * (t_mu - mu)
-        steps.append(math.sqrt(float(np.dot(z_next - z, z_next - z))))
-        z_prev, z = z, z_next
-    assert np.array_equal(run.z, z)
-    assert np.array_equal(run.residuals, residuals)
-    assert np.array_equal(run.step_norms, steps)
-
-
 def _norm(x):
     return math.sqrt(float(np.dot(x, x)))
-
-
-def _restated_run(prob, alpha_of, lambda_of, steps, perturb=None):
-    """The loop as its docstring states it, with Python-float scalars and
-    z^k - z^{k-1} formed from a kept z_prev on every step; returns the
-    final z, the states, the step norms, the distances and the largest
-    state norm."""
-    z_prev = z = prob.z0
-    states, steps_out, dists = [z.copy()], [], [_norm(z - prob.z_star)]
-    max_norm = _norm(z)
-    for k in range(steps):
-        a, lam = float(alpha_of(k)), float(lambda_of(k))
-        mu = z if a == 0.0 else z + a * (z - z_prev)
-        if perturb is None:
-            t_eff = prob.operator.apply(mu)
-        else:
-            _, t_eff, _ = perturb(mu, k)
-        z_next = mu + lam * (t_eff - mu)
-        steps_out.append(_norm(z_next - z))
-        dists.append(_norm(z_next - prob.z_star))
-        states.append(z_next.copy())
-        z_prev, z = z, z_next
-        max_norm = max(max_norm, _norm(z))
-    return z, states, steps_out, dists, max_norm
-
-
-def _assert_run_equals_restatement(run, restated):
-    z, states, steps, dists, max_norm = restated
-    assert np.array_equal(run.z, z)
-    assert len(run.states) == len(states)
-    for got, want in zip(run.states, states):
-        assert np.array_equal(got, want)
-        assert np.array_equal(np.signbit(got), np.signbit(want))
-    assert np.array_equal(run.step_norms, steps)
-    assert np.array_equal(run.dists, dists)
-    assert run.max_state_norm == max_norm
 
 
 def _averaged_affine_problem(seed, n=8, theta=0.5):
@@ -158,6 +96,241 @@ def _averaged_affine_problem(seed, n=8, theta=0.5):
     z_star = np.linalg.solve(np.eye(n) - q, b)
     op = make_affine(q, b, theta=theta)
     return Problem(operator=op, z0=z_star + rng.standard_normal(n), z_star=z_star)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _every_step_norm_run(prob, schedule, errors=None, perturb=None, *, tol, max_iter, divergence_norm):
+    """The loop with its stopping rules as the module docstring states them:
+    Python-float scalars, ||z^{k+1}|| taken on every step, T mu - mu formed
+    twice (once for the residual, once for the update) and z^k - z^{k-1}
+    from a kept z_prev.  Returns the fields of a RunResult that the run must match bit for bit,
+    and the norm of every state."""
+    out = {name: [] for name in ("residuals", "err_norms", "alphas", "lambdas", "step_norms")}
+    z_prev = z = prob.z0
+    states, dists = [z.copy()], None if prob.z_star is None else [_norm(z - prob.z_star)]
+    max_norm, stop_reason = _norm(z), "max-iter"
+    state_norms = [max_norm]
+    for k in range(max_iter):
+        a, lam = float(schedule.alpha_of(k)), float(schedule.lambda_of(k))
+        mu = z if a == 0.0 else z + a * (z - z_prev)
+        if perturb is not None:
+            t_mu, t_eff, e_norm = perturb(mu, k)
+        else:
+            t_mu = t_eff = np.asarray(prob.operator.apply(mu), dtype=float)
+            e_norm = 0.0
+            if errors is not None and errors.norm_at(k) != 0.0:
+                e = emit_error(errors, k, prob.operator.dim)
+                t_eff, e_norm = t_mu + e, _norm(e)
+        r = _norm(t_mu - mu)
+        z_prev, z = z, mu + lam * (t_eff - mu)
+        for name, value in zip(out, (r, e_norm, a, lam, _norm(z - z_prev))):
+            out[name].append(float(value))
+        states.append(z.copy())
+        if dists is not None:
+            dists.append(_norm(z - prob.z_star))
+        zn = _norm(z)
+        zn = math.inf if math.isnan(zn) else zn
+        state_norms.append(zn)
+        max_norm = max(max_norm, zn)
+        if r <= tol:
+            stop_reason = "residual-tol" if zn < math.inf or np.isfinite(z).all() else "diverged"
+            break
+        if zn >= divergence_norm:
+            stop_reason = "diverged"
+            break
+    return dict(
+        out,
+        stop_reason=stop_reason,
+        iterations=len(states) - 1,
+        max_state_norm=max_norm,
+        states=states,
+        dists=dists,
+        state_norms=state_norms,
+    )
+
+
+def _assert_run_equals_every_step_norm_run(run, ref, label=""):
+    assert (run.stop_reason, run.iterations) == (ref["stop_reason"], ref["iterations"]), label
+    assert run.max_state_norm.hex() == ref["max_state_norm"].hex(), label
+    for name in ("residuals", "err_norms", "alphas", "lambdas", "step_norms"):
+        assert getattr(run, name).tobytes() == np.asarray(ref[name], dtype=float).tobytes(), (label, name)
+    assert (run.dists is None) == (ref["dists"] is None), label
+    if run.dists is not None:
+        assert run.dists.tobytes() == np.asarray(ref["dists"]).tobytes(), label
+    assert len(run.states) == len(ref["states"]), label
+    for got, want in zip(run.states, ref["states"]):
+        assert got.tobytes() == want.tobytes(), label
+    assert run.z.tobytes() == ref["states"][-1].tobytes(), label
+
+
+def _spiral_problem():
+    # T x = c + 0.95 R (x - c), R a turn by 0.5 rad, about c = (3, 0): z
+    # winds in towards c, so ||z|| rises and falls before it settles at 3
+    t = 0.5
+    q = 0.95 * np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+    c = np.array([3.0, 0.0])
+    return Problem(operator=make_affine(q, c - q @ c), z0=[3.0, -2.0], z_star=c)
+
+
+def _scaled_operator(factor, dim):
+    return OperatorSpec(apply=lambda x: factor * x, theta=1.0, dim=dim)
+
+
+def _lambda_nan_at(step, lam, alpha=0.0):
+    """Constant alpha and lam, except a NaN lambda_k at k = step."""
+    return ParamSchedule(
+        lambda k: alpha,
+        lambda k: math.nan if k == step else lam,
+        alpha_cap=alpha,
+        lambda_floor=lam,
+        lambda_ceiling=lam,
+    )
+
+
+def _peak(norms):
+    return int(np.argmax(norms))
+
+
+def test_exact_steps_equal_the_two_subtraction_restatement():
+    # the loop forms T mu - mu once per exact step and takes ||z^{k+1}|| only
+    # on steps where it could set the maximum, meet divergence_norm or decide
+    # the residual tie; the restatement forms the difference twice and takes
+    # the norm on every step, and each case must match it bit for bit
+    averaged = constant_schedule(0.3, 1.2)
+    plain = constant_schedule(0.0, 1.0)
+    toward = make_affine(0.99 * np.eye(2), [0.03, 0.04])
+    creep = OperatorSpec(apply=lambda x: x + np.array([5e-163, 0.0]), theta=1.0, dim=2)
+    cases = {
+        # name: (problem, schedule, options, what the restated run shows)
+        "averaged-affine": (_averaged_affine_problem(21), averaged, {}, None),
+        "max-mid-run": (
+            _spiral_problem(),
+            constant_schedule(0.2, 0.8),
+            {},
+            lambda n, run: 0 < _peak(n) < len(n) - 1 and n[-1] < max(n),
+        ),
+        "max-on-last-step": (
+            Problem(operator=toward, z0=[1e-3, 0.0], z_star=[3.0, 4.0]),
+            constant_schedule(0.1, 0.9),
+            {},
+            lambda n, run: _peak(n) == len(n) - 1 and n[-1] > n[-2],
+        ),
+        "start-past-divergence-norm": (
+            Problem(operator=make_affine(0.5 * np.eye(2), np.zeros(2)), z0=[10.0, 0.0]),
+            constant_schedule(0.0, 0.5),
+            dict(tol=1e-8, divergence_norm=8.0),
+            lambda n, run: n[0] >= 8.0 and np.all(np.diff(n) < 0),
+        ),
+        "falls-below-then-crosses-divergence-norm": (
+            Problem(operator=_scaled_operator(np.array([0.01, 1.3]), 2), z0=[10.0, 1e-3]),
+            plain,
+            dict(divergence_norm=1.0),
+            lambda n, run: n[0] > 1.0 > min(n) and run.stop_reason == "diverged",
+        ),
+        # squares of 5e-163 underflow to 0, so each step's norm is 0
+        "steps-whose-squares-underflow": (
+            Problem(operator=creep, z0=[-1e-160, 0.0]),
+            plain,
+            dict(max_iter=500),
+            lambda n, run: _peak(n) == len(n) - 1 and max(run.step_norms) == 0.0,
+        ),
+        "divergence-norm-zero": (_averaged_affine_problem(22), averaged, dict(divergence_norm=0.0), None),
+        "divergence-norm-negative": (_averaged_affine_problem(22), averaged, dict(divergence_norm=-1.0), None),
+        "divergence-norm-inf": (
+            _averaged_affine_problem(22),
+            averaged,
+            dict(tol=1e-9, divergence_norm=math.inf),
+            lambda n, run: run.stop_reason == "residual-tol",
+        ),
+        "nan-lambda-mid-run": (
+            _averaged_affine_problem(23),
+            _lambda_nan_at(40, 0.7),
+            {},
+            lambda n, run: run.stop_reason == "diverged" and run.iterations == 41,
+        ),
+        "nan-lambda-at-a-fixed-point": (
+            Problem(operator=make_identity(2), z0=[1.0, 2.0]),
+            _lambda_nan_at(0, 0.5),
+            dict(tol=1e-10),
+            lambda n, run: run.stop_reason == "diverged" and run.residuals.tolist() == [0.0],
+        ),
+        "overflowing-squares-at-a-fixed-point": (
+            Problem(operator=make_identity(2), z0=np.full(2, 1e200)),
+            constant_schedule(0.0, 0.5),
+            dict(tol=1e-10, divergence_norm=math.inf),
+            lambda n, run: run.stop_reason == "residual-tol" and n[-1] == math.inf,
+        ),
+        "overflowing-squares-growing": (
+            Problem(operator=_scaled_operator(4.0, 2), z0=[1.0, 1.0]),
+            plain,
+            dict(divergence_norm=math.inf),
+            lambda n, run: run.stop_reason == "diverged" and np.isfinite(run.z).all(),
+        ),
+    }
+    for label, (prob, schedule, opts, shows) in cases.items():
+        opts = {"tol": -1.0, "max_iter": 300, "divergence_norm": 1e12, **opts}
+        run = iterate(prob, schedule, record_states=True, **opts)
+        ref = _every_step_norm_run(prob, schedule, **opts)
+        _assert_run_equals_every_step_norm_run(run, ref, label)
+        assert shows is None or shows(ref["state_norms"], run), label
+
+
+def _sweep_case(i):
+    """One seeded run of the mixed sweep: (problem, schedule, errors, perturb, options)."""
+    rng = np.random.default_rng([1800, i])
+    n = int(rng.integers(1, 9))
+    scale = 10.0 ** rng.uniform(-3.0, 3.0)
+    z0 = scale * rng.standard_normal(n)
+    z_star = None
+    kind = ("averaged", "rotation", "soft", "saddle", "identity")[i % 5]
+    if kind in ("averaged", "rotation"):
+        u, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        q = 0.5 * np.eye(n) + 0.45 * u if kind == "averaged" else 0.97 * u
+        z_star = scale * rng.standard_normal(n)
+        op = make_affine(q, z_star - q @ z_star)
+    elif kind == "soft":
+        op = make_soft_threshold(scale * rng.uniform(0.01, 0.5), n)
+    elif kind == "saddle":
+        # contracts some coordinates and stretches others: ||z|| falls, then grows
+        op = _scaled_operator(rng.uniform(0.3, 1.3, n), n)
+    else:
+        op = make_identity(n)
+    alpha, lam = float(rng.choice([0.0, rng.uniform(0.0, 0.6)])), rng.uniform(0.1, 1.8)
+    schedule = constant_schedule(alpha, lam)
+    if rng.random() < 0.1:
+        schedule = _lambda_nan_at(int(rng.integers(0, 150)), lam, alpha)
+    errors = perturb = None
+    source = rng.integers(0, 3)
+    if source == 1:
+        errors = ErrorModel.power_decay(scale * 10.0 ** rng.uniform(-3.0, 0.0), rng.uniform(0.5, 2.5), seed=i)
+    elif source == 2:
+        direction = scale * 10.0 ** rng.uniform(-3.0, 0.0) * rng.standard_normal(n)
+
+        def perturb(mu, k):
+            t_mu = np.asarray(op.apply(mu), dtype=float)
+            e = direction / (k + 1) ** 2
+            return t_mu, t_mu + e, _norm(e)
+
+    if rng.random() < 0.5:
+        divergence_norm = float(rng.choice([1e12, 1e3, 1.0, 1e-3, 0.0, -1.0, math.inf]))
+    else:
+        divergence_norm = _norm(z0) * rng.uniform(0.3, 3.0)
+    tol = float(rng.choice([-1.0, 1e-10, 1e-6, scale * 1e-4]))
+    opts = dict(tol=tol, max_iter=int(rng.integers(1, 200)), divergence_norm=divergence_norm)
+    return Problem(operator=op, z0=z0, z_star=z_star), schedule, errors, perturb, opts
+
+
+def test_state_norm_skips_match_the_every_step_norm_run_on_a_seeded_sweep():
+    # affine, rotating, soft-threshold, expansive and identity maps, exact and
+    # with either error source, at fixed and trajectory-scaled divergence_norm
+    reasons = {"residual-tol": 0, "diverged": 0, "max-iter": 0}
+    for i in range(320):
+        prob, schedule, errors, perturb, opts = _sweep_case(i)
+        run = iterate(prob, schedule, errors, perturb=perturb, record_states=True, **opts)
+        ref = _every_step_norm_run(prob, schedule, errors, perturb, **opts)
+        _assert_run_equals_every_step_norm_run(run, ref, i)
+        reasons[run.stop_reason] += 1
+    assert min(reasons.values()) >= 30, reasons
 
 
 @pytest.mark.parametrize("perturbed", [False, True], ids=["exact", "perturb-callback"])
@@ -175,9 +348,9 @@ def test_carried_step_vector_equals_the_z_prev_restatement(perturbed):
             return t_mu, t_mu + e, _norm(e)
 
     sched = constant_schedule(0.3, 1.2)
-    run = iterate(prob, sched, perturb=perturb, tol=-1.0, max_iter=300, record_states=True)
-    restated = _restated_run(prob, sched.alpha_of, sched.lambda_of, 300, perturb)
-    _assert_run_equals_restatement(run, restated)
+    opts = dict(tol=-1.0, max_iter=300, divergence_norm=1e12)
+    run = iterate(prob, sched, perturb=perturb, record_states=True, **opts)
+    _assert_run_equals_every_step_norm_run(run, _every_step_norm_run(prob, sched, perturb=perturb, **opts))
 
 
 def _fresh_floats(values):
@@ -200,8 +373,8 @@ def test_step_scalar_cache_never_changes_a_bit():
     ):
         sched = ParamSchedule(alpha_of, lambda_of, alpha_cap=1.0 / 3.0, lambda_floor=1.0 / 3.0, lambda_ceiling=1.5)
         run = iterate(prob, sched, tol=-1.0, max_iter=200, record_states=True)
-        restated = _restated_run(prob, alpha_of, lambda_of, 200)
-        _assert_run_equals_restatement(run, restated)
+        ref = _every_step_norm_run(prob, sched, tol=-1.0, max_iter=200, divergence_norm=1e12)
+        _assert_run_equals_every_step_norm_run(run, ref)
 
 
 def test_step_scalar_cache_keeps_signed_zero_relaxations_apart():
@@ -213,8 +386,8 @@ def test_step_scalar_cache_keeps_signed_zero_relaxations_apart():
     for lambda_of in (_fresh_floats(signed), lambda k: signed[k % 2]):
         sched = ParamSchedule(lambda k: 0.0, lambda_of, alpha_cap=0.0, lambda_floor=0.0, lambda_ceiling=0.0)
         run = iterate(prob, sched, tol=-1.0, max_iter=6, record_states=True)
-        restated = _restated_run(prob, sched.alpha_of, lambda_of, 6)
-        _assert_run_equals_restatement(run, restated)
+        ref = _every_step_norm_run(prob, sched, tol=-1.0, max_iter=6, divergence_norm=1e12)
+        _assert_run_equals_every_step_norm_run(run, ref)
         assert np.signbit(run.states[1][0]) and not np.signbit(run.states[2][0])
 
 

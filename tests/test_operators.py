@@ -393,6 +393,9 @@ def test_fb_composition_validates_inputs():
         make_fb_composition(res, fwd, 2.0)
     with pytest.raises(ValueError, match="rho"):
         make_fb_composition(res, fwd, 0.0)
+    for rho in ("0.1", None):
+        with pytest.raises(ValueError, match="rho must be a real number, got"):
+            make_fb_composition(res, fwd, rho)
 
 
 def _averagedness_ratio(op, theta, x, y):

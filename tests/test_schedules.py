@@ -71,6 +71,39 @@ def test_regime_ii_refuses_a_lambda_ceiling():
     assert constant_schedule(0.1, 0.5, lambda_ceiling=0.6).lambda_ceiling == 0.6
 
 
+@pytest.mark.parametrize("name", ["alpha", "lam", "alpha_cap", "lambda_floor", "lambda_ceiling", "sigma", "delta"])
+def test_constant_schedule_names_a_scalar_that_is_not_a_number(name):
+    # None is the default of the optional ones, so it is refused only for alpha and lam
+    for value in ("x", "0.5", [0.5]) + ((None,) if name in ("alpha", "lam") else ()):
+        args = {"alpha": 0.1, "lam": 0.5}
+        if name in ("sigma", "delta"):
+            args.update(sigma=0.01, delta=1.0)
+        args[name] = value
+        with pytest.raises(ValueError, match=f"^{name} must be a real number, got"):
+            constant_schedule(**args)
+
+
+def test_constant_schedule_stores_floats_and_keeps_non_finite_values():
+    s = constant_schedule(np.float64(0.1), 1, sigma=np.float32(0.25), delta=1)
+    assert type(s.sigma) is float and type(s.delta) is float
+    assert (s.sigma, s.delta, s.lambda_of(3)) == (0.25, 1.0, 1.0)
+    odd = constant_schedule(math.nan, math.inf, alpha_cap=-math.inf, lambda_ceiling=math.nan)
+    assert math.isnan(odd.alpha_of(1)) and odd.lambda_of(1) == math.inf
+    assert odd.alpha_cap == -math.inf and math.isnan(odd.lambda_ceiling)
+    assert math.isnan(constant_schedule(0.1, 0.5, sigma=math.nan, delta=math.inf).sigma)
+
+
+def test_error_model_takes_a_numpy_integer_seed():
+    m = ErrorModel.power_decay(0.1, 2.0, seed=np.int64(3))
+    assert type(m.seed) is int and m == ErrorModel.power_decay(0.1, 2.0, seed=3)
+    for k in (0, 5, 64):
+        want = emit_error(ErrorModel.power_decay(0.1, 2.0, seed=3), k, 7)
+        assert emit_error(m, k, 7).tobytes() == want.tobytes()
+    for seed in (np.bool_(True), np.int64(-1), 3.0):
+        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+            ErrorModel.power_decay(0.1, 2.0, seed=seed)
+
+
 def test_error_model_validation():
     with pytest.raises(ValueError):
         ErrorModel(kind="power-decay", magnitude=-1.0, exponent=2.0)
