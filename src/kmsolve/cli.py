@@ -105,11 +105,13 @@ def _integer(value, name: str) -> int:
 
 
 def _real(value, name: str) -> float:
-    """`value` as float() reads it, "nan" and "inf" included; anything else names the field."""
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{name} must be a number, got {value!r}") from None
+    """`value` as float() reads it, "nan" and "inf" included; a boolean or anything else names the field."""
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ValueError(f"{name} must be a number, got {value!r}")
 
 
 def _array(value, name: str) -> np.ndarray:

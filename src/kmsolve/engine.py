@@ -27,6 +27,19 @@ the schedule returns a different float object: a cache keyed on value
 would reuse +0.0 for -0.0 (they compare equal) and flip a signed zero.
 On an exact run, T mu is coerced to a float64 ndarray; np.asarray is
 called only when it is not one already, since it would return it as is.
+An exact run records no error norm in the step: its err_norms are zeros,
+filled once when the run ends.
+
+Nothing in the loop reads the distance ||z^{k+1} - z*|| to a known
+solution, so the step does not take it.  Each z^{k+1}, a new array the
+loop never writes into, is kept until B = max(1, min(64, 16384 // dim))
+of them have gathered (the block rule of `emit_error`) or the run ends,
+and the block's distances come from one stacked (1, n) @ (n, 1) matmul.
+numpy evaluates each such product with the dot routine of ndarray.dot,
+and subtraction and sqrt are correctly rounded, so every distance has the
+bits of sqrt(x.dot(x)) taken in the step (a test pins the matmul to
+ndarray.dot).  The operator and a perturb callback must not write into
+their argument, which may be z^k itself.
 
 Stopping: residual <= tol wins every tie, then a norm blowup past
 `divergence_norm`, then the iteration budget.  A negative tol disables
@@ -53,7 +66,7 @@ from typing import Callable
 import numpy as np
 
 from .operators import OperatorSpec, as_point, norm
-from .schedules import ErrorModel, ParamSchedule, emit_error
+from .schedules import ErrorModel, ParamSchedule, _block_rows, _real, emit_error
 
 PerturbFn = Callable[[np.ndarray, int], tuple[np.ndarray, np.ndarray, float]]
 
@@ -87,8 +100,10 @@ class RunResult:
     ||T mu^k - mu^k||, `err_norms[k]` the scheme-level ||e^k||,
     `step_norms[k]` is ||z^{k+1} - z^k||, and `alphas` / `lambdas` the
     realized parameters.  `dists` has one extra leading entry: dists[k]
-    is ||z^k - z_star|| for k = 0..n, or None when no solution is known.
-    `states` likewise holds z^0..z^n when recording is on.
+    is ||z^k - z_star|| for k = 0..n, or None when no solution is known;
+    `iterate` takes them in blocks, outside the step, with the bits a
+    per-step sqrt(x.dot(x)) gives.  `states` likewise holds z^0..z^n
+    when recording is on.
     """
 
     stop_reason: str
@@ -135,12 +150,21 @@ def _model_perturb(model: ErrorModel, apply_op, dim: int) -> PerturbFn:
     return p
 
 
+def _distances(points: list[np.ndarray], z_star: np.ndarray) -> list[float]:
+    """||p - z_star|| for each p in `points`, bit for bit sqrt(x.dot(x)) per point.
+
+    Not einsum or (x * x).sum(1): they add the squares in another order.
+    The subtraction is in place, so a block allocates one (B, n) array.
+    """
+    x = np.array(points)
+    x -= z_star
+    return np.sqrt(np.matmul(x[:, None, :], x[:, :, None])).ravel().tolist()
+
+
 def _check_options(**opts) -> None:
     """Raise ValueError for an engine option `iterate` refuses; only the keys given are checked."""
     for name in ("tol", "divergence_norm"):
-        if name in opts and not isinstance(opts[name], numbers.Real):
-            raise ValueError(f"{name} must be a real number, got {opts[name]!r}")
-        if name in opts and math.isnan(opts[name]):
+        if name in opts and math.isnan(_real(opts[name], name)):
             raise ValueError(f"{name} must not be NaN")
     if "max_iter" in opts:
         max_iter = opts["max_iter"]
@@ -195,8 +219,10 @@ def iterate(
     lambdas: list[float] = []
     steps: list[float] = []
     dists: list[float] | None = None
+    pending: list[np.ndarray] = []  # states whose distance to z_star is not yet in dists
     if z_star is not None:
         dists = [norm(z - z_star)]
+        rows = _block_rows(z.size)
     states = [z.copy()] if record_states else None
     max_norm = norm(z)
     # `reach` bounds ||z^k|| from above: the last exact norm plus the step
@@ -219,6 +245,7 @@ def iterate(
     stop_reason = "max-iter"
     add_residual = residuals.append
     add_err = err_norms.append
+    add_pending = pending.append
     add_alpha = alphas.append
     add_lambda = lambdas.append
     add_step = steps.append
@@ -243,9 +270,9 @@ def iterate(
             if t_mu.__class__ is not ndarray or t_mu.dtype is not f64:
                 t_mu = np.asarray(t_mu, dtype=float)
             t_eff = t_mu
-            e_norm = 0.0
         else:
             t_mu, t_eff, e_norm = perturb_fn(mu, k)
+            add_err(float(e_norm))
         d = t_mu - mu
         r = sqrt(d.dot(d))
         # an exact step's update direction is d itself
@@ -253,14 +280,15 @@ def iterate(
         dz = z_next - z  # ||dz|| is step_norms[k]; dz is the next step's inertia term
 
         add_residual(r)
-        add_err(float(e_norm))
         add_alpha(a)
         add_lambda(lam)
         s = sqrt(dz.dot(dz))
         add_step(s)
         if dists is not None:
-            x = z_next - z_star
-            dists.append(sqrt(x.dot(x)))
+            add_pending(z_next)
+            if len(pending) == rows:
+                dists += _distances(pending, z_star)
+                pending.clear()
         if states is not None:
             states.append(z_next.copy())
 
@@ -283,13 +311,15 @@ def iterate(
         reach = zn + _FLOOR
         limit = min(max_norm, divergence_norm) * _SHRINK
 
+    if pending:
+        dists += _distances(pending, z_star)
     return RunResult(
         stop_reason=stop_reason,
         converged=stop_reason == "residual-tol",
         iterations=len(residuals),
         z=z,
         residuals=np.asarray(residuals),
-        err_norms=np.asarray(err_norms),
+        err_norms=np.zeros(len(residuals)) if perturb_fn is None else np.asarray(err_norms),
         alphas=np.asarray(alphas),
         lambdas=np.asarray(lambdas),
         step_norms=np.asarray(steps),

@@ -115,7 +115,7 @@ class IsmOperator:
     beta: float
 
     def __post_init__(self):
-        if not (isinstance(self.beta, numbers.Real) and 0.0 < self.beta < math.inf):
+        if isinstance(self.beta, bool) or not (isinstance(self.beta, numbers.Real) and 0.0 < self.beta < math.inf):
             raise ValueError(f"beta must be a positive real, got {self.beta}")
 
     def __call__(self, x: Point) -> Point:
@@ -171,7 +171,7 @@ def make_identity(dim: int) -> OperatorSpec:
 
 def make_soft_threshold(gamma: float, dim: int) -> OperatorSpec:
     """Coordinatewise soft threshold, prox of gamma * l1-norm.  Firmly nonexpansive."""
-    if not (isinstance(gamma, numbers.Real) and 0.0 < gamma < math.inf):
+    if isinstance(gamma, bool) or not (isinstance(gamma, numbers.Real) and 0.0 < gamma < math.inf):
         raise ValueError(f"gamma must be a finite positive real, got {gamma}")
     g = _const(gamma)
 
@@ -270,7 +270,7 @@ def make_fb_composition(resolvent: OperatorSpec, forward: IsmOperator, rho: floa
     if resolvent.theta != 0.5:
         raise ValueError("resolvent must be firmly nonexpansive (theta = 1/2)")
     beta = forward.beta
-    if not isinstance(rho, numbers.Real):
+    if isinstance(rho, bool) or not isinstance(rho, numbers.Real):
         raise ValueError(f"rho must be a real number, got {rho!r}")
     if not (0.0 < rho < 2.0 * beta):
         raise ValueError(f"rho must lie in (0, 2*beta) = (0, {2.0 * beta}), got {rho}")

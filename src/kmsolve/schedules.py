@@ -103,8 +103,8 @@ def constant_schedule(
 
 
 def _real(value, name: str) -> float:
-    """`value` as a float; a value that is not a real number (NaN and inf are) names the parameter."""
-    if not isinstance(value, numbers.Real):
+    """`value` as a float; a boolean or a value that is not a real number (NaN and inf are) names the parameter."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
     return float(value)
 
@@ -137,13 +137,14 @@ class ErrorModel:
     def __post_init__(self):
         if self.kind not in ERROR_KINDS:
             raise ValueError(f"unknown error kind {self.kind!r}")
-        if not (isinstance(self.magnitude, numbers.Real) and 0.0 <= self.magnitude < math.inf):
+        magnitude = _real(self.magnitude, "magnitude")
+        if not 0.0 <= magnitude < math.inf:
             raise ValueError("magnitude must be a finite nonnegative real")
+        object.__setattr__(self, "magnitude", magnitude)
         if isinstance(self.seed, bool) or not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
             raise ValueError("seed must be a nonnegative integer")
         object.__setattr__(self, "seed", int(self.seed))
-        if not isinstance(self.exponent, numbers.Real):
-            raise ValueError(f"exponent must be a real number, got {self.exponent!r}")
+        object.__setattr__(self, "exponent", _real(self.exponent, "exponent"))
         if self.kind == "geometric" and not self.exponent > 0.0:
             raise ValueError("geometric law needs a positive ratio in `exponent`")
         if not math.isfinite(self.exponent):
@@ -151,7 +152,7 @@ class ErrorModel:
         if self.kind == "custom-list":
             if self.norms is None:
                 raise ValueError("custom-list law needs explicit norms")
-            object.__setattr__(self, "norms", tuple(float(v) for v in self.norms))
+            object.__setattr__(self, "norms", tuple(_real(v, f"norms[{i}]") for i, v in enumerate(self.norms)))
             if any((v < 0.0 or not math.isfinite(v)) for v in self.norms):
                 raise ValueError("custom norms must be finite and nonnegative")
         elif self.norms is not None:
@@ -163,15 +164,15 @@ class ErrorModel:
 
     @classmethod
     def power_decay(cls, magnitude: float, exponent: float, seed: int = 0) -> "ErrorModel":
-        return cls(kind="power-decay", magnitude=float(magnitude), exponent=float(exponent), seed=seed)
+        return cls(kind="power-decay", magnitude=magnitude, exponent=exponent, seed=seed)
 
     @classmethod
     def geometric(cls, magnitude: float, ratio: float, seed: int = 0) -> "ErrorModel":
-        return cls(kind="geometric", magnitude=float(magnitude), exponent=float(ratio), seed=seed)
+        return cls(kind="geometric", magnitude=magnitude, exponent=_real(ratio, "ratio"), seed=seed)
 
     @classmethod
     def from_norms(cls, norms, seed: int = 0) -> "ErrorModel":
-        return cls(kind="custom-list", norms=tuple(float(v) for v in norms), seed=seed)
+        return cls(kind="custom-list", norms=norms, seed=seed)
 
     def norm_at(self, k: int) -> float:
         if k < 0:
@@ -205,6 +206,11 @@ class ErrorModel:
         return "summable" if self.exponent < 1.0 else "not-guaranteed"
 
 
+def _block_rows(dim: int) -> int:
+    """Rows of a (rows, dim) block: at most 64, holding at most 16384 floats unless one row is longer."""
+    return max(1, min(64, 16384 // dim))
+
+
 def emit_error(model: ErrorModel, k: int, dim: int, cache: dict | None = None) -> np.ndarray:
     """The perturbation vector e^k: declared norm, seeded sphere direction.
 
@@ -227,7 +233,7 @@ def emit_error(model: ErrorModel, k: int, dim: int, cache: dict | None = None) -
     target = model.norm_at(k)
     if target == 0.0:
         return np.zeros(dim)
-    rows = max(1, min(64, 16384 // dim))
+    rows = _block_rows(dim)
     key = (model.seed, k // rows, dim)
     if cache is not None and cache.get("key") == key:
         block = cache["block"]

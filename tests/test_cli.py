@@ -334,6 +334,16 @@ def test_run_rejects_bad_input_before_iterating(tmp_path, monkeypatch):
         ({"errors": dict(geometric, ratio="half")}, "error: bad errors: ratio must be a number, got 'half'"),
         ({"problem": dict(FEASIBLE["problem"], theta="half")}, "error: bad problem: theta must be a number, got 'half'"),
         ({"problem": dict(soft, gamma="wide", dim=2)}, "error: bad problem: gamma must be a number, got 'wide'"),
+        # JSON true and false are not numbers, though float() reads them as 1 and 0
+        ({"engine": {"tol": True}}, "error: bad engine options: tol must be a number, got True"),
+        ({"engine": {"divergence_norm": False}}, "error: bad engine options: divergence_norm must be a number, got False"),
+        ({"schedule": {"alpha": 0.2, "lambda": True}}, "error: bad schedule: lambda must be a number, got True"),
+        ({"schedule": {"alpha": False, "lambda": 0.5}}, "error: bad schedule: alpha must be a number, got False"),
+        ({"errors": dict(power, magnitude=True)}, "error: bad errors: magnitude must be a number, got True"),
+        ({"errors": dict(geometric, ratio=True)}, "error: bad errors: ratio must be a number, got True"),
+        ({"problem": dict(FEASIBLE["problem"], theta=True)}, "error: bad problem: theta must be a number, got True"),
+        ({"problem": dict(soft, gamma=True, dim=2)}, "error: bad problem: gamma must be a number, got True"),
+        ({"errors": {"kind": "custom-list", "norms": [0.1, True]}}, "error: bad errors: norms[1] must be a real number, got True"),
     ]
     # array fields name themselves when numpy cannot read them as float arrays
     affine = FEASIBLE["problem"]

@@ -7,9 +7,16 @@ import warnings
 import numpy as np
 import pytest
 
-from kmsolve.applications import box_intersection_pieces, solve_ppa
-from kmsolve.engine import Problem, iterate
-from kmsolve.operators import OperatorSpec, make_affine, make_fb_composition, make_identity, make_soft_threshold
+from kmsolve.applications import box_intersection_pieces, lasso_fbs_pieces, plant_lasso, solve_fbs, solve_ppa
+from kmsolve.engine import Problem, _distances, iterate
+from kmsolve.operators import (
+    OperatorSpec,
+    make_affine,
+    make_fb_composition,
+    make_identity,
+    make_soft_threshold,
+    quadratic_gradient,
+)
 from kmsolve.schedules import ErrorModel, ParamSchedule, constant_schedule, emit_error, validate_schedule
 
 
@@ -149,7 +156,8 @@ def _every_step_norm_run(prob, schedule, errors=None, perturb=None, *, tol, max_
     )
 
 
-def _assert_run_equals_every_step_norm_run(run, ref, label=""):
+def _assert_run_equals_every_step_norm_run(run, ref, label="", states=True):
+    """`states`: whether the run recorded them; without, only the final state is compared."""
     assert (run.stop_reason, run.iterations) == (ref["stop_reason"], ref["iterations"]), label
     assert run.max_state_norm.hex() == ref["max_state_norm"].hex(), label
     for name in ("residuals", "err_norms", "alphas", "lambdas", "step_norms"):
@@ -157,9 +165,12 @@ def _assert_run_equals_every_step_norm_run(run, ref, label=""):
     assert (run.dists is None) == (ref["dists"] is None), label
     if run.dists is not None:
         assert run.dists.tobytes() == np.asarray(ref["dists"]).tobytes(), label
-    assert len(run.states) == len(ref["states"]), label
-    for got, want in zip(run.states, ref["states"]):
-        assert got.tobytes() == want.tobytes(), label
+    if not states:
+        assert run.states is None, label
+    else:
+        assert len(run.states) == len(ref["states"]), label
+        for got, want in zip(run.states, ref["states"]):
+            assert got.tobytes() == want.tobytes(), label
     assert run.z.tobytes() == ref["states"][-1].tobytes(), label
 
 
@@ -176,11 +187,11 @@ def _scaled_operator(factor, dim):
     return OperatorSpec(apply=lambda x: factor * x, theta=1.0, dim=dim)
 
 
-def _lambda_nan_at(step, lam, alpha=0.0):
-    """Constant alpha and lam, except a NaN lambda_k at k = step."""
+def _lambda_at(step, value, lam, alpha=0.0):
+    """Constant alpha and lam, except lambda_k = value at k = step."""
     return ParamSchedule(
         lambda k: alpha,
-        lambda k: math.nan if k == step else lam,
+        lambda k: value if k == step else lam,
         alpha_cap=alpha,
         lambda_floor=lam,
         lambda_ceiling=lam,
@@ -244,13 +255,13 @@ def test_exact_steps_equal_the_two_subtraction_restatement():
         ),
         "nan-lambda-mid-run": (
             _averaged_affine_problem(23),
-            _lambda_nan_at(40, 0.7),
+            _lambda_at(40, math.nan, 0.7),
             {},
             lambda n, run: run.stop_reason == "diverged" and run.iterations == 41,
         ),
         "nan-lambda-at-a-fixed-point": (
             Problem(operator=make_identity(2), z0=[1.0, 2.0]),
-            _lambda_nan_at(0, 0.5),
+            _lambda_at(0, math.nan, 0.5),
             dict(tol=1e-10),
             lambda n, run: run.stop_reason == "diverged" and run.residuals.tolist() == [0.0],
         ),
@@ -298,7 +309,7 @@ def _sweep_case(i):
     alpha, lam = float(rng.choice([0.0, rng.uniform(0.0, 0.6)])), rng.uniform(0.1, 1.8)
     schedule = constant_schedule(alpha, lam)
     if rng.random() < 0.1:
-        schedule = _lambda_nan_at(int(rng.integers(0, 150)), lam, alpha)
+        schedule = _lambda_at(int(rng.integers(0, 150)), math.nan, lam, alpha)
     errors = perturb = None
     source = rng.integers(0, 3)
     if source == 1:
@@ -331,6 +342,127 @@ def test_state_norm_skips_match_the_every_step_norm_run_on_a_seeded_sweep():
         _assert_run_equals_every_step_norm_run(run, ref, i)
         reasons[run.stop_reason] += 1
     assert min(reasons.values()) >= 30, reasons
+
+
+def _diagonal_problem(n, seed):
+    # T x = c x coordinatewise, c in [0.5, 0.99): cheap at any n, z* = 0
+    rng = np.random.default_rng(seed)
+    op = _scaled_operator(rng.uniform(0.5, 0.99, n), n)
+    return Problem(operator=op, z0=rng.standard_normal(n), z_star=np.zeros(n))
+
+
+def test_distances_taken_in_blocks_equal_the_every_step_norm_run():
+    # `iterate` takes ||z^k - z*|| in blocks of max(1, min(64, 16384 // dim))
+    # states after the step; each case must match the per-step
+    # sqrt(x.dot(x)) of the restatement bit for bit, with no warning raised
+    averaged = constant_schedule(0.3, 1.2)
+    cases = {
+        # name: (problem, schedule, options, record_states, what the run shows)
+        "dim-1": (_averaged_affine_problem(41, n=1), averaged, {}, False, None),
+        "dim-20": (_averaged_affine_problem(42, n=20), averaged, {}, False, None),
+        "dim-200": (_averaged_affine_problem(43, n=200), averaged, {}, False, None),
+        "dim-300-blocks-of-54": (_averaged_affine_problem(44, n=300), averaged, {}, False, None),
+        "dim-20000-blocks-of-1": (_diagonal_problem(20000, 45), averaged, dict(max_iter=40), False, None),
+        "tol-stop-mid-block": (
+            _averaged_affine_problem(46, n=20),
+            averaged,
+            dict(tol=1e-9, max_iter=1000),
+            False,
+            lambda run: run.stop_reason == "residual-tol" and run.iterations % 64 not in (0, 63),
+        ),
+        "nan-state-mid-block": (
+            _averaged_affine_problem(47, n=20),
+            _lambda_at(70, math.nan, 0.7),
+            {},
+            False,
+            lambda run: run.stop_reason == "diverged" and run.iterations == 71 and math.isnan(run.dists[-1]),
+        ),
+        "inf-state-mid-block": (
+            _averaged_affine_problem(48, n=20),
+            _lambda_at(100, math.inf, 0.7),
+            {},
+            False,
+            lambda run: run.stop_reason == "diverged" and run.iterations == 101 and np.isinf(run.z).any(),
+        ),
+        "max-iter-0": (_averaged_affine_problem(49, n=20), averaged, dict(max_iter=0), False, None),
+        "exactly-64-steps": (_averaged_affine_problem(50, n=20), averaged, dict(max_iter=64), False, None),
+        "exactly-128-steps": (_averaged_affine_problem(51, n=20), averaged, dict(max_iter=128), False, None),
+        "record-states": (_averaged_affine_problem(52, n=20), averaged, dict(max_iter=150), True, None),
+    }
+    for label, (prob, schedule, opts, record, shows) in cases.items():
+        opts = {"tol": -1.0, "max_iter": 300, "divergence_norm": 1e12, **opts}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run = iterate(prob, schedule, record_states=record, **opts)
+            ref = _every_step_norm_run(prob, schedule, **opts)
+        _assert_run_equals_every_step_norm_run(run, ref, label, states=record)
+        assert run.dists.shape == (run.iterations + 1,), label
+        assert shows is None or shows(run), label
+
+
+def test_distances_of_a_perturbed_fbs_run_equal_the_per_state_norms():
+    inst = plant_lasso(n_samples=60, n_features=40, support_size=5, seed=3)
+    rho = 0.9 * quadratic_gradient(inst.matrix, inst.rhs).beta
+    resolvent, forward = lasso_fbs_pieces(inst, rho)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run = solve_fbs(
+            resolvent,
+            forward,
+            rho,
+            np.zeros(40),
+            constant_schedule(0.2, 0.9),
+            forward_errors=ErrorModel.power_decay(1e-2, 2.0, seed=5),
+            resolvent_errors=ErrorModel.geometric(1e-3, 0.9, seed=6),
+            z_star=inst.x_star,
+            tol=-1.0,
+            max_iter=150,
+            record_states=True,
+        )
+    want = [_norm(z - inst.x_star) for z in run.states]
+    assert run.iterations == 150 and run.err_norms.min() > 0.0
+    assert run.dists.tobytes() == np.asarray(want).tobytes()
+
+
+def test_stacked_matmul_row_dot_equals_ndarray_dot_bitwise():
+    # the engine's block distances rest on numpy evaluating each (1, n) @ (n, 1)
+    # product of a stacked matmul with ndarray.dot's routine; einsum and
+    # (x * x).sum(1) add in another order and differ in the last bits
+    rng = np.random.default_rng(19)
+    special = [0.0, -0.0, 1e-160, 5e-324, 1e160, 1e200, math.inf, -math.inf, math.nan]
+    for i in range(400):
+        n = int(rng.integers(1, 40)) if i % 2 else int(rng.integers(50, 301))
+        rows = int(rng.integers(1, 65))
+        x = rng.standard_normal((rows, n)) * 10.0 ** rng.uniform(-5.0, 5.0, (rows, 1))
+        if i % 7 == 0:
+            x[rng.integers(rows), rng.integers(n)] = special[i % len(special)]
+        points = list(x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = np.matmul(x[:, None, :], x[:, :, None]).ravel()
+            dists = _distances(points, np.zeros(n))
+            want = np.array([p.dot(p) for p in points])
+        assert got.tobytes() == want.tobytes(), (i, n, rows)
+        assert np.asarray(dists).tobytes() == np.array([math.sqrt(w) for w in want]).tobytes(), (i, n, rows)
+
+
+def test_exact_runs_record_positive_zero_error_norms():
+    prob = _averaged_affine_problem(53, n=5)
+    for errors in (None, ErrorModel.zero()):
+        for max_iter in (0, 1, 70):
+            run = iterate(prob, constant_schedule(0.2, 1.1), errors, tol=-1.0, max_iter=max_iter)
+            assert run.err_norms.dtype == np.float64 and run.err_norms.shape == (max_iter,)
+            assert not run.err_norms.any() and not np.signbit(run.err_norms).any()
+
+
+def test_perturb_callback_error_norms_are_recorded_as_given():
+    prob = _averaged_affine_problem(54, n=5)
+
+    def perturb(mu, k):
+        t_mu = prob.operator.apply(mu)
+        return t_mu, t_mu, -float(k)  # the callback's norm is recorded as given
+
+    run = iterate(prob, constant_schedule(0.2, 1.1), perturb=perturb, tol=-1.0, max_iter=7)
+    assert run.err_norms.tolist() == [-float(k) for k in range(7)]
 
 
 @pytest.mark.parametrize("perturbed", [False, True], ids=["exact", "perturb-callback"])
@@ -481,7 +613,15 @@ def test_nan_stopping_thresholds_are_rejected():
 
 
 @pytest.mark.parametrize(
-    "name, value", [("tol", "1e-3"), ("tol", None), ("divergence_norm", None), ("divergence_norm", "1e12")]
+    "name, value",
+    [
+        ("tol", "1e-3"),
+        ("tol", None),
+        ("tol", True),
+        ("divergence_norm", None),
+        ("divergence_norm", "1e12"),
+        ("divergence_norm", False),
+    ],
 )
 def test_stopping_thresholds_that_are_not_numbers_are_refused_by_name(name, value):
     with pytest.raises(ValueError, match=f"{name} must be a real number, got"):
@@ -595,10 +735,12 @@ def test_averaged_operators_run_over_relaxed_on_the_one_loop():
 
 
 def test_error_model_norms_are_recorded_per_step():
-    m = ErrorModel.power_decay(0.05, 2.0, seed=13)
-    run = iterate(_halving_problem(), constant_schedule(0.0, 0.5), m, tol=-1.0, max_iter=8)
-    want = [m.norm_at(k) for k in range(8)]
-    assert np.allclose(run.err_norms, want, rtol=1e-12, atol=0)
+    # a law with zero steps, past its list too, still records each step's norm
+    for m in (ErrorModel.power_decay(0.05, 2.0, seed=13), ErrorModel.from_norms((0.0, 3e-3, 0.0, 1e-4), seed=2)):
+        run = iterate(_halving_problem(), constant_schedule(0.0, 0.5), m, tol=-1.0, max_iter=8)
+        want = [m.norm_at(k) for k in range(8)]
+        assert np.allclose(run.err_norms, want, rtol=1e-12, atol=0)
+        assert not np.signbit(run.err_norms).any()
 
 
 def test_result_shapes_and_defaults():

@@ -121,7 +121,7 @@ def test_operator_spec_keeps_an_integer_dim():
 
 def test_ism_operator_requires_positive_finite_beta():
     f = lambda x: x
-    for bad in (0.0, -1.0, np.inf, np.nan, "1", None):
+    for bad in (0.0, -1.0, np.inf, np.nan, "1", None, True):
         with pytest.raises(ValueError, match="beta must be a positive real"):
             IsmOperator(apply=f, beta=bad)
 
@@ -263,7 +263,7 @@ def test_soft_threshold_closed_form():
     assert not got[:7].any()
     assert got[7] > 0.0 and got[8] == -1.7 and got[9] == 1.2 and math.isnan(got[10])
     assert op.theta == 0.5
-    for bad in (0.0, -1.0, math.inf, math.nan, "0.3", None):
+    for bad in (0.0, -1.0, math.inf, math.nan, "0.3", None, True):
         with pytest.raises(ValueError, match="gamma must be a finite positive real"):
             make_soft_threshold(bad, 5)
 
@@ -393,7 +393,7 @@ def test_fb_composition_validates_inputs():
         make_fb_composition(res, fwd, 2.0)
     with pytest.raises(ValueError, match="rho"):
         make_fb_composition(res, fwd, 0.0)
-    for rho in ("0.1", None):
+    for rho in ("0.1", None, True):
         with pytest.raises(ValueError, match="rho must be a real number, got"):
             make_fb_composition(res, fwd, rho)
 

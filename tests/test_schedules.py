@@ -74,7 +74,7 @@ def test_regime_ii_refuses_a_lambda_ceiling():
 @pytest.mark.parametrize("name", ["alpha", "lam", "alpha_cap", "lambda_floor", "lambda_ceiling", "sigma", "delta"])
 def test_constant_schedule_names_a_scalar_that_is_not_a_number(name):
     # None is the default of the optional ones, so it is refused only for alpha and lam
-    for value in ("x", "0.5", [0.5]) + ((None,) if name in ("alpha", "lam") else ()):
+    for value in ("x", "0.5", [0.5], True, False) + ((None,) if name in ("alpha", "lam") else ()):
         args = {"alpha": 0.1, "lam": 0.5}
         if name in ("sigma", "delta"):
             args.update(sigma=0.01, delta=1.0)
@@ -91,6 +91,33 @@ def test_constant_schedule_stores_floats_and_keeps_non_finite_values():
     assert math.isnan(odd.alpha_of(1)) and odd.lambda_of(1) == math.inf
     assert odd.alpha_cap == -math.inf and math.isnan(odd.lambda_ceiling)
     assert math.isnan(constant_schedule(0.1, 0.5, sigma=math.nan, delta=math.inf).sigma)
+
+
+def test_error_model_names_a_value_that_is_not_a_real_number():
+    bad = [
+        (lambda: ErrorModel.power_decay("x", 2.0), "magnitude"),
+        (lambda: ErrorModel.power_decay(0.1, "x"), "exponent"),
+        (lambda: ErrorModel.power_decay(True, 2.0), "magnitude"),
+        (lambda: ErrorModel.power_decay(0.1, True), "exponent"),
+        (lambda: ErrorModel.geometric(None, 0.5), "magnitude"),
+        (lambda: ErrorModel.geometric(0.1, None), "ratio"),
+        (lambda: ErrorModel.geometric(0.1, True), "ratio"),
+        (lambda: ErrorModel.from_norms([0.1, "a"]), r"norms\[1\]"),
+        (lambda: ErrorModel.from_norms([False]), r"norms\[0\]"),
+        (lambda: ErrorModel(kind="power-decay", magnitude=True, exponent=2.0), "magnitude"),
+        (lambda: ErrorModel(kind="custom-list", norms=(0.1, None)), r"norms\[1\]"),
+    ]
+    for build, name in bad:
+        with pytest.raises(ValueError, match=f"^{name} must be a real number, got"):
+            build()
+
+
+def test_error_model_stores_its_scalars_as_floats():
+    m = ErrorModel(kind="power-decay", magnitude=1, exponent=np.float32(2.0))
+    assert type(m.magnitude) is float and type(m.exponent) is float
+    assert m == ErrorModel.power_decay(1.0, 2.0)
+    assert ErrorModel.from_norms(np.array([0.5, 0.25])).norms == (0.5, 0.25)
+    assert all(type(v) is float for v in ErrorModel.from_norms([1, np.float64(0.5)]).norms)
 
 
 def test_error_model_takes_a_numpy_integer_seed():
