@@ -34,6 +34,8 @@ from .operators import (
     OperatorSpec,
     _const,
     _fb_value,
+    _integer,
+    _real,
     make_box_projection,
     make_fb_composition,
     make_soft_threshold,
@@ -93,7 +95,7 @@ def solve_fbs(
     if fe.kind == "zero" and re.kind == "zero":
         return iterate(prob, schedule, None, **engine_options)
 
-    dim = resolvent.dim
+    dim = prob.z0.size
     j = resolvent.apply
     fwd = forward.apply
     r = _const(rho)
@@ -142,12 +144,12 @@ def plant_lasso(
     inclusion holds with equality and the strictly convex objective makes
     x_star unique.
     """
+    n_samples, n_features = _integer(n_samples, "n_samples"), _integer(n_features, "n_features")
+    support_size = _integer(support_size, "support_size", "lie in 1..n_features", lambda s: 0 < s <= n_features)
+    seed = _integer(seed, "seed", "be a nonnegative integer", lambda s: s >= 0)
+    reg = _real(reg, "reg", "be positive", lambda r: r > 0.0)
     if n_samples < n_features:
         raise ValueError("planting needs n_samples >= n_features for a full-rank design")
-    if not 0 < support_size <= n_features:
-        raise ValueError("support_size must lie in 1..n_features")
-    if not reg > 0.0:
-        raise ValueError("reg must be positive")
     rng = np.random.default_rng(seed)
     m = rng.standard_normal((n_samples, n_features)) / math.sqrt(n_samples)
     support = np.sort(rng.choice(n_features, size=support_size, replace=False))
@@ -162,11 +164,11 @@ def plant_lasso(
     return LassoInstance(
         matrix=m,
         rhs=rhs,
-        reg=float(reg),
+        reg=reg,
         x_star=x_star,
         dual=dual,
         support=support,
-        seed=int(seed),
+        seed=seed,
     )
 
 
@@ -196,7 +198,7 @@ def lasso_fbs_pieces(inst: LassoInstance, rho: float) -> tuple[OperatorSpec, Ism
     inst.rhs).beta, the forward map reuses that SVD (spectral_norm's memo).
     """
     forward = quadratic_gradient(inst.matrix, inst.rhs)
-    resolvent = make_soft_threshold(float(rho) * inst.reg, inst.matrix.shape[1])
+    resolvent = make_soft_threshold(_real(rho, "rho") * inst.reg, inst.matrix.shape[1])
     return resolvent, forward
 
 

@@ -36,10 +36,11 @@ import argparse
 import json
 import math
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 
 import numpy as np
 
+from . import operators
 from .diagnostics import _min_residual_sq, consistency_report, rate_certificate
 from .engine import Problem, _check_options, iterate
 from .operators import as_point, make_affine, make_box_projection, make_identity, make_soft_threshold
@@ -58,7 +59,7 @@ def _load_config(path: str) -> dict:
             cfg = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, an undecodable byte or an integer past int()'s digit limit
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
@@ -94,32 +95,33 @@ def _config_errors(prefix: str = ""):
 
 
 def _integer(value, name: str) -> int:
-    """`value` as an int; a boolean, a string or a fractional number is refused, not truncated."""
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, (int, float))
-        or (isinstance(value, float) and not value.is_integer())
-    ):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    """`value` as an int; an integral float such as 1e5 is read as one, and anything else names the field."""
+    return operators._integer(int(value) if isinstance(value, float) and value.is_integer() else value, name)
 
 
 def _real(value, name: str) -> float:
-    """`value` as float() reads it, "nan" and "inf" included; a boolean or anything else names the field."""
-    if not isinstance(value, bool):
-        try:
-            return float(value)
-        except (TypeError, ValueError):
-            pass
-    raise ValueError(f"{name} must be a number, got {value!r}")
+    """`value` as a float, a string as float() reads it ("nan" and "1e-3" included); anything else names the field."""
+    if isinstance(value, str):
+        with suppress(ValueError):
+            value = float(value)
+    return operators._real(value, name, "be a number")
 
 
 def _array(value, name: str) -> np.ndarray:
     """`value` as np.asarray(value, dtype=float) reads it; a value it cannot read names the field."""
     try:
         return np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{name} must be an array of numbers: {exc}") from None
+
+
+def _number_array(value, name: str) -> np.ndarray:
+    """`value` as `_array` reads it, refusing a boolean entry at any depth, which numpy reads as 1 or 0."""
+    array = _array(value, name)
+    for entry in np.asarray(value, dtype=object).flat:
+        if entry is not None and not isinstance(entry, str):  # numpy reads null as NaN, a string as float() does
+            operators._real(entry, name, "be an array of numbers")
+    return array
 
 
 @_config_errors("bad problem: ")
@@ -127,10 +129,10 @@ def problem_from_config(cfg: dict) -> Problem:
     kind = _require(cfg, "kind", "problem")
     if kind == "affine":
         # shapes and finiteness are checked here first, so an error names the config field
-        matrix = _array(_require(cfg, "matrix", "problem"), "matrix")
+        matrix = _number_array(_require(cfg, "matrix", "problem"), "matrix")
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError(f"matrix must be a square matrix, got shape {matrix.shape}")
-        offset = _array(_require(cfg, "offset", "problem"), "offset")
+        offset = _number_array(_require(cfg, "offset", "problem"), "offset")
         op = make_affine(
             matrix,
             as_point(offset, dim=matrix.shape[0], name="offset"),
@@ -143,7 +145,7 @@ def problem_from_config(cfg: dict) -> Problem:
         )
     elif kind == "box-projection":
         op = make_box_projection(
-            _array(_require(cfg, "lo", "problem"), "lo"), _array(_require(cfg, "hi", "problem"), "hi")
+            _number_array(_require(cfg, "lo", "problem"), "lo"), _number_array(_require(cfg, "hi", "problem"), "hi")
         )
     elif kind == "identity":
         op = make_identity(_integer(_require(cfg, "dim", "problem"), "dim"))
@@ -152,8 +154,8 @@ def problem_from_config(cfg: dict) -> Problem:
     z_star = cfg.get("z_star")
     return Problem(
         operator=op,
-        z0=_array(_require(cfg, "z0", "problem"), "z0"),
-        z_star=None if z_star is None else _array(z_star, "z_star"),
+        z0=_number_array(_require(cfg, "z0", "problem"), "z0"),
+        z_star=None if z_star is None else _number_array(z_star, "z_star"),
     )
 
 

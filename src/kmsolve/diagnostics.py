@@ -44,11 +44,12 @@ certificate even though it may well converge.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .engine import RunResult
+from .operators import _real
 from .schedules import _check_sequences
 
 
@@ -138,7 +139,7 @@ def quasi_fejer_violations(result: RunResult, tol: float = 1e-10) -> np.ndarray:
     if result.alphas.size and float(np.max(result.alphas)) != 0.0:
         raise ValueError("distance quasi-monotonicity applies to zero-inertia runs")
     d = result.dists
-    allowed = d[:-1] + result.lambdas * result.err_norms + tol
+    allowed = d[:-1] + result.lambdas * result.err_norms + _real(tol, "tol")
     return np.flatnonzero(d[1:] > allowed)
 
 
@@ -169,13 +170,7 @@ class ConsistencyReport:
         raise KeyError(name)
 
     def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "items": [
-                {"name": i.name, "value": i.value, "verdict": i.verdict, "detail": i.detail}
-                for i in self.items
-            ],
-        }
+        return {"verdict": self.verdict, "items": [asdict(i) for i in self.items]}
 
 
 def _tail_verdict(partial: np.ndarray) -> tuple[str, str]:

@@ -30,16 +30,16 @@ called only when it is not one already, since it would return it as is.
 An exact run records no error norm in the step: its err_norms are zeros,
 filled once when the run ends.
 
-Nothing in the loop reads the distance ||z^{k+1} - z*|| to a known
-solution, so the step does not take it.  Each z^{k+1}, a new array the
-loop never writes into, is kept until B = max(1, min(64, 16384 // dim))
-of them have gathered (the block rule of `emit_error`) or the run ends,
-and the block's distances come from one stacked (1, n) @ (n, 1) matmul.
-numpy evaluates each such product with the dot routine of ndarray.dot,
+Nothing in the loop reads the distance ||z^k - z*|| to a known solution,
+so the step does not take it.  Every distance, z^0's included, takes one
+path: the states, arrays the loop never writes into, are kept until
+B = max(1, min(64, 16384 // dim)) have gathered (`emit_error`'s block
+rule) or the run ends, and one stacked (1, n) @ (n, 1) matmul gives their
+distances.  numpy evaluates each such product with ndarray.dot's routine,
 and subtraction and sqrt are correctly rounded, so every distance has the
-bits of sqrt(x.dot(x)) taken in the step (a test pins the matmul to
-ndarray.dot).  The operator and a perturb callback must not write into
-their argument, which may be z^k itself.
+bits of sqrt(x.dot(x)) (a test pins the matmul to ndarray.dot).  The
+operator and a perturb callback must not write into their argument,
+which may be z^k itself.
 
 Stopping: residual <= tol wins every tie, then a norm blowup past
 `divergence_norm`, then the iteration budget.  A negative tol disables
@@ -59,14 +59,13 @@ numpy's overflow and invalid-value warnings are silenced for the run.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .operators import OperatorSpec, as_point, norm
-from .schedules import ErrorModel, ParamSchedule, _block_rows, _real, emit_error
+from .operators import OperatorSpec, _integer, _real, as_point, norm
+from .schedules import ErrorModel, ParamSchedule, _block_rows, emit_error
 
 PerturbFn = Callable[[np.ndarray, int], tuple[np.ndarray, np.ndarray, float]]
 
@@ -166,12 +165,8 @@ def _check_options(**opts) -> None:
     for name in ("tol", "divergence_norm"):
         if name in opts and math.isnan(_real(opts[name], name)):
             raise ValueError(f"{name} must not be NaN")
-    if "max_iter" in opts:
-        max_iter = opts["max_iter"]
-        if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral):
-            raise ValueError(f"max_iter must be an integer, got {max_iter!r}")
-        if max_iter < 0:
-            raise ValueError("max_iter must be nonnegative")
+    if "max_iter" in opts and _integer(opts["max_iter"], "max_iter") < 0:
+        raise ValueError("max_iter must be nonnegative")
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -204,7 +199,7 @@ def iterate(
     # None marks the exact case: the loop then skips the callback.
     perturb_fn = perturb
     if errors is not None and errors.kind != "zero":
-        perturb_fn = _model_perturb(errors, apply_op, problem.operator.dim)
+        perturb_fn = _model_perturb(errors, apply_op, problem.z0.size)
     alpha_of = schedule.alpha_of
     lambda_of = schedule.lambda_of
     z_star = problem.z_star
@@ -218,11 +213,9 @@ def iterate(
     alphas: list[float] = []
     lambdas: list[float] = []
     steps: list[float] = []
-    dists: list[float] | None = None
-    pending: list[np.ndarray] = []  # states whose distance to z_star is not yet in dists
-    if z_star is not None:
-        dists = [norm(z - z_star)]
-        rows = _block_rows(z.size)
+    dists: list[float] | None = None if z_star is None else []
+    pending: list[np.ndarray] = [] if z_star is None else [z]  # states whose distance is not yet in dists
+    rows = _block_rows(z.size)
     states = [z.copy()] if record_states else None
     max_norm = norm(z)
     # `reach` bounds ||z^k|| from above: the last exact norm plus the step

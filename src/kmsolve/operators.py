@@ -5,7 +5,9 @@ nonexpansive N.  theta = 1 means plain nonexpansive with no averagedness
 claim; firmly nonexpansive maps (proximity operators, projections,
 resolvents) carry theta = 1/2.  The factories below declare the constant
 their construction guarantees, and make_affine certifies a caller's claim
-exactly.  An OperatorSpec built by hand carries its theta unchecked.
+exactly.  An OperatorSpec built by hand carries its theta uncertified.
+Every module and the CLI check their scalar and vector arguments here:
+`_real` and `_integer` take scalars, `as_point` takes vectors.
 
 The built-in operators are closures that the loop calls on every step, so
 each binds its per-call scalars once, when it is built, as private
@@ -24,9 +26,9 @@ passes float64 points.
 from __future__ import annotations
 
 import math
-import numbers
 import struct
 from dataclasses import dataclass
+from numbers import Integral, Real
 from typing import Callable
 
 import numpy as np
@@ -58,13 +60,35 @@ def _const(value: float) -> np.ndarray:
 _ZERO = _const(0.0)
 
 
+def _real(value, name: str, rule: str = "be a real number", ok: Callable[[float], bool] | None = None) -> float:
+    """`value` as a float if it is a real, not a boolean, that fits a float and passes `ok`; else ValueError by name."""
+    try:  # float and int come before Real, whose isinstance test takes about 1 us
+        if not isinstance(value, bool) and isinstance(value, (float, int, Real)) and (ok is None or ok(float(value))):
+            return float(value)
+    except OverflowError:  # an integer outside the float range
+        pass
+    raise ValueError(f"{name} must {rule}, got {value!r}")
+
+
+def _integer(value, name: str, rule: str = "be an integer", ok: Callable[[int], bool] | None = None) -> int:
+    """`value` as an int if it is an integer, not a boolean, that passes `ok`; else ValueError by name."""
+    if not isinstance(value, bool) and isinstance(value, (int, Integral)) and (ok is None or ok(int(value))):
+        return int(value)
+    raise ValueError(f"{name} must {rule}, got {value!r}")
+
+
 def as_point(x, dim: int | None = None, name: str = "point") -> Point:
     """Coerce to a finite 1-D float64 vector, optionally checking length."""
-    p = np.asarray(x, dtype=float)
+    try:
+        p = np.asarray(x, dtype=float)
+    except OverflowError:
+        raise ValueError(f"{name} contains an entry outside the float range") from None
     if p.ndim == 0:
         p = p.reshape(1)
     if p.ndim != 1:
         raise ValueError(f"{name} must be a vector, got shape {p.shape}")
+    if p.size == 0:
+        raise ValueError(f"{name} must have at least one entry")
     if not np.isfinite(p).all():
         raise ValueError(f"{name} contains non-finite entries")
     if dim is not None and p.shape[0] != dim:
@@ -96,12 +120,9 @@ class OperatorSpec:
     dim: int | None  # None when the operator works in any dimension
 
     def __post_init__(self):
-        theta = self.theta
-        if isinstance(theta, bool) or not (isinstance(theta, numbers.Real) and 0.0 < theta <= 1.0):
-            raise ValueError(f"theta must lie in (0, 1], got {theta}")
-        dim = self.dim
-        if dim is not None and (isinstance(dim, bool) or not isinstance(dim, numbers.Integral) or dim < 1):
-            raise ValueError(f"dim must be a positive integer, got {dim!r}")
+        object.__setattr__(self, "theta", _real(self.theta, "theta", "lie in (0, 1]", lambda t: 0.0 < t <= 1.0))
+        if self.dim is not None:
+            object.__setattr__(self, "dim", _integer(self.dim, "dim", "be a positive integer", lambda d: d >= 1))
 
     def __call__(self, x: Point) -> Point:
         return self.apply(x)
@@ -115,8 +136,7 @@ class IsmOperator:
     beta: float
 
     def __post_init__(self):
-        if isinstance(self.beta, bool) or not (isinstance(self.beta, numbers.Real) and 0.0 < self.beta < math.inf):
-            raise ValueError(f"beta must be a positive real, got {self.beta}")
+        object.__setattr__(self, "beta", _real(self.beta, "beta", "be a positive real", lambda b: 0.0 < b < math.inf))
 
     def __call__(self, x: Point) -> Point:
         return self.apply(x)
@@ -171,9 +191,7 @@ def make_identity(dim: int) -> OperatorSpec:
 
 def make_soft_threshold(gamma: float, dim: int) -> OperatorSpec:
     """Coordinatewise soft threshold, prox of gamma * l1-norm.  Firmly nonexpansive."""
-    if isinstance(gamma, bool) or not (isinstance(gamma, numbers.Real) and 0.0 < gamma < math.inf):
-        raise ValueError(f"gamma must be a finite positive real, got {gamma}")
-    g = _const(gamma)
+    g = _const(_real(gamma, "gamma", "be a finite positive real", lambda g: 0.0 < g < math.inf))
 
     def apply(x):
         return np.sign(x) * np.maximum(np.abs(x) - g, _ZERO)
@@ -270,8 +288,7 @@ def make_fb_composition(resolvent: OperatorSpec, forward: IsmOperator, rho: floa
     if resolvent.theta != 0.5:
         raise ValueError("resolvent must be firmly nonexpansive (theta = 1/2)")
     beta = forward.beta
-    if isinstance(rho, bool) or not isinstance(rho, numbers.Real):
-        raise ValueError(f"rho must be a real number, got {rho!r}")
+    rho = _real(rho, "rho")
     if not (0.0 < rho < 2.0 * beta):
         raise ValueError(f"rho must lie in (0, 2*beta) = (0, {2.0 * beta}), got {rho}")
     theta = 2.0 * beta / (4.0 * beta - rho)

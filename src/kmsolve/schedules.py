@@ -33,11 +33,12 @@ validate_schedule(s, theta=theta) multiplies the relaxation ceiling bound
 from __future__ import annotations
 
 import math
-import numbers
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
+
+from .operators import _integer, _real
 
 ERROR_KINDS = ("zero", "power-decay", "geometric", "custom-list")
 
@@ -48,8 +49,8 @@ class ParamSchedule:
 
     sigma and delta are only meaningful for regime II and must be supplied
     together.  lambda_ceiling is read in regime I only: regime II's ceiling
-    is lambda_max(alpha_cap, sigma, delta).  Construction never validates
-    feasibility; the validators do.
+    is lambda_max(alpha_cap, sigma, delta).  Construction stores floats
+    and never validates feasibility; the validators do.
     """
 
     alpha_of: Callable[[int], float]
@@ -63,6 +64,8 @@ class ParamSchedule:
     def __post_init__(self):
         if (self.sigma is None) != (self.delta is None):
             raise ValueError("sigma and delta must be provided together")
+        for key in ("alpha_cap", "lambda_floor", "lambda_ceiling") + (() if self.sigma is None else ("sigma", "delta")):
+            object.__setattr__(self, key, _real(getattr(self, key), key))
 
     @property
     def condition_set(self) -> str:
@@ -94,19 +97,12 @@ def constant_schedule(
     return ParamSchedule(
         alpha_of=(lambda k: 0.0 if k == 0 else a) if regime_ii else (lambda k: a),
         lambda_of=lambda k: l,
-        alpha_cap=a if alpha_cap is None else _real(alpha_cap, "alpha_cap"),
-        lambda_floor=l if lambda_floor is None else _real(lambda_floor, "lambda_floor"),
-        lambda_ceiling=l if lambda_ceiling is None else _real(lambda_ceiling, "lambda_ceiling"),
-        sigma=None if sigma is None else _real(sigma, "sigma"),
-        delta=None if delta is None else _real(delta, "delta"),
+        alpha_cap=a if alpha_cap is None else alpha_cap,
+        lambda_floor=l if lambda_floor is None else lambda_floor,
+        lambda_ceiling=l if lambda_ceiling is None else lambda_ceiling,
+        sigma=sigma,
+        delta=delta,
     )
-
-
-def _real(value, name: str) -> float:
-    """`value` as a float; a boolean or a value that is not a real number (NaN and inf are) names the parameter."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
-    return float(value)
 
 
 @dataclass(frozen=True)
@@ -137,13 +133,10 @@ class ErrorModel:
     def __post_init__(self):
         if self.kind not in ERROR_KINDS:
             raise ValueError(f"unknown error kind {self.kind!r}")
-        magnitude = _real(self.magnitude, "magnitude")
-        if not 0.0 <= magnitude < math.inf:
+        object.__setattr__(self, "magnitude", _real(self.magnitude, "magnitude"))
+        if not 0.0 <= self.magnitude < math.inf:
             raise ValueError("magnitude must be a finite nonnegative real")
-        object.__setattr__(self, "magnitude", magnitude)
-        if isinstance(self.seed, bool) or not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
-            raise ValueError("seed must be a nonnegative integer")
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", _integer(self.seed, "seed", "be a nonnegative integer", lambda s: s >= 0))
         object.__setattr__(self, "exponent", _real(self.exponent, "exponent"))
         if self.kind == "geometric" and not self.exponent > 0.0:
             raise ValueError("geometric law needs a positive ratio in `exponent`")
@@ -287,7 +280,7 @@ class ConditionReport:
             "violations": list(self.violations),
             "warnings": list(self.warnings),
             "deferred": list(self.deferred),
-            "checks": [{"name": c.name, "margin": c.margin, "ok": c.ok} for c in self.checks],
+            "checks": [asdict(c) for c in self.checks],
         }
 
 
@@ -309,6 +302,7 @@ _DEFERRED_II = (
 
 def delta_threshold(alpha: float, sigma: float) -> float:
     """Smallest admissible delta under regime II: alpha [alpha (1 + alpha) + sigma] / (1 - alpha^2)."""
+    alpha, sigma = _real(alpha, "alpha"), _real(sigma, "sigma")
     if alpha >= 1.0:
         raise ValueError("alpha_cap must be < 1: threshold formula undefined")
     return alpha * (alpha * (1.0 + alpha) + sigma) / (1.0 - alpha * alpha)
@@ -316,6 +310,7 @@ def delta_threshold(alpha: float, sigma: float) -> float:
 
 def lambda_ceiling_ii(alpha: float, sigma: float, delta: float) -> float:
     """Closed-form regime-II relaxation ceiling for the given (alpha, sigma, delta)."""
+    alpha, sigma, delta = _real(alpha, "alpha"), _real(sigma, "sigma"), _real(delta, "delta")
     if alpha >= 1.0:
         raise ValueError("alpha_cap must be < 1: ceiling formula undefined")
     c = alpha * (1.0 + alpha) + alpha * delta + sigma
@@ -331,10 +326,8 @@ def validate_schedule(s: ParamSchedule, horizon: int = 1000, theta: float = 1.0)
     the plain validation.  Regime II raises ValueError when
     alpha_cap >= 1, where its formulas are undefined.
     """
-    if isinstance(theta, bool) or not (isinstance(theta, numbers.Real) and 0.0 < theta <= 1.0):
-        raise ValueError(f"theta must lie in (0, 1], got {theta}")
-    if isinstance(horizon, bool) or not isinstance(horizon, numbers.Integral) or horizon < 0:
-        raise ValueError(f"horizon must be a nonnegative integer, got {horizon!r}")
+    theta = _real(theta, "theta", "lie in (0, 1]", lambda t: 0.0 < t <= 1.0)
+    horizon = _integer(horizon, "horizon", "be a nonnegative integer", lambda h: h >= 0)
     ks = range(horizon + 1)
     alphas = np.fromiter(map(s.alpha_of, ks), float, len(ks))
     lambdas = np.fromiter(map(s.lambda_of, ks), float, len(ks))
@@ -349,8 +342,6 @@ def _check_sequences(s: ParamSchedule, alphas, lambdas, theta: float) -> Conditi
     regime_ii = s.condition_set == "II"
     cap = s.alpha_cap
     floor = s.lambda_floor
-    if regime_ii and cap >= 1.0:
-        raise ValueError("alpha_cap must be < 1: regime II formulas are undefined")
     a0, a_min, a_max = float(alphas[0]), float(alphas.min()), float(alphas.max())
     l_min, l_max = float(lambdas.min()), float(lambdas.max())
     nondecreasing = bool(np.all(alphas[1:] >= alphas[:-1]))
@@ -368,8 +359,7 @@ def _check_sequences(s: ParamSchedule, alphas, lambdas, theta: float) -> Conditi
         add("alpha_cap < 1", 1.0 - cap, cap < 1.0, "alpha_cap must be < 1")
     add("alpha_cap >= 0", cap, cap >= 0.0, "alpha_cap must be >= 0")
     if regime_ii:
-        sigma = float(s.sigma)
-        delta = float(s.delta)
+        sigma, delta = s.sigma, s.delta
         add("sigma > 0", sigma, sigma > 0.0, "sigma must be > 0")
         add("delta > 0", delta, delta > 0.0, "delta must be > 0")
         thr = delta_threshold(cap, sigma)

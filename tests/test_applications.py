@@ -15,6 +15,7 @@ from kmsolve.applications import (
 )
 from kmsolve.engine import Problem, iterate
 from kmsolve.operators import (
+    OperatorSpec,
     make_affine,
     make_fb_composition,
     make_soft_threshold,
@@ -40,6 +41,34 @@ def test_ppa_converges_to_the_prox_fixed_point():
     )
     assert run.converged
     assert np.linalg.norm(run.z) <= 1e-8
+
+
+def _run_arrays(run):
+    fields = ("z", "residuals", "err_norms", "alphas", "lambdas", "step_norms", "dists")
+    return [getattr(run, f).tobytes() for f in fields] + [x.tobytes() for x in run.states] + [run.stop_reason]
+
+
+def test_an_operator_without_a_dimension_runs_with_error_models():
+    # the run's dimension comes from z0, so dim=None runs equal the declared ones array for array
+    rng = np.random.default_rng(60)
+    z0 = rng.uniform(-2, 2, 6)
+    forward = quadratic_gradient(rng.standard_normal((8, 6)), rng.standard_normal(8))
+    soft = make_soft_threshold(0.3, 6)
+    opts = dict(tol=-1.0, max_iter=150, record_states=True)
+
+    def runs(op):
+        sched = constant_schedule(0.1, 0.9)
+        yield iterate(Problem(op, z0, np.zeros(6)), sched, ErrorModel.power_decay(0.1, 2.0, seed=61), **opts)
+        errors = dict(
+            forward_errors=ErrorModel.power_decay(0.05, 2.0, seed=62),
+            resolvent_errors=ErrorModel.geometric(0.05, 0.9, seed=63),
+        )
+        yield solve_fbs(op, forward, forward.beta, z0, sched, z_star=np.zeros(6), **errors, **opts)
+
+    anydim = OperatorSpec(apply=soft.apply, theta=0.5, dim=None)
+    for got, want in zip(runs(anydim), runs(soft), strict=True):
+        assert want.err_norms.all()
+        assert _run_arrays(got) == _run_arrays(want)
 
 
 def test_fbs_zero_error_path_matches_manual_composition():

@@ -1,0 +1,171 @@
+"""Every public scalar parameter is checked by name: one table, one rule.
+
+A real parameter refuses True, "1", None and an integer outside the float
+range; an integer parameter refuses True, "1" and None.  Each refusal is
+a ValueError whose message starts with "<parameter> must".  Where None is
+a legal value (an operator without a dimension, a default, the absent
+regime-II pair), it is not tried.  A second test reads the signatures of
+everything `kmsolve` exports, so a new float or int parameter that is
+missing from the table fails by name.
+"""
+
+import inspect
+import re
+
+import numpy as np
+import pytest
+
+import kmsolve
+from kmsolve import (
+    ErrorModel,
+    IsmOperator,
+    OperatorSpec,
+    ParamSchedule,
+    Problem,
+    constant_schedule,
+    delta_threshold,
+    iterate,
+    lambda_ceiling_ii,
+    lasso_fbs_pieces,
+    make_affine,
+    make_fb_composition,
+    make_identity,
+    make_soft_threshold,
+    plant_lasso,
+    quasi_fejer_violations,
+    solve_fbs,
+    validate_schedule,
+)
+
+HUGE = 10**400  # an integer that float() cannot convert
+
+
+def _same(x):
+    return x
+
+
+def _schedule(**fields):
+    return ParamSchedule(
+        lambda k: 0.0, lambda k: 0.5, **{"alpha_cap": 0.0, "lambda_floor": 0.5, "lambda_ceiling": 0.5, **fields}
+    )
+
+
+def _fb_pieces():
+    return make_soft_threshold(0.1, 2), IsmOperator(apply=_same, beta=1.0)
+
+
+def _run(**options):
+    prob = Problem(operator=make_identity(2), z0=[1.0, 0.0], z_star=[0.0, 0.0])
+    return iterate(prob, _schedule(), **{"max_iter": 3, **options})
+
+
+_LASSO = plant_lasso(n_samples=12, n_features=8, support_size=2, reg=0.4, seed=3)
+
+# (callable, parameter): (build with the value, "real" or "integer", None is legal)
+SCALARS = {
+    ("OperatorSpec", "theta"): (lambda v: OperatorSpec(apply=_same, theta=v, dim=None), "real", False),
+    ("OperatorSpec", "dim"): (lambda v: OperatorSpec(apply=_same, theta=1.0, dim=v), "integer", True),
+    ("IsmOperator", "beta"): (lambda v: IsmOperator(apply=_same, beta=v), "real", False),
+    ("make_identity", "dim"): (make_identity, "integer", True),
+    ("make_soft_threshold", "gamma"): (lambda v: make_soft_threshold(v, 2), "real", False),
+    ("make_soft_threshold", "dim"): (lambda v: make_soft_threshold(0.3, v), "integer", True),
+    ("make_affine", "theta"): (lambda v: make_affine(0.5 * np.eye(2), np.zeros(2), theta=v), "real", False),
+    ("make_fb_composition", "rho"): (lambda v: make_fb_composition(*_fb_pieces(), v), "real", False),
+    ("ParamSchedule", "alpha_cap"): (lambda v: _schedule(alpha_cap=v), "real", False),
+    ("ParamSchedule", "lambda_floor"): (lambda v: _schedule(lambda_floor=v), "real", False),
+    ("ParamSchedule", "lambda_ceiling"): (lambda v: _schedule(lambda_ceiling=v), "real", False),
+    ("ParamSchedule", "sigma"): (lambda v: _schedule(sigma=v, delta=1.0), "real", True),
+    ("ParamSchedule", "delta"): (lambda v: _schedule(sigma=0.01, delta=v), "real", True),
+    ("constant_schedule", "alpha"): (lambda v: constant_schedule(v, 0.5), "real", False),
+    ("constant_schedule", "lam"): (lambda v: constant_schedule(0.1, v), "real", False),
+    ("constant_schedule", "alpha_cap"): (lambda v: constant_schedule(0.1, 0.5, alpha_cap=v), "real", True),
+    ("constant_schedule", "lambda_floor"): (lambda v: constant_schedule(0.1, 0.5, lambda_floor=v), "real", True),
+    ("constant_schedule", "lambda_ceiling"): (lambda v: constant_schedule(0.1, 0.5, lambda_ceiling=v), "real", True),
+    ("constant_schedule", "sigma"): (lambda v: constant_schedule(0.1, 0.5, sigma=v, delta=1.0), "real", True),
+    ("constant_schedule", "delta"): (lambda v: constant_schedule(0.1, 0.5, sigma=0.01, delta=v), "real", True),
+    ("ErrorModel", "magnitude"): (lambda v: ErrorModel(kind="power-decay", magnitude=v, exponent=2.0), "real", False),
+    ("ErrorModel", "exponent"): (lambda v: ErrorModel(kind="power-decay", magnitude=0.1, exponent=v), "real", False),
+    ("ErrorModel", "seed"): (lambda v: ErrorModel(kind="zero", seed=v), "integer", False),
+    ("ErrorModel.power_decay", "magnitude"): (lambda v: ErrorModel.power_decay(v, 2.0), "real", False),
+    ("ErrorModel.power_decay", "exponent"): (lambda v: ErrorModel.power_decay(0.1, v), "real", False),
+    ("ErrorModel.power_decay", "seed"): (lambda v: ErrorModel.power_decay(0.1, 2.0, seed=v), "integer", False),
+    ("ErrorModel.geometric", "magnitude"): (lambda v: ErrorModel.geometric(v, 0.5), "real", False),
+    ("ErrorModel.geometric", "ratio"): (lambda v: ErrorModel.geometric(0.1, v), "real", False),
+    ("ErrorModel.geometric", "seed"): (lambda v: ErrorModel.geometric(0.1, 0.5, seed=v), "integer", False),
+    ("ErrorModel.from_norms", "norms[0]"): (lambda v: ErrorModel.from_norms([v]), "real", False),
+    ("ErrorModel.from_norms", "seed"): (lambda v: ErrorModel.from_norms([0.1], seed=v), "integer", False),
+    ("validate_schedule", "horizon"): (lambda v: validate_schedule(_schedule(), horizon=v), "integer", False),
+    ("validate_schedule", "theta"): (lambda v: validate_schedule(_schedule(), theta=v), "real", False),
+    ("delta_threshold", "alpha"): (lambda v: delta_threshold(v, 0.01), "real", False),
+    ("delta_threshold", "sigma"): (lambda v: delta_threshold(0.1, v), "real", False),
+    ("lambda_ceiling_ii", "alpha"): (lambda v: lambda_ceiling_ii(v, 0.01, 1.0), "real", False),
+    ("lambda_ceiling_ii", "sigma"): (lambda v: lambda_ceiling_ii(0.1, v, 1.0), "real", False),
+    ("lambda_ceiling_ii", "delta"): (lambda v: lambda_ceiling_ii(0.1, 0.01, v), "real", False),
+    ("iterate", "tol"): (lambda v: _run(tol=v), "real", False),
+    ("iterate", "max_iter"): (lambda v: _run(max_iter=v), "integer", False),
+    ("iterate", "divergence_norm"): (lambda v: _run(divergence_norm=v), "real", False),
+    ("solve_fbs", "rho"): (lambda v: solve_fbs(*_fb_pieces(), v, [1.0, 0.0], _schedule()), "real", False),
+    ("plant_lasso", "n_samples"): (lambda v: plant_lasso(n_samples=v), "integer", False),
+    ("plant_lasso", "n_features"): (lambda v: plant_lasso(n_features=v), "integer", False),
+    ("plant_lasso", "support_size"): (lambda v: plant_lasso(support_size=v), "integer", False),
+    ("plant_lasso", "reg"): (lambda v: plant_lasso(reg=v), "real", False),
+    ("plant_lasso", "seed"): (lambda v: plant_lasso(seed=v), "integer", False),
+    ("lasso_fbs_pieces", "rho"): (lambda v: lasso_fbs_pieces(_LASSO, v), "real", False),
+    ("quasi_fejer_violations", "tol"): (lambda v: quasi_fejer_violations(_run(), tol=v), "real", False),
+}
+
+# float and int parameters the table leaves out, and why
+NOT_ARGUMENTS = {
+    # evaluated on every step of a run, with the step index and the run's dimension
+    ("ErrorModel.norm_at", "k"),
+    ("emit_error", "k"),
+    ("emit_error", "dim"),
+}
+# exported records whose fields a computation fills in, not arguments
+RECORDS = {
+    "RunResult",
+    "RateCertificate",
+    "ConsistencyItem",
+    "ConsistencyReport",
+    "ConditionCheck",
+    "ConditionReport",
+    "LassoInstance",
+}
+
+
+def _cases():
+    for (owner, param), (build, kind, none_ok) in SCALARS.items():
+        values = {"True": True, "'1'": "1"}
+        if not none_ok:
+            values["None"] = None
+        if kind == "real":
+            values["huge"] = HUGE
+        for label, value in values.items():
+            yield pytest.param(build, param, value, id=f"{owner}-{param}-{label}")
+
+
+@pytest.mark.parametrize("build, param, value", list(_cases()))
+def test_a_bad_scalar_is_refused_by_name(build, param, value):
+    with pytest.raises(ValueError, match=rf"^{re.escape(param)} must "):
+        build(value)
+
+
+def _scalar_parameters(name, fn):
+    params = inspect.signature(fn).parameters.values()
+    return {(name, p.name) for p in params if p.annotation in ("float", "int", "float | None", "int | None")}
+
+
+def test_the_table_covers_every_exported_float_and_int_parameter():
+    found = set()
+    for name in kmsolve.__all__:
+        obj = getattr(kmsolve, name)
+        if name in RECORDS or not callable(obj):
+            continue
+        found |= _scalar_parameters(name, obj)
+        if inspect.isclass(obj):
+            for attr, member in vars(obj).items():
+                if not attr.startswith("_") and (inspect.isfunction(member) or isinstance(member, classmethod)):
+                    found |= _scalar_parameters(f"{name}.{attr}", getattr(obj, attr))
+    listed = {key for key in SCALARS if not key[1].endswith("]")} | NOT_ARGUMENTS
+    assert sorted(found - listed) == []
+    assert sorted(listed - found) == []

@@ -394,6 +394,84 @@ def test_integral_floats_read_as_integers(tmp_path):
     assert _main(["run", _write(tmp_path, floats, "floats.json")]) == expected
 
 
+HUGE = 10**400  # a JSON integer that float() cannot convert
+
+
+def test_numbers_outside_the_float_range_exit_two_by_name(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "iterate", lambda *args, **kwargs: pytest.fail("iterate ran on a rejected config"))
+    power = {"kind": "power-decay", "magnitude": 1e-2, "exponent": 2.0}
+    soft = {"kind": "soft-threshold", "gamma": 0.3, "dim": 2, "z0": [1.0, 2.0]}
+    regime_ii = {"alpha": 0.0, "lambda": 0.5, "sigma": 0.01, "delta": 1.0}
+    numbers = [
+        ({"engine": {"tol": HUGE}}, "bad engine options: tol"),
+        ({"engine": {"divergence_norm": HUGE}}, "bad engine options: divergence_norm"),
+        ({"schedule": {"alpha": HUGE, "lambda": 0.5}}, "bad schedule: alpha"),
+        ({"schedule": {"alpha": 0.2, "lambda": HUGE}}, "bad schedule: lambda"),
+        ({"schedule": {"alpha": 0.2, "lambda": 0.5, "alpha_cap": HUGE}}, "bad schedule: alpha_cap"),
+        ({"schedule": {"alpha": 0.2, "lambda": 0.5, "lambda_floor": HUGE}}, "bad schedule: lambda_floor"),
+        ({"schedule": {"alpha": 0.2, "lambda": 0.5, "lambda_ceiling": HUGE}}, "bad schedule: lambda_ceiling"),
+        ({"schedule": dict(regime_ii, sigma=HUGE)}, "bad schedule: sigma"),
+        ({"schedule": dict(regime_ii, delta=HUGE)}, "bad schedule: delta"),
+        ({"errors": dict(power, magnitude=HUGE)}, "bad errors: magnitude"),
+        ({"errors": dict(power, exponent=HUGE)}, "bad errors: exponent"),
+        ({"errors": {"kind": "geometric", "magnitude": 1e-2, "ratio": HUGE}}, "bad errors: ratio"),
+        ({"problem": dict(FEASIBLE["problem"], theta=HUGE)}, "bad problem: theta"),
+        ({"problem": dict(soft, gamma=HUGE)}, "bad problem: gamma"),
+    ]
+    cases = [(section, f"error: {field} must be a number, got {HUGE}") for section, field in numbers]
+    affine = FEASIBLE["problem"]
+    box = {"kind": "box-projection", "lo": [0.0, 0.0], "hi": [1.0, 1.0], "z0": [3.0, 2.0]}
+    arrays = [
+        ({"problem": dict(affine, z0=[HUGE, 2.0])}, "bad problem: z0"),
+        ({"problem": dict(affine, z_star=[1.0, HUGE])}, "bad problem: z_star"),
+        ({"problem": dict(affine, offset=[HUGE, 0.0])}, "bad problem: offset"),
+        ({"problem": dict(affine, matrix=[[0.5, 0.0], [HUGE, 0.25]])}, "bad problem: matrix"),
+        ({"problem": dict(box, lo=[HUGE, 0.0])}, "bad problem: lo"),
+        ({"problem": dict(box, hi=[1.0, HUGE])}, "bad problem: hi"),
+        ({"errors": {"kind": "custom-list", "norms": [0.1, HUGE]}}, "bad errors: norms"),
+    ]
+    cases += [
+        (section, f"error: {field} must be an array of numbers: int too large to convert to float")
+        for section, field in arrays
+    ]
+    for i, (section, message) in enumerate(cases):
+        path = _write(tmp_path, dict(FEASIBLE, **section), f"huge{i}.json")
+        for command in ("run", "compare"):
+            assert _main([command, path]) == (2, "", message + "\n"), (section, command)
+
+
+def test_booleans_inside_array_fields_exit_two_by_name(tmp_path):
+    # numpy reads true and false as 1 and 0; this config used to run from [1, 0] and exit 0
+    found = dict(FEASIBLE["problem"], z0=[True, 0.0], z_star=[False, 0.0])
+    affine = FEASIBLE["problem"]
+    box = {"kind": "box-projection", "lo": [0.0, 0.0], "hi": [1.0, 1.0], "z0": [3.0, 2.0]}
+    cases = [
+        (found, "z0 must be an array of numbers, got True"),
+        (dict(affine, z_star=[False, 0.0]), "z_star must be an array of numbers, got False"),
+        (dict(affine, offset=[0.5, True]), "offset must be an array of numbers, got True"),
+        (dict(affine, matrix=[[0.5, False], [0.0, 0.25]]), "matrix must be an array of numbers, got False"),
+        (dict(affine, matrix=True), "matrix must be an array of numbers, got True"),
+        (dict(box, lo=[False, 0.0]), "lo must be an array of numbers, got False"),
+        (dict(box, hi=[1.0, True]), "hi must be an array of numbers, got True"),
+    ]
+    for i, (problem, message) in enumerate(cases):
+        path = _write(tmp_path, dict(FEASIBLE, problem=problem), f"bool{i}.json")
+        for command in ("run", "compare"):
+            assert _main([command, path]) == (2, "", f"error: bad problem: {message}\n"), (problem, command)
+
+
+def test_an_unreadable_config_exits_two(tmp_path):
+    digits = tmp_path / "digits.json"  # json.loads refuses an integer of more than 4300 digits
+    digits.write_text('{"engine": {"tol": 1' + "0" * 5000 + "}}")
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"schedule": "\xe9"}')
+    broken = tmp_path / "broken.json"
+    broken.write_text("{not json")
+    for path in (digits, latin1, broken):
+        code, out, err = _main(["run", str(path)])
+        assert (code, out) == (2, "") and err.startswith("error: config is not valid JSON: "), path
+
+
 def test_non_object_sections_exit_two(tmp_path, monkeypatch):
     def no_iterate(*args, **kwargs):
         raise AssertionError("iterate ran on a rejected config")

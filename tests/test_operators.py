@@ -119,6 +119,38 @@ def test_operator_spec_keeps_an_integer_dim():
     assert make_soft_threshold(0.3, 4).dim == 4
 
 
+def test_operators_store_their_scalars_as_floats_and_ints():
+    spec = OperatorSpec(apply=lambda x: x, theta=1, dim=np.int64(3))
+    assert type(spec.theta) is float and type(spec.dim) is int
+    assert type(IsmOperator(apply=lambda x: x, beta=np.float32(0.5)).beta) is float
+
+
+def test_a_vector_entry_outside_the_float_range_is_named():
+    # np.asarray raises an OverflowError that names no parameter
+    huge = 10**400
+    cases = [
+        (lambda: as_point([1.0, huge], name="z0"), "z0"),
+        (lambda: make_box_projection([-huge], [1.0]), "lo"),
+        (lambda: Problem(operator=make_identity(2), z0=[huge, 0.0]), "z0"),
+        (lambda: Problem(operator=make_identity(2), z0=[0.0, 0.0], z_star=[0.0, huge]), "z_star"),
+    ]
+    for build, name in cases:
+        with pytest.raises(ValueError, match=f"^{name} contains an entry outside the float range$"):
+            build()
+
+
+def test_an_empty_vector_is_refused_by_name():
+    # an operator without a dimension took z0 = [] and the run then divided by its size
+    anydim = OperatorSpec(apply=lambda x: x, theta=1.0, dim=None)
+    for build, name in [
+        (lambda: as_point([], name="b"), "b"),
+        (lambda: Problem(operator=anydim, z0=[]), "z0"),
+        (lambda: Problem(operator=anydim, z0=[1.0], z_star=np.zeros((0,))), "z_star"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{name} must have at least one entry$"):
+            build()
+
+
 def test_ism_operator_requires_positive_finite_beta():
     f = lambda x: x
     for bad in (0.0, -1.0, np.inf, np.nan, "1", None, True):
