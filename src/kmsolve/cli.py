@@ -3,8 +3,9 @@
 Subcommands:
 
 * ``kmsolve run config.json [--csv out.csv]``: run the iteration
-  described by the config, print a JSON summary, optionally dump the
-  per-iteration table.  Exit 0 when the run converged, 1 otherwise.
+  described by the config, print the library's reports on it as JSON
+  (each its ``to_dict``), optionally dump the per-iteration table.
+  Exit 0 when the run converged, 1 otherwise.
 * ``kmsolve validate config.json [--theta X]``: print the feasibility
   report for the config's schedule, with the relaxation ceiling scaled
   by 1/X for an X-averaged operator (X in (0, 1], default 1).  Exit 0
@@ -247,29 +248,12 @@ def write_csv(path: str, result, cert) -> None:
     mrs[1:] = _min_residual_sq(result.residuals)
     delta = np.full(n, math.nan)
     rhs = np.full(n, math.nan)
-    if cert is not None and cert.valid:
-        delta[cert.ks] = cert.delta
-        rhs[cert.ks] = cert.rhs_squared
+    delta[cert.ks] = cert.delta  # a refusal's ks is empty
+    rhs[cert.ks] = cert.rhs_squared
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(CSV_HEADER + "\n")
         for row in zip(range(n), result.residuals, result.err_norms, dists, delta, mrs, rhs):
             fh.write(_CSV_ROW % row)
-
-
-def _certificate_summary(cert) -> dict:
-    out = {"valid": cert.valid, "reason": cert.reason}
-    if cert.valid:
-        out.update(
-            {
-                "ceiling": cert.ceiling,
-                "lambda_floor": cert.lambda_floor,
-                "dist1": cert.dist1,
-                "holds_squared": cert.holds(),
-                "final_min_residual_sq": cert.min_residual_sq[-1],
-                "final_rhs_squared": cert.rhs_squared[-1],
-            }
-        )
-    return out
 
 
 def _brief(result) -> dict:
@@ -282,26 +266,19 @@ def _brief(result) -> dict:
     }
 
 
-def _run_summary(result, report, cert) -> dict:
-    return {
-        **_brief(result),
-        "feasibility": report.to_dict(),
-        "certificate": None if cert is None else _certificate_summary(cert),
-        "consistency": consistency_report(result).to_dict(),
-    }
-
-
 def cmd_run(args) -> int:
     problem, schedule, errors, opts = _load_run(_load_config(args.config))
-    with _config_errors():
-        report = validate_schedule(schedule)
     result = iterate(problem, schedule, errors, **opts)
-    cert = None
-    if problem.z_star is not None and report.feasible:
-        cert = rate_certificate(result)
+    cert = rate_certificate(result)
     if args.csv:
         write_csv(args.csv, result, cert)
-    _print_json(_run_summary(result, report, cert))
+    summary = {
+        **_brief(result),
+        "feasibility": validate_schedule(schedule).to_dict(),
+        "certificate": cert.to_dict(),
+        "consistency": consistency_report(result).to_dict(),
+    }
+    _print_json(summary)
     return 0 if result.converged else 1
 
 

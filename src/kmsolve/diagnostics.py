@@ -70,6 +70,19 @@ class RateCertificate:
     def holds(self) -> bool:
         return self.valid and bool(np.all(self.min_residual_sq <= self.rhs_squared))
 
+    def to_dict(self) -> dict:
+        out = {"valid": self.valid, "reason": self.reason}
+        if self.valid:
+            out.update(
+                ceiling=self.ceiling,
+                lambda_floor=self.lambda_floor,
+                dist1=self.dist1,
+                holds_squared=self.holds(),
+                final_min_residual_sq=self.min_residual_sq[-1],
+                final_rhs_squared=self.rhs_squared[-1],
+            )
+        return out
+
 
 def _min_residual_sq(residuals: np.ndarray) -> np.ndarray:
     """min_{1 <= i <= k} r_i^2 for k = 1..len - 1: the best squared residual so far."""

@@ -6,8 +6,8 @@ claim; firmly nonexpansive maps (proximity operators, projections,
 resolvents) carry theta = 1/2.  The factories below declare the constant
 their construction guarantees, and make_affine certifies a caller's claim
 exactly.  An OperatorSpec built by hand carries its theta uncertified.
-Every module and the CLI check their scalar and vector arguments here:
-`_real` and `_integer` take scalars, `as_point` takes vectors.
+Every module and the CLI check their arguments here: `_real` and
+`_integer` take scalars, `as_point` vectors and `_as_matrix` matrices.
 
 The built-in operators are closures that the loop calls on every step, so
 each binds its per-call scalars once, when it is built, as private
@@ -96,6 +96,17 @@ def as_point(x, dim: int | None = None, name: str = "point") -> Point:
     return p
 
 
+def _as_matrix(x, name: str) -> np.ndarray:
+    """`x` as a 2-D float64 array (`x` itself if it is one); else ValueError by name."""
+    try:
+        a = np.asarray(x, dtype=float)
+    except OverflowError:
+        raise ValueError(f"{name} contains an entry outside the float range") from None
+    if a.ndim != 2:
+        raise ValueError(f"{name} must be a matrix, got shape {a.shape}")
+    return a
+
+
 def norm(a) -> float:
     """Euclidean norm sqrt(a . a), with no shape check.
 
@@ -170,9 +181,7 @@ def spectral_norm(mat) -> float:
     one stays.
     """
     global _spectral_memo
-    a = np.asarray(mat, dtype=float)
-    if a.ndim != 2:
-        raise ValueError("spectral_norm expects a matrix")
+    a = _as_matrix(mat, "mat")
     if not np.isfinite(a).all():
         raise ValueError("matrix contains non-finite entries")
     key = (a.shape, a.tobytes())
@@ -231,8 +240,8 @@ def make_affine(q, b, theta: float = 1.0) -> OperatorSpec:
     the two products can differ in the last bit, so a run on a view rounds
     like one on its contiguous copy.
     """
-    q = np.array(q, dtype=float)
-    if q.ndim != 2 or q.shape[0] != q.shape[1]:
+    q = np.array(_as_matrix(q, "q"))
+    if q.shape[0] != q.shape[1]:
         raise ValueError("q must be a square matrix")
     b = as_point(b, dim=q.shape[0], name="b").copy()
 
@@ -264,9 +273,7 @@ def quadratic_gradient(m, b) -> IsmOperator:
     which would hold one more matrix of m's size.  beta certifies m as
     passed, so a caller that changes m afterwards voids it.
     """
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2:
-        raise ValueError(f"m must be a matrix, got shape {m.shape}")
+    m = _as_matrix(m, "m")
     b = as_point(b, dim=m.shape[0], name="b")
     sigma = spectral_norm(m)
     if sigma == 0.0:

@@ -49,8 +49,8 @@ class ParamSchedule:
 
     sigma and delta are only meaningful for regime II and must be supplied
     together.  lambda_ceiling is read in regime I only: regime II's ceiling
-    is lambda_max(alpha_cap, sigma, delta).  Construction stores floats
-    and never validates feasibility; the validators do.
+    is lambda_max(alpha_cap, sigma, delta).  Construction stores floats and
+    refuses a regime-II alpha_cap >= 1; feasibility is the validators' job.
     """
 
     alpha_of: Callable[[int], float]
@@ -66,6 +66,8 @@ class ParamSchedule:
             raise ValueError("sigma and delta must be provided together")
         for key in ("alpha_cap", "lambda_floor", "lambda_ceiling") + (() if self.sigma is None else ("sigma", "delta")):
             object.__setattr__(self, key, _real(getattr(self, key), key))
+        if self.sigma is not None and self.alpha_cap >= 1.0:  # a NaN cap builds, and reads infeasible
+            raise ValueError(f"alpha_cap must be < 1 in regime II, got {self.alpha_cap!r}")
 
     @property
     def condition_set(self) -> str:
@@ -323,8 +325,8 @@ def validate_schedule(s: ParamSchedule, horizon: int = 1000, theta: float = 1.0)
     The regime is ``s.condition_set``.  ``theta`` in (0, 1] is the
     averagedness constant of the operator the schedule drives: the
     relaxation ceiling bound is multiplied by 1/theta, and theta = 1 is
-    the plain validation.  Regime II raises ValueError when
-    alpha_cap >= 1, where its formulas are undefined.
+    the plain validation.  Only a bad theta or horizon raises: a built
+    schedule always gets a report.
     """
     theta = _real(theta, "theta", "lie in (0, 1]", lambda t: 0.0 < t <= 1.0)
     horizon = _integer(horizon, "horizon", "be a nonnegative integer", lambda h: h >= 0)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from kmsolve import cli
+from kmsolve.diagnostics import rate_certificate
 from kmsolve.engine import iterate
 from kmsolve.schedules import constant_schedule, delta_threshold
 
@@ -142,14 +143,50 @@ def test_run_survives_an_error_law_past_the_float_range(tmp_path):
     assert data["certificate"]["holds_squared"] is True
 
 
-def test_run_without_solution_skips_certificate(tmp_path):
+def test_run_without_solution_names_why_the_certificate_is_missing(tmp_path):
     cfg = json.loads(json.dumps(FEASIBLE))
     del cfg["problem"]["z_star"]
     code, out, _ = _main(["run", _write(tmp_path, cfg)])
     assert code == 0
     data = json.loads(out)
-    assert data["certificate"] is None
+    assert data["certificate"] == {"valid": False, "reason": "needs a known solution"}
     assert data["final_dist"] is None
+
+
+def test_run_prints_the_library_certificate_on_every_run(tmp_path):
+    # the summary's certificate is rate_certificate's own verdict, valid or refused, never null
+    problem, schedule, errors, opts = cli._load_run(FEASIBLE)
+    cert = rate_certificate(iterate(problem, schedule, errors, **opts))
+    code, out, _ = _main(["run", _write(tmp_path, FEASIBLE)])
+    assert code == 0
+    assert json.loads(out)["certificate"] == cert.to_dict()
+    for steps in (0, 1):
+        code, out, _ = _main(["run", _write(tmp_path, dict(FEASIBLE, engine={"max_iter": steps}), f"{steps}.json")])
+        assert code == 1
+        assert json.loads(out)["certificate"] == {"valid": False, "reason": "needs at least two iterations"}
+
+
+def test_a_regime_ii_alpha_cap_of_one_exits_two_before_iterating(tmp_path, monkeypatch):
+    def no_iterate(*args, **kwargs):
+        raise AssertionError("iterate ran on a rejected config")
+
+    monkeypatch.setattr(cli, "iterate", no_iterate)
+    path = _write(tmp_path, dict(FEASIBLE, schedule={"alpha": 1.0, "lambda": 0.5, "sigma": 0.01, "delta": 1.0}))
+    for command in ("run", "validate"):
+        assert _main([command, path]) == (2, "", "error: bad schedule: alpha_cap must be < 1 in regime II, got 1.0\n")
+
+
+def test_a_traced_run_sees_every_layer_of_run(tmp_path):
+    # the benchmark's traced run patches kmsolve.cli's module globals; a call taken out of them goes unmeasured
+    from perfbench import spans
+
+    tracer = spans.Tracer()
+    with spans.patched(tracer):
+        code, out, err = _main(["run", _write(tmp_path, FEASIBLE), "--csv", str(tmp_path / "trace.csv")])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["certificate"]["valid"] is True
+    layers = {"engine", "operators.apply", "schedules.validate", "diagnostics.certificate", "diagnostics.consistency"}
+    assert {span[0] for span in tracer.spans} >= layers | {"cli.write_csv"}
 
 
 def test_validate_feasible_and_infeasible(tmp_path):
@@ -276,7 +313,7 @@ def test_run_rejects_bad_input_before_iterating(tmp_path, monkeypatch):
     alpha_one = dict(FEASIBLE, schedule={"alpha": 1.0, "lambda": 0.5, "sigma": 0.01, "delta": 1.0})
     code, out, err = _main(["run", _write(tmp_path, alpha_one, "alpha_one.json")])
     assert code == 2 and out == ""
-    assert err.startswith("error: alpha_cap must be < 1")
+    assert err.startswith("error: bad schedule: alpha_cap must be < 1")
 
     bad_engines = [
         ({"max_iter": -3}, "error: bad engine options: max_iter must be nonnegative"),
@@ -587,7 +624,10 @@ def test_csv_cells_are_the_run_arrays_at_17_digits(tmp_path, monkeypatch):
             row = [result.residuals[k], result.err_norms[k], d, delta, mrs[k], rhs]
             want.append(",".join([str(k)] + [format(float(x), ".17g") for x in row]))
         assert csv_path.read_text().split("\n") == want + [""]
-    assert runs[0][1].valid and runs[1][1] is None and runs[2][1] is None
+    assert runs[0][1].valid
+    assert runs[1][1].to_dict() == {"valid": False, "reason": "needs a known solution"}
+    infeasible = "schedule infeasible under its declared regime: lambda_ceiling must be < 1"
+    assert runs[2][1].to_dict() == {"valid": False, "reason": infeasible}
 
 
 def test_bench_prints_one_timed_line_per_criterion(monkeypatch):
@@ -618,4 +658,8 @@ def test_box_projection_problem(tmp_path):
     assert code == 0
     data = json.loads(out)
     assert data["feasibility"]["feasible"] is False
-    assert data["certificate"] is None  # no certificate without a feasible schedule
+    # no certificate without a feasible schedule
+    assert data["certificate"] == {
+        "valid": False,
+        "reason": "schedule infeasible under its declared regime: lambda_ceiling must be < 1",
+    }

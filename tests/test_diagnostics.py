@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from kmsolve.diagnostics import (
+    _tail_verdict,
     consistency_report,
     quasi_fejer_violations,
     rate_certificate,
@@ -114,6 +115,42 @@ def test_certificate_refusal_reasons():
     assert refused.ks.shape == (0,) and refused.ks.dtype == np.dtype(int)
     for arr in (refused.min_residual_sq, refused.delta, refused.rhs_squared):
         assert arr.shape == (0,) and arr.dtype == np.float64
+
+
+def test_certificate_to_dict():
+    prob = _contraction(seed=24)
+    cert = rate_certificate(iterate(prob, constant_schedule(0.2, 0.5), tol=-1.0, max_iter=10))
+    assert cert.to_dict() == {
+        "valid": True,
+        "reason": "",
+        "ceiling": 0.5,
+        "lambda_floor": 0.5,
+        "dist1": cert.dist1,
+        "holds_squared": True,
+        "final_min_residual_sq": cert.min_residual_sq[-1],
+        "final_rhs_squared": cert.rhs_squared[-1],
+    }
+    assert list(cert.to_dict()) == [
+        "valid",
+        "reason",
+        "ceiling",
+        "lambda_floor",
+        "dist1",
+        "holds_squared",
+        "final_min_residual_sq",
+        "final_rhs_squared",
+    ]
+
+    anon = Problem(operator=prob.operator, z0=prob.z0)
+    refusals = [
+        (prob, constant_schedule(0.2, 0.5), 1, "needs at least two iterations"),
+        (prob, constant_schedule(0.2, 1.0), 10, "schedule infeasible under its declared regime: lambda_ceiling must be < 1"),
+        (prob, constant_schedule(0.2, 0.5, lambda_floor=0.0), 10, "needs a positive relaxation floor"),
+        (anon, constant_schedule(0.2, 0.5), 10, "needs a known solution"),
+    ]
+    for problem, schedule, steps, reason in refusals:
+        refused = rate_certificate(iterate(problem, schedule, tol=-1.0, max_iter=steps))
+        assert refused.to_dict() == {"valid": False, "reason": reason}
 
 
 def test_certificate_refuses_parameters_past_the_validated_horizon():
@@ -281,6 +318,19 @@ def test_inertia_verdict_on_a_short_run(magnitude, ratio, steps, verdict, detail
     assert run.iterations == steps
     item = consistency_report(run).item("inertia-weighted-step-sum")
     assert (item.verdict, item.detail) == (verdict, detail)
+
+
+@pytest.mark.parametrize(
+    "gain, verdict, detail",
+    [
+        (0.799, "consistent", "tail flattening"),
+        (0.801, "not-consistent", "tail not flattening (last-half gain 0.801 vs prior 1)"),
+    ],
+)
+def test_tail_verdict_flags_a_last_half_gain_of_four_fifths_of_the_prior_quarter(gain, verdict, detail):
+    # eight partial sums: the quarter before the last half adds 1, the last half adds `gain`
+    partial = np.array([0.0, 0.0, 0.5, 1.0, 1.0, 1.0, 1.0, 1.0 + gain])
+    assert _tail_verdict(partial) == (verdict, detail)
 
 
 def test_consistency_to_dict():

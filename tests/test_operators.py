@@ -139,6 +139,23 @@ def test_a_vector_entry_outside_the_float_range_is_named():
             build()
 
 
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (lambda m: make_affine(m, [0.0]), "q"),
+        (lambda m: quadratic_gradient(m, [0.0]), "m"),
+        (spectral_norm, "mat"),
+    ],
+    ids=["make_affine", "quadratic_gradient", "spectral_norm"],
+)
+def test_a_matrix_argument_is_named(build, name):
+    # np.asarray raises an OverflowError that names no parameter
+    with pytest.raises(ValueError, match=f"^{name} contains an entry outside the float range$"):
+        build([[10**400]])
+    with pytest.raises(ValueError, match=rf"^{name} must be a matrix, got shape \(1,\)$"):
+        build([1.0])
+
+
 def test_an_empty_vector_is_refused_by_name():
     # an operator without a dimension took z0 = [] and the run then divided by its size
     anydim = OperatorSpec(apply=lambda x: x, theta=1.0, dim=None)

@@ -373,6 +373,26 @@ def test_regime_ii_rejects_above_ceiling():
     assert not validate_schedule(s).feasible
 
 
+def test_regime_ii_delta_at_the_threshold_is_infeasible():
+    # the threshold inequality is strict
+    rep = validate_schedule(constant_schedule(0.1, 0.2, sigma=0.01, delta=THRESHOLD_PIN))
+    assert not rep.feasible
+    assert "delta must exceed the threshold 0.0121212121212 (got 0.0121212121212)" in rep.violations
+
+
+def test_regime_ii_refuses_an_alpha_cap_of_one_when_built():
+    # regime II's formulas divide by 1 - alpha_cap^2, so such a schedule could not be validated
+    for alpha, cap in ((1.0, None), (0.1, 1.5), (0.1, math.inf)):
+        with pytest.raises(ValueError, match=r"^alpha_cap must be < 1 in regime II, got "):
+            constant_schedule(alpha, 0.5, sigma=0.01, delta=1.0, alpha_cap=cap)
+    # a NaN cap compares false, so it builds and reads infeasible
+    s = constant_schedule(0.1, 0.5, sigma=0.01, delta=1.0, alpha_cap=math.nan)
+    assert math.isnan(s.alpha_cap)
+    assert not validate_schedule(s).feasible
+    # regime I leaves its cap to the validator
+    assert not validate_schedule(constant_schedule(1.0, 0.5)).feasible
+
+
 def test_regime_ii_rejects_small_delta():
     s = constant_schedule(0.1, 0.2, sigma=0.01, delta=0.01)
     rep = validate_schedule(s)
