@@ -97,14 +97,6 @@ def _contraction(dim: int, factor: float, seed: int, start_dist: float = RATE_ST
     return q, z_star - q @ z_star, z_star + start_dist * _unit(rng, dim), z_star
 
 
-def contraction_problem(
-    dim: int = 50, factor: float = 0.9, seed: int = 101, start_dist: float = RATE_START_DIST
-) -> Problem:
-    """Affine strict contraction: a scaled rotation with a planted fixed point."""
-    q, b, z0, z_star = _contraction(dim, factor, seed, start_dist)
-    return Problem(operator=make_affine(q, b), z0=z0, z_star=z_star)
-
-
 def _quadratic_prox(dim: int, cond: float, rho: float, seed: int, start_dist: float):
     """Matrix, offset, start and fixed point of the prox of a random quadratic of condition `cond`.
 
@@ -121,39 +113,6 @@ def _quadratic_prox(dim: int, cond: float, rho: float, seed: int, start_dist: fl
     offset = rho * (a @ c)
     z0 = z_star + start_dist * _unit(rng, dim)
     return a, offset, z0, z_star
-
-
-def quadratic_prox_problem(
-    dim: int = 30,
-    cond: float = 50.0,
-    rho: float = 1.0,
-    seed: int = 7,
-    start_dist: float = RATE_START_DIST,
-) -> Problem:
-    """Prox iteration for a strongly convex quadratic, as a 1/2-averaged affine operator."""
-    a, offset, z0, z_star = _quadratic_prox(dim, cond, rho, seed, start_dist)
-    return Problem(
-        operator=make_affine(a, offset, theta=0.5),
-        z0=z0,
-        z_star=z_star,
-    )
-
-
-def interval_prox_problem() -> Problem:
-    """Projection onto [-0.5, 0.5] from outside; the limit is the endpoint 0.5."""
-    op = make_box_projection([-0.5], [0.5])
-    return Problem(operator=op, z0=[1.2], z_star=[0.5])
-
-
-def translation_problem(dim: int = 8, speed: float = 0.01, seed: int = 808) -> Problem:
-    """z -> z + v with v != 0: nonexpansive, fixed-point free."""
-    rng = np.random.default_rng(seed)
-    v = speed * _unit(rng, dim)
-    return Problem(
-        operator=make_affine(np.eye(dim), v),
-        z0=rng.standard_normal(dim),
-        z_star=None,
-    )
 
 
 def _restated_affine_run(q, b, z0, alpha: float, lam: float, errors: ErrorModel | None, steps: int):
@@ -198,16 +157,21 @@ def criterion_2() -> tuple[bool, str]:
     """The residual rate certificate holds at every computable step on six problems, one far out."""
     cases = []
 
-    prob_a = contraction_problem(dim=50, factor=0.9, seed=202)
+    q_a, b_a, z0_a, star_a = _contraction(dim=50, factor=0.9, seed=202)
+    prob_a = Problem(operator=make_affine(q_a, b_a), z0=z0_a, z_star=star_a)
     cases.append(("contraction", lambda: iterate(prob_a, constant_schedule(0.2, 0.5), max_iter=100_000)))
 
-    prob_f = contraction_problem(dim=50, factor=0.9, seed=206, start_dist=RATE_FAR_START_DIST)
+    q_f, b_f, z0_f, star_f = _contraction(dim=50, factor=0.9, seed=206, start_dist=RATE_FAR_START_DIST)
+    prob_f = Problem(operator=make_affine(q_f, b_f), z0=z0_f, z_star=star_f)
     cases.append(("contraction-far", lambda: iterate(prob_f, constant_schedule(0.1, 0.6), max_iter=100_000)))
 
-    prob_b = quadratic_prox_problem(dim=30, cond=50.0, seed=7)
+    # the prox of a strongly convex quadratic is a 1/2-averaged affine operator
+    a_b, offset_b, z0_b, star_b = _quadratic_prox(dim=30, cond=50.0, rho=1.0, seed=7, start_dist=RATE_START_DIST)
+    prob_b = Problem(operator=make_affine(a_b, offset_b, theta=0.5), z0=z0_b, z_star=star_b)
     cases.append(("quad-prox", lambda: iterate(prob_b, constant_schedule(0.15, 0.9), max_iter=100_000)))
 
-    prob_c = interval_prox_problem()
+    # projection onto [-0.5, 0.5] from outside; the limit is the endpoint 0.5
+    prob_c = Problem(operator=make_box_projection([-0.5], [0.5]), z0=[1.2], z_star=[0.5])
     sched_c = constant_schedule(0.1, CEILING_PIN, sigma=0.01, delta=1.0)
     cases.append(("interval-at-ceiling", lambda: iterate(prob_c, sched_c, max_iter=100_000)))
 
@@ -257,7 +221,8 @@ def criterion_2() -> tuple[bool, str]:
 
 def criterion_3() -> tuple[bool, str]:
     """Distances to a fixed point grow by at most lambda_k ||e^k|| per step (no inertia)."""
-    prob = contraction_problem(dim=40, factor=0.9, seed=303)
+    q, b, z0, z_star = _contraction(dim=40, factor=0.9, seed=303)
+    prob = Problem(operator=make_affine(q, b), z0=z0, z_star=z_star)
     run_a = iterate(
         prob,
         constant_schedule(0.0, 0.7),
@@ -452,7 +417,10 @@ def criterion_7() -> tuple[bool, str]:
 
 def criterion_8() -> tuple[bool, str]:
     """No fixed point means no convergence claim; divergent error laws get flagged."""
-    prob = translation_problem(dim=8, speed=0.01, seed=808)
+    # z -> z + v with v != 0: nonexpansive, fixed-point free
+    rng = np.random.default_rng(808)
+    v = 0.01 * _unit(rng, 8)
+    prob = Problem(operator=make_affine(np.eye(8), v), z0=rng.standard_normal(8))
     run = iterate(
         prob,
         constant_schedule(0.2, 0.5),

@@ -135,7 +135,7 @@ def problem_from_config(cfg: dict) -> Problem:
             raise ValueError(f"matrix must be a square matrix, got shape {matrix.shape}")
         offset = _number_array(_require(cfg, "offset", "problem"), "offset")
         op = make_affine(
-            matrix,
+            operators._as_matrix(matrix, "matrix"),
             as_point(offset, dim=matrix.shape[0], name="offset"),
             theta=_real(cfg.get("theta", 1.0), "theta"),
         )
@@ -167,7 +167,7 @@ def schedule_from_config(cfg: dict):
     lam = _real(_require(cfg, "lambda", "schedule"), "lambda")
     optional = {
         key: None if cfg.get(key) is None else _real(cfg[key], key)
-        for key in ("sigma", "delta", "alpha_cap", "lambda_floor", "lambda_ceiling")
+        for key in ("sigma", "delta", "alpha_cap")
     }
     return constant_schedule(alpha, lam, **optional)
 
@@ -187,9 +187,7 @@ def errors_from_config(cfg: dict | None) -> ErrorModel:
             seed,
         )
     if kind == "geometric":
-        ratio = cfg.get("ratio", cfg.get("exponent"))
-        if ratio is None:
-            raise ConfigError("missing 'ratio' in errors")
+        ratio = _require(cfg, "ratio", "errors")
         magnitude = _real(_require(cfg, "magnitude", "errors"), "magnitude")
         return ErrorModel.geometric(magnitude, _real(ratio, "ratio"), seed)
     if kind == "custom-list":

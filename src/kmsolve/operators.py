@@ -7,7 +7,8 @@ resolvents) carry theta = 1/2.  The factories below declare the constant
 their construction guarantees, and make_affine certifies a caller's claim
 exactly.  An OperatorSpec built by hand carries its theta uncertified.
 Every module and the CLI check their arguments here: `_real` and
-`_integer` take scalars, `as_point` vectors and `_as_matrix` matrices.
+`_integer` take scalars, `as_point` finite vectors and `_as_matrix` finite
+matrices, and a refusal names the argument.
 
 The built-in operators are closures that the loop calls on every step, so
 each binds its per-call scalars once, when it is built, as private
@@ -97,13 +98,15 @@ def as_point(x, dim: int | None = None, name: str = "point") -> Point:
 
 
 def _as_matrix(x, name: str) -> np.ndarray:
-    """`x` as a 2-D float64 array (`x` itself if it is one); else ValueError by name."""
+    """`x` as a finite 2-D float64 array (`x` itself if it is one); else ValueError by name."""
     try:
         a = np.asarray(x, dtype=float)
     except OverflowError:
         raise ValueError(f"{name} contains an entry outside the float range") from None
     if a.ndim != 2:
         raise ValueError(f"{name} must be a matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} contains non-finite entries")
     return a
 
 
@@ -182,8 +185,6 @@ def spectral_norm(mat) -> float:
     """
     global _spectral_memo
     a = _as_matrix(mat, "mat")
-    if not np.isfinite(a).all():
-        raise ValueError("matrix contains non-finite entries")
     key = (a.shape, a.tobytes())
     memo = _spectral_memo
     if memo[0] == key:

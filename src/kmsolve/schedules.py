@@ -22,8 +22,8 @@ which yields the explicit relaxation ceiling
     lambda_max = (delta - alpha [alpha (1 + alpha) + alpha delta + sigma])
                  / (delta [1 + alpha (1 + alpha) + alpha delta + sigma]).
 
-constant_schedule builds a schedule of either regime; with sigma and
-delta its first inertial weight is 0 and it takes no lambda_ceiling.
+constant_schedule builds a schedule of either regime, with lambda itself
+as floor and ceiling; with sigma and delta its first inertial weight is 0.
 
 Averaged operators admit larger relaxation: for a theta-averaged operator,
 validate_schedule(s, theta=theta) multiplies the relaxation ceiling bound
@@ -47,10 +47,12 @@ ERROR_KINDS = ("zero", "power-decay", "geometric", "custom-list")
 class ParamSchedule:
     """Inertia and relaxation sequences with their declared bounds.
 
-    sigma and delta are only meaningful for regime II and must be supplied
-    together.  lambda_ceiling is read in regime I only: regime II's ceiling
-    is lambda_max(alpha_cap, sigma, delta).  Construction stores floats and
-    refuses a regime-II alpha_cap >= 1; feasibility is the validators' job.
+    A hand-built schedule declares its bounds over all k, not only the k a
+    validator samples.  sigma and delta are only meaningful for regime II
+    and must be supplied together.  Regime I reads lambda_ceiling; regime
+    II's ceiling is lambda_max(alpha_cap, sigma, delta).  Construction
+    stores floats and refuses a regime-II alpha_cap >= 1; feasibility is
+    the validators' job.
     """
 
     alpha_of: Callable[[int], float]
@@ -79,29 +81,28 @@ def constant_schedule(
     lam: float,
     *,
     alpha_cap: float | None = None,
-    lambda_floor: float | None = None,
-    lambda_ceiling: float | None = None,
     sigma: float | None = None,
     delta: float | None = None,
 ) -> ParamSchedule:
-    """Constant alpha_k and lambda_k; caps and floor default to the constants.
+    """Constant alpha_k and lambda_k, with lam as floor and ceiling; the cap defaults to alpha.
 
-    With sigma and delta the schedule is regime II's: alpha_0 = 0, as that
-    regime demands, then the constant alpha.  Its relaxation ceiling is
-    lambda_max(alpha_cap, sigma, delta), so a lambda_ceiling passed with
-    them is refused rather than ignored.
+    lam is the tightest floor and ceiling a constant lambda_k has: looser
+    ones could only make the schedule read infeasible or loosen its rate
+    certificate.  The cap stays settable: in regime II a larger one lowers
+    the ceiling lambda_max(alpha_cap, sigma, delta), which tightens the
+    certificate while the schedule stays feasible.  With sigma and delta
+    the schedule is regime II's: alpha_0 = 0, as that regime demands, then
+    the constant alpha.
     """
     a = _real(alpha, "alpha")
     l = _real(lam, "lam")
     regime_ii = sigma is not None and delta is not None
-    if regime_ii and lambda_ceiling is not None:
-        raise ValueError("lambda_ceiling is regime I only: sigma and delta set the ceiling lambda_max")
     return ParamSchedule(
         alpha_of=(lambda k: 0.0 if k == 0 else a) if regime_ii else (lambda k: a),
         lambda_of=lambda k: l,
         alpha_cap=a if alpha_cap is None else alpha_cap,
-        lambda_floor=l if lambda_floor is None else lambda_floor,
-        lambda_ceiling=l if lambda_ceiling is None else lambda_ceiling,
+        lambda_floor=l,
+        lambda_ceiling=l,
         sigma=sigma,
         delta=delta,
     )

@@ -94,7 +94,7 @@ def test_certificate_refusal_reasons():
         "schedule infeasible under its declared regime: lambda_ceiling must be < 1"
     )
 
-    sched = constant_schedule(0.2, 0.5, lambda_floor=0.0)
+    sched = constant_schedule(0.2, 0.0)
     run = iterate(prob, sched, tol=-1.0, max_iter=10)
     assert rate_certificate(run).reason == "needs a positive relaxation floor"
 
@@ -145,7 +145,7 @@ def test_certificate_to_dict():
     refusals = [
         (prob, constant_schedule(0.2, 0.5), 1, "needs at least two iterations"),
         (prob, constant_schedule(0.2, 1.0), 10, "schedule infeasible under its declared regime: lambda_ceiling must be < 1"),
-        (prob, constant_schedule(0.2, 0.5, lambda_floor=0.0), 10, "needs a positive relaxation floor"),
+        (prob, constant_schedule(0.2, 0.0), 10, "needs a positive relaxation floor"),
         (anon, constant_schedule(0.2, 0.5), 10, "needs a known solution"),
     ]
     for problem, schedule, steps, reason in refusals:
@@ -211,6 +211,44 @@ def test_certificate_ceiling_per_regime():
     sched = constant_schedule(0.1, 0.5, sigma=0.01, delta=1.0)
     run_ii = iterate(_contraction(seed=25), sched, tol=-1.0, max_iter=5)
     assert rate_certificate(run_ii).ceiling == lambda_ceiling_ii(0.1, 0.01, 1.0)
+
+
+def test_lambda_is_a_constant_schedules_tightest_floor_and_ceiling():
+    # a hand-built schedule with constant_schedule's closures and looser regime-I bounds certifies no better
+    rng = np.random.default_rng(2201)
+    for i in range(100):
+        alpha, lam = float(rng.uniform(0.0, 0.6)), float(rng.uniform(0.05, 0.95))
+        u, v = rng.uniform(0.5, 1.0), rng.uniform(0.0, 0.9)
+        const = constant_schedule(alpha, lam)
+        hand = ParamSchedule(
+            const.alpha_of,
+            const.lambda_of,
+            alpha_cap=alpha,
+            lambda_floor=lam * u,
+            lambda_ceiling=lam + (1.0 - lam) * v,
+        )
+        if validate_schedule(hand).feasible:
+            assert validate_schedule(const).feasible, i
+        prob = _contraction(dim=int(rng.integers(2, 20)), seed=2300 + i)
+        errors = ErrorModel.power_decay(1e-3, 2.0, seed=i) if i % 2 else None
+        certs = [rate_certificate(iterate(prob, s, errors, tol=-1.0, max_iter=40)) for s in (const, hand)]
+        assert certs[0].valid and certs[1].valid, i
+        assert np.all(certs[0].rhs_squared <= certs[1].rhs_squared), i
+
+
+def test_a_larger_regime_ii_alpha_cap_tightens_the_certificate():
+    # why constant_schedule keeps alpha_cap: it sets regime II's ceiling lambda_max(alpha_cap, sigma, delta)
+    prob = _contraction()
+    default, capped = (
+        rate_certificate(
+            iterate(prob, constant_schedule(0.1, 0.5, sigma=0.01, delta=1.0, alpha_cap=cap), tol=-1.0, max_iter=200)
+        )
+        for cap in (None, 0.15)
+    )
+    assert default.valid and capped.valid
+    assert capped.ceiling == lambda_ceiling_ii(0.15, 0.01, 1.0) < default.ceiling
+    assert np.all(capped.rhs_squared < default.rhs_squared)
+    assert (capped.rhs_squared[-1], default.rhs_squared[-1]) == pytest.approx((0.0087174523, 0.0126111972), rel=1e-6)
 
 
 def test_quasi_fejer_passes_on_summable_errors():

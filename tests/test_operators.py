@@ -154,6 +154,9 @@ def test_a_matrix_argument_is_named(build, name):
         build([[10**400]])
     with pytest.raises(ValueError, match=rf"^{name} must be a matrix, got shape \(1,\)$"):
         build([1.0])
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"^{name} contains non-finite entries$"):
+            build([[bad]])
 
 
 def test_an_empty_vector_is_refused_by_name():

@@ -64,14 +64,7 @@ def test_constant_schedule_with_sigma_and_delta_zeroes_the_first_weight():
     assert constant_schedule(0.1, 0.5).alpha_of(0) == 0.1
 
 
-def test_regime_ii_refuses_a_lambda_ceiling():
-    # regime II's ceiling is lambda_max(alpha_cap, sigma, delta); a declared one would go unread
-    with pytest.raises(ValueError, match="lambda_ceiling is regime I only"):
-        constant_schedule(0.1, 0.7, sigma=0.01, delta=1.0, lambda_ceiling=0.5)
-    assert constant_schedule(0.1, 0.5, lambda_ceiling=0.6).lambda_ceiling == 0.6
-
-
-@pytest.mark.parametrize("name", ["alpha", "lam", "alpha_cap", "lambda_floor", "lambda_ceiling", "sigma", "delta"])
+@pytest.mark.parametrize("name", ["alpha", "lam", "alpha_cap", "sigma", "delta"])
 def test_constant_schedule_names_a_scalar_that_is_not_a_number(name):
     # None is the default of the optional ones, so it is refused only for alpha and lam
     for value in ("x", "0.5", [0.5], True, False) + ((None,) if name in ("alpha", "lam") else ()):
@@ -87,9 +80,9 @@ def test_constant_schedule_stores_floats_and_keeps_non_finite_values():
     s = constant_schedule(np.float64(0.1), 1, sigma=np.float32(0.25), delta=1)
     assert type(s.sigma) is float and type(s.delta) is float
     assert (s.sigma, s.delta, s.lambda_of(3)) == (0.25, 1.0, 1.0)
-    odd = constant_schedule(math.nan, math.inf, alpha_cap=-math.inf, lambda_ceiling=math.nan)
+    odd = constant_schedule(math.nan, math.inf, alpha_cap=-math.inf)
     assert math.isnan(odd.alpha_of(1)) and odd.lambda_of(1) == math.inf
-    assert odd.alpha_cap == -math.inf and math.isnan(odd.lambda_ceiling)
+    assert odd.alpha_cap == -math.inf and odd.lambda_ceiling == math.inf
     assert math.isnan(constant_schedule(0.1, 0.5, sigma=math.nan, delta=math.inf).sigma)
 
 
@@ -249,6 +242,17 @@ def test_block_draw_is_the_same_with_or_without_a_cache(dim, rows):
         assert np.array_equal(plain, d * (target / math.sqrt(float(d @ d)))), (dim, k)
 
 
+def test_a_zero_direction_row_falls_back_to_the_first_unit_vector():
+    # a standard normal row is never all zeros in practice, so the cached block is planted
+    m = ErrorModel.power_decay(0.3, 1.5, seed=19)
+    dim, k = 3, 70
+    rows = 64  # _block_rows(3)
+    block = np.ones((rows, dim))
+    block[k % rows] = 0.0
+    cache = {"key": (m.seed, k // rows, dim), "block": block}
+    assert np.array_equal(emit_error(m, k, dim, cache), m.norm_at(k) * np.eye(dim)[0])
+
+
 def _soft_problem(dim=8, seed=72):
     rng = np.random.default_rng(seed)
     return Problem(make_soft_threshold(0.2, dim), rng.uniform(-2, 2, dim), np.zeros(dim))
@@ -353,7 +357,7 @@ def test_regime_i_rejects_alpha_cap_at_one():
 
 
 def test_regime_i_warns_on_zero_floor():
-    s = constant_schedule(0.0, 0.5, lambda_floor=0.0)
+    s = constant_schedule(0.0, 0.0)
     rep = validate_schedule(s)
     assert rep.feasible
     assert any("positive floor" in w for w in rep.warnings)
