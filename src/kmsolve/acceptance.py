@@ -43,6 +43,7 @@ from .engine import Problem, iterate
 from .operators import make_affine, make_box_projection, make_soft_threshold, norm, quadratic_gradient
 from .schedules import (
     ErrorModel,
+    ParamSchedule,
     constant_schedule,
     delta_threshold,
     emit_error,
@@ -63,6 +64,7 @@ LASSO_PERTURBED_BUDGET = 15_000  # below the run's max_iter of 30_000
 FOLDED_BOUND_SLACK = 1e-12  # relative rounding allowance on ||e-bar|| <= rho ||e1|| + ||e2||
 SWEEP_RUNS = 300  # criterion 7: seeded feasible runs, seeds 500..799
 SWEEP_FAR_RUNS = 100  # criterion 7: at least this many start with dist1 > 1
+BROKEN_RUNS = 100  # criterion 7: seeded runs that break their declared regime, seeds 900..999
 TRANSLATION_RESIDUAL_FLOOR = 1e-6  # criterion 8
 
 THRESHOLD_PIN = 0.012121212121212123  # smallest delta at alpha=0.1, sigma=0.01
@@ -372,18 +374,30 @@ def criterion_6() -> tuple[bool, str]:
     )
 
 
-def _sweep_run(i: int):
-    """Run i of criterion 7's sweep: a feasible run on a scaled orthogonal map, both regimes."""
-    rng = np.random.default_rng(500 + i)
+def _sweep_run(seed: int):
+    """A run of criterion 7 on a scaled orthogonal map: feasible schedules of both regimes below seed 900.
+
+    From 900 on, a regime-II schedule breaks its regime: alpha_k jumps between a level up to 1.2 and
+    draws below it, lambda_k varies in the 10% below a level in (0.1, 0.95), delta is half its threshold.
+    """
+    rng = np.random.default_rng(seed)
+    broken = seed >= 900
     dim = int(rng.integers(2, 30))
     q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
-    q *= rng.uniform(0.5, 1.0)
+    q *= rng.uniform(0.9 if broken else 0.5, 1.0)
     z_star = rng.standard_normal(dim)
     v = rng.standard_normal(dim)
     start = 10.0 ** rng.uniform(-2.0, 2.0)
     z0 = z_star + start / np.linalg.norm(v) * v
     prob = Problem(operator=make_affine(q, z_star - q @ z_star), z0=z0, z_star=z_star)
-    if i % 2:
+    if broken:
+        level, top = rng.uniform(0.0, 1.2), rng.uniform(0.1, 0.95)
+        alphas = np.where(rng.random(300) < 0.5, level, rng.uniform(0.0, level, 300)).tolist()
+        lambdas = rng.uniform(0.9 * top, top, 300).tolist()
+        cap, sigma = min(level, 0.95), rng.uniform(0.0, 0.1)
+        delta = 0.5 * delta_threshold(cap, sigma)
+        sched = ParamSchedule(alphas.__getitem__, lambdas.__getitem__, cap, 0.9 * top, top, sigma, delta)
+    elif seed % 2:
         alpha, sigma = rng.uniform(0.0, 0.3), rng.uniform(0.0, 0.1)
         delta = delta_threshold(alpha, sigma) + rng.uniform(0.1, 1.0)
         lam = rng.uniform(0.1, 1.0) * lambda_ceiling_ii(alpha, sigma, delta)
@@ -391,27 +405,32 @@ def _sweep_run(i: int):
     else:
         sched = constant_schedule(rng.uniform(0.0, 0.6), rng.uniform(0.05, 0.95))
     errors = None
-    if (i // 2) % 2:
-        errors = ErrorModel.power_decay(start * 10.0 ** rng.uniform(-3.0, -1.0), 2.0, seed=i)
+    if (seed // 2) % 2:
+        errors = ErrorModel.power_decay(start * 10.0 ** rng.uniform(-3.0, -1.0), 2.0, seed=seed - 500)
     return iterate(prob, sched, errors, max_iter=300)
 
 
 def criterion_7() -> tuple[bool, str]:
-    """The rate certificate is valid and holds on every run of a seeded sweep, many starting far out."""
-    failed = far = 0
-    worst = 0.0
-    for i in range(SWEEP_RUNS):
-        cert = rate_certificate(_sweep_run(i))
-        if not (cert.valid and cert.holds()):
-            failed += 1
-        if cert.valid:
-            worst = max(worst, float(np.max(cert.min_residual_sq / cert.rhs_squared)))
-            far += cert.dist1 > 1.0
-    passed = failed == 0 and far >= SWEEP_FAR_RUNS
+    """The rate certificate is valid and holds on feasible runs, many far out, and on runs that break their regime."""
+    sweeps = []
+    for seeds in (range(500, 500 + SWEEP_RUNS), range(900, 900 + BROKEN_RUNS)):
+        failed = far = feasible = worst = 0
+        for seed in seeds:
+            run = _sweep_run(seed)
+            feasible += validate_schedule(run.schedule, horizon=run.iterations - 1).feasible
+            cert = rate_certificate(run)
+            failed += not (cert.valid and cert.holds())
+            if cert.valid:
+                worst = max(worst, float(np.max(cert.min_residual_sq / cert.rhs_squared)))
+                far += cert.dist1 > 1.0
+        sweeps.append((failed, far, feasible, worst))
+    (failed, far, feasible, worst), (broken_failed, _, broken_feasible, broken_worst) = sweeps
+    passed = failed == broken_failed == 0 and far >= SWEEP_FAR_RUNS and feasible == SWEEP_RUNS and broken_feasible == 0
     return (
         passed,
         f"{SWEEP_RUNS} runs, {far} with dist1 > 1, {failed} refused or violated, "
-        f"largest residual-to-bound ratio {worst:.2f}",
+        f"largest residual-to-bound ratio {worst:.2f}; {BROKEN_RUNS} runs breaking their declared regime, "
+        f"{broken_feasible} feasible as run, {broken_failed} refused or violated, largest ratio {broken_worst:.2f}",
     )
 
 
@@ -433,7 +452,7 @@ def criterion_8() -> tuple[bool, str]:
         run.stop_reason == "max-iter"
         and not run.converged
         and floor > TRANSLATION_RESIDUAL_FLOOR
-        and run.errors.summability == "not-guaranteed"
+        and run.errors[0].summability == "not-guaranteed"
         and report.item("weighted-error-sum").verdict == "not-consistent"
         and report.verdict == "not-consistent"
     )

@@ -24,7 +24,7 @@ solution is known by construction, for end-to-end solver checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -87,13 +87,15 @@ def solve_fbs(
     """Relaxed inertial forward-backward splitting.
 
     With zero inertia and zero errors this is exactly the classical
-    iteration z <- z + lambda (J(z - rho B z) - z).
+    iteration z <- z + lambda (J(z - rho B z) - z).  The run's `errors`
+    are the error channels given.
     """
     fe = forward_errors if forward_errors is not None else ErrorModel.zero()
     re = resolvent_errors if resolvent_errors is not None else ErrorModel.zero()
+    given = tuple(m for m in (forward_errors, resolvent_errors) if m is not None)
     prob = Problem(operator=make_fb_composition(resolvent, forward, rho), z0=z0, z_star=z_star)
     if fe.kind == "zero" and re.kind == "zero":
-        return iterate(prob, schedule, None, **engine_options)
+        return replace(iterate(prob, schedule, None, **engine_options), errors=given)
 
     dim = prob.z0.size
     j = resolvent.apply
@@ -112,7 +114,7 @@ def solve_fbs(
             t_pert = t_pert + emit_error(re, k, dim, re_cache)
         return t_mu, t_pert, 0.0 if t_pert is t_mu else norm(t_pert - t_mu)
 
-    return iterate(prob, schedule, perturb=perturb, **engine_options)
+    return replace(iterate(prob, schedule, perturb=perturb, **engine_options), errors=given)
 
 
 @dataclass(frozen=True)

@@ -165,10 +165,7 @@ def schedule_from_config(cfg: dict):
     """A constant schedule: regime I, or regime II with sigma and delta (see constant_schedule)."""
     alpha = _real(cfg.get("alpha", 0.0), "alpha")
     lam = _real(_require(cfg, "lambda", "schedule"), "lambda")
-    optional = {
-        key: None if cfg.get(key) is None else _real(cfg[key], key)
-        for key in ("sigma", "delta", "alpha_cap")
-    }
+    optional = {key: None if cfg.get(key) is None else _real(cfg[key], key) for key in ("sigma", "delta")}
     return constant_schedule(alpha, lam, **optional)
 
 

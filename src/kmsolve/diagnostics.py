@@ -2,8 +2,8 @@
 
 Three layers, all computed from recorded run quantities:
 
-* a per-iteration residual rate certificate, when a known solution and a
-  feasible schedule make it meaningful;
+* a per-iteration residual rate certificate, when a known solution and
+  the recorded parameters make it meaningful;
 * a distance quasi-monotonicity check for zero-inertia runs, where each
   step may increase the distance to a fixed point by at most
   lambda_k ||e^k||;
@@ -32,12 +32,14 @@ once dist_1 > 1.  T z = -0.9 z from (100, 0) with alpha 0 and lambda 1/2
 is feasible and converges, yet at k = 1 its best squared residual is
 90.25 against a printed right-hand side of 20 (squared: 100).
 
-The certificate runs validate_schedule's checks on the alpha_k, lambda_k
-the run recorded, so it covers exactly the steps that ran.  The ceiling
-entering 1 / (1 - ceiling) is the scheme-level relaxation bound: the
-declared lambda_ceiling for regime I, the closed-form maximum for regime
-II.  Both are below 1 once the checks pass, so a run justified only
-through the averaged rescaling (effective ceiling 1/theta > 1) gets no
+The certificate reads only the run, not its declared schedule: the
+one-step inequality it sums (the inertial identity of Alvarez and
+Attouch, Set-Valued Anal. 9, 2001, on the KM estimate) needs only
+alpha_k >= 0 and 0 < lambda_k < 1 on the steps k = 1..n - 1 it covers.
+Over those steps lambda_floor = min lambda_k, ceiling = max lambda_k and
+alpha_cap = max alpha_k, since lambda_i (1 - lambda_i) >= lambda_floor
+(1 - ceiling) and sum_i alpha_i phi_i <= alpha_cap sum_i [phi_i]_+.  A
+run with some lambda_k >= 1, as the averaged rescaling allows, gets no
 certificate even though it may well converge.
 """
 
@@ -50,7 +52,6 @@ import numpy as np
 
 from .engine import RunResult
 from .operators import _real
-from .schedules import _check_sequences
 
 
 @dataclass(frozen=True)
@@ -92,47 +93,39 @@ def _min_residual_sq(residuals: np.ndarray) -> np.ndarray:
 def rate_certificate(result: RunResult) -> RateCertificate:
     """Residual rate certificate for a finished run, or the reason there is none.
 
-    The schedule is checked on the run's recorded alpha_k, lambda_k, and a
-    refusal names the failed check.  Passing puts the relaxation ceiling,
-    reported as `ceiling`, below 1.
+    Floor, ceiling and drift weight are the extremes of the recorded lambda_k and alpha_k of steps 1..n - 1.
     """
-    s = result.schedule
     n = result.iterations
     if n < 2:
         return RateCertificate(False, "needs at least two iterations")
-    report = _check_sequences(s, result.alphas, result.lambdas, 1.0)
-    if not report.feasible:
-        reason = "schedule infeasible under its declared regime: " + "; ".join(report.violations)
-        return RateCertificate(False, reason)
-    if not s.lambda_floor > 0.0:
-        return RateCertificate(False, "needs a positive relaxation floor")
+    lam = result.lambdas[1:n]
+    al = result.alphas[1:n]
+    floor, ceiling, cap = float(lam.min()), float(lam.max()), float(al.max())
+    steps = f"on steps 1..{n - 1}"
+    if not (floor > 0.0 and ceiling < 1.0):  # a NaN fails here
+        return RateCertificate(False, f"needs 0 < lambda_k < 1 {steps} (min {floor:.12g}, max {ceiling:.12g})")
+    if not al.min() >= 0.0:
+        return RateCertificate(False, f"needs alpha_k >= 0 {steps} (min {al.min():.12g}, max {cap:.12g})")
     if result.dists is None:
         return RateCertificate(False, "needs a known solution")
 
-    # at theta = 1 the report's lambda_max is the closed-form regime-II ceiling
-    ceiling = report.lambda_max if s.condition_set == "II" else s.lambda_ceiling
     d = result.dists
-    lam = result.lambdas
-    err = result.err_norms
-    al = result.alphas
-    st = result.step_norms
     kk = np.arange(1, n)
 
     psi = d * d
-    inc = np.maximum(psi[1:n] - psi[: n - 1], 0.0)
-    drift = s.alpha_cap * np.cumsum(inc)
-    err_term = np.cumsum(2.0 * d[2 : n + 1] * lam[1:n] * err[1:n])
-    step_term = np.cumsum(al[1:n] * (1.0 + al[1:n]) * st[0 : n - 1] ** 2)
+    drift = cap * np.cumsum(np.maximum(psi[1:n] - psi[: n - 1], 0.0))
+    err_term = np.cumsum(2.0 * d[2 : n + 1] * lam * result.err_norms[1:n])
+    step_term = np.cumsum(al * (1.0 + al) * result.step_norms[0 : n - 1] ** 2)
     delta = drift + err_term + step_term
 
     dist1 = float(d[1])
-    rhs_squared = (dist1 * dist1 + delta) / (kk * s.lambda_floor * (1.0 - ceiling))
+    rhs_squared = (dist1 * dist1 + delta) / (kk * floor * (1.0 - ceiling))
 
     return RateCertificate(
         valid=True,
         reason="",
         ceiling=ceiling,
-        lambda_floor=s.lambda_floor,
+        lambda_floor=floor,
         dist1=dist1,
         ks=kk,
         min_residual_sq=_min_residual_sq(result.residuals),
@@ -216,8 +209,8 @@ def _tail_verdict(partial: np.ndarray) -> tuple[str, str]:
 def consistency_report(result: RunResult) -> ConsistencyReport:
     """Verdicts for the hypotheses deferred to runtime.
 
-    The weighted-error item trusts the declared error law when the run
-    carried one; otherwise, and always for the inertia term, a tail
+    The weighted-error item is consistent when every declared error law
+    is summable; without one, and always for the inertia term, a tail
     heuristic on the partial sums decides.  Verdicts describe hypothesis
     consistency, not convergence of the run itself.  A sum that meets an
     infinite parameter (inf * 0 is NaN) has a non-finite total, which is
@@ -252,10 +245,10 @@ def consistency_report(result: RunResult) -> ConsistencyReport:
     )
 
     s2 = np.cumsum(result.lambdas * result.err_norms)
-    if result.errors is not None:
-        summ = result.errors.summability
-        v2 = "consistent" if summ == "summable" else "not-consistent"
-        d2 = f"declared error law is {summ}"
+    if result.errors:
+        laws = [m.summability for m in result.errors]
+        v2 = "consistent" if all(summ == "summable" for summ in laws) else "not-consistent"
+        d2 = f"declared error law is {laws[0]}" if len(laws) == 1 else f"declared error laws are {', '.join(laws)}"
     elif s2.size == 0 or float(s2[-1]) == 0.0:
         v2, d2 = "consistent", "no errors recorded"
     else:

@@ -102,7 +102,8 @@ class RunResult:
     is ||z^k - z_star|| for k = 0..n, or None when no solution is known;
     `iterate` takes them in blocks, outside the step, with the bits a
     per-step sqrt(x.dot(x)) gives.  `states` likewise holds z^0..z^n
-    when recording is on.
+    when recording is on.  `errors` holds the declared error laws: (m,)
+    for iterate(errors=m), () for an exact or `perturb` run.
     """
 
     stop_reason: str
@@ -117,7 +118,7 @@ class RunResult:
     dists: np.ndarray | None
     states: list[np.ndarray] | None
     max_state_norm: float
-    errors: ErrorModel | None = field(repr=False)
+    errors: tuple[ErrorModel, ...] = field(repr=False)
     problem: Problem = field(repr=False)
     schedule: ParamSchedule = field(repr=False)
 
@@ -319,7 +320,7 @@ def iterate(
         dists=None if dists is None else np.asarray(dists),
         states=states,
         max_state_norm=float(max_norm),
-        errors=errors,
+        errors=() if errors is None else (errors,),
         problem=problem,
         schedule=schedule,
     )

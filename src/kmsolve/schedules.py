@@ -2,8 +2,8 @@
 
 validate_schedule checks a schedule under the regime it declares, tagged
 "I" (no sigma, delta) or "II" (sigma and delta given), on alpha_k and
-lambda_k sampled over k = 0..horizon.  The rate certificate runs the same
-checks on the parameters a finished run recorded.
+lambda_k sampled over k = 0..horizon; horizon=run.iterations - 1 checks
+the steps a finished run took.
 
 Regime I checks the pointwise bounds 0 <= alpha_k <= alpha_cap < 1 and
 0 <= lambda_floor <= lambda_k <= lambda_ceiling < 1.  Its remaining
@@ -22,8 +22,8 @@ which yields the explicit relaxation ceiling
     lambda_max = (delta - alpha [alpha (1 + alpha) + alpha delta + sigma])
                  / (delta [1 + alpha (1 + alpha) + alpha delta + sigma]).
 
-constant_schedule builds a schedule of either regime, with lambda itself
-as floor and ceiling; with sigma and delta its first inertial weight is 0.
+constant_schedule builds a schedule of either regime, with alpha as cap
+and lambda as floor and ceiling; with sigma and delta alpha_0 is 0.
 
 Averaged operators admit larger relaxation: for a theta-averaged operator,
 validate_schedule(s, theta=theta) multiplies the relaxation ceiling bound
@@ -52,7 +52,7 @@ class ParamSchedule:
     and must be supplied together.  Regime I reads lambda_ceiling; regime
     II's ceiling is lambda_max(alpha_cap, sigma, delta).  Construction
     stores floats and refuses a regime-II alpha_cap >= 1; feasibility is
-    the validators' job.
+    the validator's job.
     """
 
     alpha_of: Callable[[int], float]
@@ -80,19 +80,13 @@ def constant_schedule(
     alpha: float,
     lam: float,
     *,
-    alpha_cap: float | None = None,
     sigma: float | None = None,
     delta: float | None = None,
 ) -> ParamSchedule:
-    """Constant alpha_k and lambda_k, with lam as floor and ceiling; the cap defaults to alpha.
+    """Constant alpha_k and lambda_k, with alpha as cap and lam as floor and ceiling, their tightest bounds.
 
-    lam is the tightest floor and ceiling a constant lambda_k has: looser
-    ones could only make the schedule read infeasible or loosen its rate
-    certificate.  The cap stays settable: in regime II a larger one lowers
-    the ceiling lambda_max(alpha_cap, sigma, delta), which tightens the
-    certificate while the schedule stays feasible.  With sigma and delta
-    the schedule is regime II's: alpha_0 = 0, as that regime demands, then
-    the constant alpha.
+    With sigma and delta the schedule is regime II's: alpha_0 = 0, as that
+    regime demands, then the constant alpha, which must be below 1 there.
     """
     a = _real(alpha, "alpha")
     l = _real(lam, "lam")
@@ -100,7 +94,7 @@ def constant_schedule(
     return ParamSchedule(
         alpha_of=(lambda k: 0.0 if k == 0 else a) if regime_ii else (lambda k: a),
         lambda_of=lambda k: l,
-        alpha_cap=a if alpha_cap is None else alpha_cap,
+        alpha_cap=a,
         lambda_floor=l,
         lambda_ceiling=l,
         sigma=sigma,
@@ -326,22 +320,15 @@ def validate_schedule(s: ParamSchedule, horizon: int = 1000, theta: float = 1.0)
     The regime is ``s.condition_set``.  ``theta`` in (0, 1] is the
     averagedness constant of the operator the schedule drives: the
     relaxation ceiling bound is multiplied by 1/theta, and theta = 1 is
-    the plain validation.  Only a bad theta or horizon raises: a built
-    schedule always gets a report.
+    the plain validation.  A NaN alpha_k or lambda_k fails every check it
+    enters.  Only a bad theta or horizon raises: a built schedule always
+    gets a report.
     """
     theta = _real(theta, "theta", "lie in (0, 1]", lambda t: 0.0 < t <= 1.0)
     horizon = _integer(horizon, "horizon", "be a nonnegative integer", lambda h: h >= 0)
     ks = range(horizon + 1)
     alphas = np.fromiter(map(s.alpha_of, ks), float, len(ks))
     lambdas = np.fromiter(map(s.lambda_of, ks), float, len(ks))
-    return _check_sequences(s, alphas, lambdas, theta)
-
-
-def _check_sequences(s: ParamSchedule, alphas, lambdas, theta: float) -> ConditionReport:
-    """The conditions of `s`'s regime on the arrays alpha_k, lambda_k, k = 0..len - 1.
-
-    A NaN in either array fails every check it enters.
-    """
     regime_ii = s.condition_set == "II"
     cap = s.alpha_cap
     floor = s.lambda_floor

@@ -78,7 +78,6 @@ SCALARS = {
     ("ParamSchedule", "delta"): (lambda v: _schedule(sigma=0.01, delta=v), "real", True),
     ("constant_schedule", "alpha"): (lambda v: constant_schedule(v, 0.5), "real", False),
     ("constant_schedule", "lam"): (lambda v: constant_schedule(0.1, v), "real", False),
-    ("constant_schedule", "alpha_cap"): (lambda v: constant_schedule(0.1, 0.5, alpha_cap=v), "real", True),
     ("constant_schedule", "sigma"): (lambda v: constant_schedule(0.1, 0.5, sigma=v, delta=1.0), "real", True),
     ("constant_schedule", "delta"): (lambda v: constant_schedule(0.1, 0.5, sigma=0.01, delta=v), "real", True),
     ("ErrorModel", "magnitude"): (lambda v: ErrorModel(kind="power-decay", magnitude=v, exponent=2.0), "real", False),

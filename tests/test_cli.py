@@ -244,10 +244,19 @@ def test_validate_regime_ii_config(tmp_path):
     assert data["lambda_max"] == pytest.approx(0.8016393442622951)
 
 
-def test_regime_ii_config_keeps_its_alpha_cap(tmp_path):
-    sched = {"alpha": 0.1, "lambda": 0.5, "sigma": 0.01, "delta": 1.0, "alpha_cap": 0.3}
-    _, out, _ = _main(["validate", _write(tmp_path, dict(FEASIBLE, schedule=sched))])
-    assert json.loads(out)["delta_threshold"] == delta_threshold(0.3, 0.01)
+def test_a_config_alpha_cap_is_ignored(tmp_path):
+    # a constant schedule's cap is its alpha; an "alpha_cap" left in a config changes nothing, whatever its value
+    for sched in ({"alpha": 0.1, "lambda": 0.5, "sigma": 0.01, "delta": 1.0}, {"alpha": 0.2, "lambda": 0.5}):
+        plain = dict(FEASIBLE, schedule=sched)
+        for cap in (0.3, -1.0, "x", {}, None):
+            capped = dict(FEASIBLE, schedule=dict(sched, alpha_cap=cap))
+            for command in ("run", "validate", "compare"):
+                want = _main([command, _write(tmp_path, plain, "plain.json")])
+                assert want[0] in (0, 1) and want[2] == ""
+                assert _main([command, _write(tmp_path, capped, "capped.json")]) == want, (sched, cap, command)
+    regime_ii = {"alpha": 0.1, "lambda": 0.5, "sigma": 0.01, "delta": 1.0, "alpha_cap": 0.3}
+    _, out, _ = _main(["validate", _write(tmp_path, dict(FEASIBLE, schedule=regime_ii))])
+    assert json.loads(out)["delta_threshold"] == delta_threshold(0.1, 0.01)
 
 
 def test_compare_reports_iteration_ratio(tmp_path):
@@ -376,7 +385,6 @@ def test_run_rejects_bad_input_before_iterating(tmp_path, monkeypatch):
         ({"schedule": {"alpha": 0.2, "lambda": "fast"}}, "error: bad schedule: lambda must be a number, got 'fast'"),
         ({"schedule": {"alpha": "none", "lambda": 0.5}}, "error: bad schedule: alpha must be a number, got 'none'"),
         ({"schedule": {"alpha": 0.0, "lambda": 0.5, "sigma": "x", "delta": 1.0}}, "error: bad schedule: sigma must be a number, got 'x'"),
-        ({"schedule": {"alpha": 0.2, "lambda": 0.5, "alpha_cap": {}}}, "error: bad schedule: alpha_cap must be a number, got {}"),
         ({"errors": dict(power, magnitude="big")}, "error: bad errors: magnitude must be a number, got 'big'"),
         ({"errors": dict(power, exponent="steep")}, "error: bad errors: exponent must be a number, got 'steep'"),
         ({"errors": dict(geometric, ratio="half")}, "error: bad errors: ratio must be a number, got 'half'"),
@@ -455,7 +463,6 @@ def test_numbers_outside_the_float_range_exit_two_by_name(tmp_path, monkeypatch)
         ({"engine": {"divergence_norm": HUGE}}, "bad engine options: divergence_norm"),
         ({"schedule": {"alpha": HUGE, "lambda": 0.5}}, "bad schedule: alpha"),
         ({"schedule": {"alpha": 0.2, "lambda": HUGE}}, "bad schedule: lambda"),
-        ({"schedule": {"alpha": 0.2, "lambda": 0.5, "alpha_cap": HUGE}}, "bad schedule: alpha_cap"),
         ({"schedule": dict(regime_ii, sigma=HUGE)}, "bad schedule: sigma"),
         ({"schedule": dict(regime_ii, delta=HUGE)}, "bad schedule: delta"),
         ({"errors": dict(power, magnitude=HUGE)}, "bad errors: magnitude"),
@@ -549,6 +556,15 @@ def test_null_optional_sections_read_as_empty(tmp_path):
     assert out == _main(["run", _write(tmp_path, FEASIBLE, "plain.json")])[1]
 
 
+def test_a_zero_error_law_prints_what_no_errors_prints(tmp_path):
+    # a zero law has no directions to draw, so its seed changes nothing
+    zero = dict(FEASIBLE, errors={"kind": "zero", "seed": 3})
+    for command in ("run", "compare"):
+        want = _main([command, _write(tmp_path, FEASIBLE, "plain.json")])
+        assert want[0] == 0
+        assert _main([command, _write(tmp_path, zero, "zero.json")]) == want
+
+
 def _strict_json(text):
     def refuse(constant):
         raise ValueError(f"non-standard JSON constant {constant}")
@@ -635,8 +651,8 @@ def test_csv_cells_are_the_run_arrays_at_17_digits(tmp_path, monkeypatch):
         assert csv_path.read_text().split("\n") == want + [""]
     assert runs[0][1].valid
     assert runs[1][1].to_dict() == {"valid": False, "reason": "needs a known solution"}
-    infeasible = "schedule infeasible under its declared regime: lambda_ceiling must be < 1"
-    assert runs[2][1].to_dict() == {"valid": False, "reason": infeasible}
+    out_of_range = "needs 0 < lambda_k < 1 on steps 1..1 (min 1e+100, max 1e+100)"
+    assert runs[2][1].to_dict() == {"valid": False, "reason": out_of_range}
 
 
 def test_bench_prints_one_timed_line_per_criterion(monkeypatch):
@@ -667,8 +683,8 @@ def test_box_projection_problem(tmp_path):
     assert code == 0
     data = json.loads(out)
     assert data["feasibility"]["feasible"] is False
-    # no certificate without a feasible schedule
+    # no certificate where a lambda_k it sums is 1
     assert data["certificate"] == {
         "valid": False,
-        "reason": "schedule infeasible under its declared regime: lambda_ceiling must be < 1",
+        "reason": f"needs 0 < lambda_k < 1 on steps 1..{data['iterations'] - 1} (min 1, max 1)",
     }

@@ -1,10 +1,12 @@
 """Rate certificates, distance monotonicity checks, and run post-mortems."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from kmsolve.applications import lasso_fbs_pieces, plant_lasso, solve_fbs
 from kmsolve.diagnostics import (
     _tail_verdict,
     consistency_report,
@@ -12,7 +14,7 @@ from kmsolve.diagnostics import (
     rate_certificate,
 )
 from kmsolve.engine import Problem, OperatorSpec, iterate
-from kmsolve.operators import make_affine, make_identity
+from kmsolve.operators import make_affine, make_identity, quadratic_gradient
 from kmsolve.schedules import (
     ErrorModel,
     ParamSchedule,
@@ -33,11 +35,23 @@ def _contraction(dim=12, factor=0.9, seed=21, start_dist=0.8):
     return Problem(operator=make_affine(q, z_star - q @ z_star), z0=z0, z_star=z_star)
 
 
+def _varying_schedule():
+    # alpha_0 and lambda_0 are the largest values either takes: the certificate's sums start at k = 1
+    return ParamSchedule(
+        alpha_of=lambda k: 0.1 + 0.1 * math.cos(k),
+        lambda_of=lambda k: 0.5 + 0.3 * math.cos(k),
+        alpha_cap=0.2,
+        lambda_floor=0.2,
+        lambda_ceiling=0.8,
+    )
+
+
 def test_certificate_matches_a_literal_recomputation():
+    # an orthogonal map and slowly decaying errors, so that distances to z* also grow on some steps
     run = iterate(
-        _contraction(),
-        constant_schedule(0.2, 0.5),
-        ErrorModel.power_decay(1e-3, 2.0, seed=3),
+        _contraction(factor=1.0),
+        _varying_schedule(),
+        ErrorModel.power_decay(1e-2, 1.1, seed=3),
         tol=-1.0,
         max_iter=200,
     )
@@ -46,19 +60,34 @@ def test_certificate_matches_a_literal_recomputation():
     n = run.iterations
     d, lam, al = run.dists, run.lambdas, run.alphas
     err, st, res = run.err_norms, run.step_norms, run.residuals
-    ceiling, floor = cert.ceiling, cert.lambda_floor
+    floor, ceiling, cap = min(lam[1:]), max(lam[1:]), max(al[1:])
+    assert (cert.lambda_floor, cert.ceiling) == (floor, ceiling)
+    assert floor < 0.21 and 0.79 < ceiling < lam[0] and cap < al[0]
     psi = d**2
     for idx, k in enumerate(cert.ks):
         assert k == idx + 1
         drift = sum(max(psi[i] - psi[i - 1], 0.0) for i in range(1, k + 1))
         e_term = sum(2.0 * d[i + 1] * lam[i] * err[i] for i in range(1, k + 1))
         s_term = sum(al[i] * (1.0 + al[i]) * st[i - 1] ** 2 for i in range(1, k + 1))
-        want = run.schedule.alpha_cap * drift + e_term + s_term
+        want = cap * drift + e_term + s_term
         assert cert.delta[idx] == pytest.approx(want, rel=1e-12, abs=1e-15)
         rhs_sq = (d[1] ** 2 + want) / (k * floor * (1.0 - ceiling))
         assert cert.rhs_squared[idx] == pytest.approx(rhs_sq, rel=1e-12)
         assert cert.min_residual_sq[idx] == min(res[1 : k + 1]) ** 2
     assert cert.ks[-1] == n - 1
+    # each term carries weight: the drift, the errors and the steps
+    assert drift > 0.0 and e_term > 0.0 and s_term > 0.0
+    assert cert.holds()
+
+
+def test_certificate_reads_only_the_run():
+    run = iterate(_contraction(), _varying_schedule(), tol=-1.0, max_iter=200)
+    cert = rate_certificate(run)
+    other = rate_certificate(replace(run, schedule=constant_schedule(0.9, 0.1)))
+    assert cert.valid and other.valid
+    assert (other.ceiling, other.lambda_floor, other.dist1) == (cert.ceiling, cert.lambda_floor, cert.dist1)
+    for name in ("ks", "min_residual_sq", "delta", "rhs_squared"):
+        assert np.array_equal(getattr(other, name), getattr(cert, name)), name
 
 
 def test_certificate_bound_holds_on_a_clean_run():
@@ -90,15 +119,26 @@ def test_certificate_refusal_reasons():
     prob = _contraction(seed=24)
 
     run = iterate(prob, constant_schedule(0.2, 1.0), tol=-1.0, max_iter=10)
-    assert rate_certificate(run).reason == (
-        "schedule infeasible under its declared regime: lambda_ceiling must be < 1"
-    )
+    assert rate_certificate(run).reason == "needs 0 < lambda_k < 1 on steps 1..9 (min 1, max 1)"
 
-    sched = constant_schedule(0.2, 0.0)
-    run = iterate(prob, sched, tol=-1.0, max_iter=10)
-    assert rate_certificate(run).reason == "needs a positive relaxation floor"
+    run = iterate(prob, constant_schedule(0.2, 0.0), tol=-1.0, max_iter=10)
+    assert rate_certificate(run).reason == "needs 0 < lambda_k < 1 on steps 1..9 (min 0, max 0)"
 
+    # a NaN lambda_k fails the range check, wherever it is
+    nan_late = ParamSchedule(lambda k: 0.2, lambda k: 0.5 if k < 5 else math.nan, 0.2, 0.5, 0.5)
+    run = iterate(prob, nan_late, tol=-1.0, max_iter=10)
+    assert (run.stop_reason, run.iterations) == ("diverged", 6)
+    assert rate_certificate(run).reason == "needs 0 < lambda_k < 1 on steps 1..5 (min nan, max nan)"
+
+    run = iterate(prob, constant_schedule(-0.1, 0.5), tol=-1.0, max_iter=10)
+    assert rate_certificate(run).reason == "needs alpha_k >= 0 on steps 1..9 (min -0.1, max -0.1)"
+
+    # the checks run in order: lambda_k, then alpha_k, then the solution
     anon = Problem(operator=prob.operator, z0=prob.z0)
+    run = iterate(anon, constant_schedule(-0.1, 1.0), tol=-1.0, max_iter=10)
+    assert rate_certificate(run).reason == "needs 0 < lambda_k < 1 on steps 1..9 (min 1, max 1)"
+    run = iterate(anon, constant_schedule(-0.1, 0.5), tol=-1.0, max_iter=10)
+    assert rate_certificate(run).reason == "needs alpha_k >= 0 on steps 1..9 (min -0.1, max -0.1)"
     run = iterate(anon, constant_schedule(0.2, 0.5), tol=-1.0, max_iter=10)
     assert rate_certificate(run).reason == "needs a known solution"
 
@@ -144,8 +184,9 @@ def test_certificate_to_dict():
     anon = Problem(operator=prob.operator, z0=prob.z0)
     refusals = [
         (prob, constant_schedule(0.2, 0.5), 1, "needs at least two iterations"),
-        (prob, constant_schedule(0.2, 1.0), 10, "schedule infeasible under its declared regime: lambda_ceiling must be < 1"),
-        (prob, constant_schedule(0.2, 0.0), 10, "needs a positive relaxation floor"),
+        (prob, constant_schedule(0.2, 1.0), 10, "needs 0 < lambda_k < 1 on steps 1..9 (min 1, max 1)"),
+        (prob, constant_schedule(0.2, 0.0), 10, "needs 0 < lambda_k < 1 on steps 1..9 (min 0, max 0)"),
+        (prob, constant_schedule(-0.1, 0.5), 10, "needs alpha_k >= 0 on steps 1..9 (min -0.1, max -0.1)"),
         (anon, constant_schedule(0.2, 0.5), 10, "needs a known solution"),
     ]
     for problem, schedule, steps, reason in refusals:
@@ -167,28 +208,7 @@ def test_certificate_refuses_parameters_past_the_validated_horizon():
     assert run.lambdas.max() == 1.5
     cert = rate_certificate(run)
     assert not cert.valid
-    assert cert.reason == (
-        "schedule infeasible under its declared regime: "
-        "lambda_of(k) must be <= lambda_ceiling (max 1.5)"
-    )
-
-    # regime II: alpha decreases at k = 1500, past the scan but inside the run
-    drop = ParamSchedule(
-        alpha_of=lambda k: 0.0 if k == 0 else (0.1 if k < 1500 else 0.05),
-        lambda_of=lambda k: 0.5,
-        alpha_cap=0.1,
-        lambda_floor=0.5,
-        lambda_ceiling=0.5,
-        sigma=0.01,
-        delta=1.0,
-    )
-    assert validate_schedule(drop).feasible
-    run = iterate(_contraction(seed=32), drop, tol=-1.0, max_iter=2000)
-    cert = rate_certificate(run)
-    assert not cert.valid
-    assert cert.reason == (
-        "schedule infeasible under its declared regime: alpha_of must be nondecreasing"
-    )
+    assert cert.reason == f"needs 0 < lambda_k < 1 on steps 1..{run.iterations - 1} (min 0.5, max 1.5)"
 
     # a schedule infeasible only from k = 500 on certifies a run that stops before it
     late = ParamSchedule(
@@ -205,16 +225,41 @@ def test_certificate_refuses_parameters_past_the_validated_horizon():
     assert cert.holds()
 
 
+def test_certificate_holds_where_the_declared_regime_fails_as_run():
+    # regime II: alpha decreases at k = 1500, past the default scan but inside the run
+    drop = ParamSchedule(
+        alpha_of=lambda k: 0.0 if k == 0 else (0.1 if k < 1500 else 0.05),
+        lambda_of=lambda k: 0.5,
+        alpha_cap=0.1,
+        lambda_floor=0.5,
+        lambda_ceiling=0.5,
+        sigma=0.01,
+        delta=1.0,
+    )
+    assert validate_schedule(drop).feasible
+    run = iterate(_contraction(seed=32), drop, tol=-1.0, max_iter=2000)
+    as_run = validate_schedule(run.schedule, horizon=run.iterations - 1)
+    assert as_run.violations == ("alpha_of must be nondecreasing",)
+    # the certificate needs only alpha_k >= 0 and 0 < lambda_k < 1 on the steps it sums
+    cert = rate_certificate(run)
+    assert cert.valid and cert.reason == ""
+    assert (cert.lambda_floor, cert.ceiling) == (0.5, 0.5)
+    assert cert.ks.size == 1999
+    assert cert.holds()
+
+
 def test_certificate_ceiling_per_regime():
     run_i = iterate(_contraction(seed=25), constant_schedule(0.2, 0.7), tol=-1.0, max_iter=5)
     assert rate_certificate(run_i).ceiling == 0.7
+    # regime II's lambda_max(alpha, sigma, delta) is a bound on lambda_k; the certificate takes the lambda_k that ran
     sched = constant_schedule(0.1, 0.5, sigma=0.01, delta=1.0)
     run_ii = iterate(_contraction(seed=25), sched, tol=-1.0, max_iter=5)
-    assert rate_certificate(run_ii).ceiling == lambda_ceiling_ii(0.1, 0.01, 1.0)
+    assert lambda_ceiling_ii(0.1, 0.01, 1.0) > 0.5
+    assert rate_certificate(run_ii).ceiling == 0.5
 
 
 def test_lambda_is_a_constant_schedules_tightest_floor_and_ceiling():
-    # a hand-built schedule with constant_schedule's closures and looser regime-I bounds certifies no better
+    # a hand-built schedule with constant_schedule's closures and looser regime-I bounds certifies the same
     rng = np.random.default_rng(2201)
     for i in range(100):
         alpha, lam = float(rng.uniform(0.0, 0.6)), float(rng.uniform(0.05, 0.95))
@@ -233,22 +278,7 @@ def test_lambda_is_a_constant_schedules_tightest_floor_and_ceiling():
         errors = ErrorModel.power_decay(1e-3, 2.0, seed=i) if i % 2 else None
         certs = [rate_certificate(iterate(prob, s, errors, tol=-1.0, max_iter=40)) for s in (const, hand)]
         assert certs[0].valid and certs[1].valid, i
-        assert np.all(certs[0].rhs_squared <= certs[1].rhs_squared), i
-
-
-def test_a_larger_regime_ii_alpha_cap_tightens_the_certificate():
-    # why constant_schedule keeps alpha_cap: it sets regime II's ceiling lambda_max(alpha_cap, sigma, delta)
-    prob = _contraction()
-    default, capped = (
-        rate_certificate(
-            iterate(prob, constant_schedule(0.1, 0.5, sigma=0.01, delta=1.0, alpha_cap=cap), tol=-1.0, max_iter=200)
-        )
-        for cap in (None, 0.15)
-    )
-    assert default.valid and capped.valid
-    assert capped.ceiling == lambda_ceiling_ii(0.15, 0.01, 1.0) < default.ceiling
-    assert np.all(capped.rhs_squared < default.rhs_squared)
-    assert (capped.rhs_squared[-1], default.rhs_squared[-1]) == pytest.approx((0.0087174523, 0.0126111972), rel=1e-6)
+        assert np.array_equal(certs[0].rhs_squared, certs[1].rhs_squared), i
 
 
 def test_quasi_fejer_passes_on_summable_errors():
@@ -313,6 +343,67 @@ def test_consistency_report_flags_divergent_error_law():
     assert rep.item("weighted-error-sum").verdict == "not-consistent"
     assert rep.verdict == "not-consistent"
     assert not rep.consistent
+
+
+@pytest.mark.parametrize(
+    "exponent, verdict, detail",
+    [
+        (1.1, "consistent", "declared error law is summable"),
+        (1.0, "not-consistent", "declared error law is not-guaranteed"),
+    ],
+)
+def test_solve_fbs_carries_its_declared_error_laws(exponent, verdict, detail):
+    # over 2000 steps the tail heuristic cannot tell these two laws apart: the declared law decides
+    inst = plant_lasso(60, 40, 5, 0.5, seed=3)
+    rho = quadratic_gradient(inst.matrix, inst.rhs).beta
+    resolvent, forward = lasso_fbs_pieces(inst, rho)
+    law = ErrorModel.power_decay(1e-2, exponent, seed=1)
+    z0, schedule = inst.x_star + 0.5, constant_schedule(0.0, 0.9)
+    run = solve_fbs(resolvent, forward, rho, z0, schedule, forward_errors=law, tol=-1.0, max_iter=2000)
+    assert run.errors == (law,)
+    item = consistency_report(run).item("weighted-error-sum")
+    assert (item.verdict, item.detail) == (verdict, detail)
+
+    resolvent_law = ErrorModel.power_decay(1e-2, 2.0, seed=2)
+    both = solve_fbs(
+        resolvent, forward, rho, z0, schedule, forward_errors=law, resolvent_errors=resolvent_law, max_iter=50
+    )
+    assert both.errors == (law, resolvent_law)
+    item = consistency_report(both).item("weighted-error-sum")
+    assert (item.verdict, item.detail) == (verdict, f"declared error laws are {law.summability}, summable")
+
+
+def test_run_errors_are_the_declared_laws():
+    prob = _contraction(seed=33)
+    law = ErrorModel.power_decay(1e-3, 2.0)
+    assert iterate(prob, constant_schedule(0.0, 0.5), law, max_iter=3).errors == (law,)
+    assert iterate(prob, constant_schedule(0.0, 0.5), ErrorModel.zero(), max_iter=3).errors == (ErrorModel.zero(),)
+    assert iterate(prob, constant_schedule(0.0, 0.5), max_iter=3).errors == ()
+    t = prob.operator.apply
+    assert iterate(prob, constant_schedule(0.0, 0.5), perturb=lambda mu, k: (t(mu), t(mu), 0.0), max_iter=3).errors == ()
+
+
+def test_a_perturb_run_with_recorded_errors_gets_the_tail_verdict():
+    # a perturb callback declares no law, so its recorded error norms are judged by their partial sums
+    prob = Problem(operator=make_identity(2), z0=[1.0, 0.0])
+    t = prob.operator.apply
+    cases = [
+        (lambda k: 1.0 / (k + 1), "not-consistent", "tail not flattening (last-half gain 0.343 vs prior 0.339)"),
+        (lambda k: 2.0**-k, "consistent", "tail increment negligible"),
+    ]
+    for law, verdict, detail in cases:
+        run = iterate(
+            prob, constant_schedule(0.0, 0.5), perturb=lambda mu, k: (t(mu), t(mu), law(k)), tol=-1.0, max_iter=64
+        )
+        assert run.errors == () and run.err_norms[1] > 0.0
+        item = consistency_report(run).item("weighted-error-sum")
+        assert (item.verdict, item.detail) == (verdict, detail)
+
+
+def test_consistency_report_item_of_an_unknown_name_raises():
+    rep = consistency_report(iterate(_contraction(seed=34), constant_schedule(0.0, 0.5), max_iter=3))
+    with pytest.raises(KeyError):
+        rep.item("no-such-item")
 
 
 def test_consistency_report_flags_divergence():

@@ -767,6 +767,13 @@ def test_problem_validates_dimensions():
         Problem(operator=op, z0=np.ones(2), z_star=np.ones(3))
 
 
+def test_a_scalar_start_is_a_point_of_a_one_dimensional_problem():
+    prob = Problem(operator=make_identity(1), z0=0.8, z_star=np.float64(0.8))
+    assert prob.z0.shape == prob.z_star.shape == (1,) and prob.z0[0] == 0.8
+    with pytest.raises(ValueError, match="^z0 has dimension 1, expected 2$"):
+        Problem(operator=make_identity(2), z0=0.8)
+
+
 def test_one_operator_application_per_iteration():
     calls = {"n": 0}
 

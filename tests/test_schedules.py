@@ -57,14 +57,11 @@ def test_constant_schedule_with_sigma_and_delta_zeroes_the_first_weight():
     assert s.condition_set == "II"
     assert s.alpha_cap == 0.1
     assert validate_schedule(s).feasible
-    capped = constant_schedule(0.1, 0.5, sigma=0.01, delta=1.0, alpha_cap=0.3)
-    assert capped.alpha_cap == 0.3
-    assert capped.alpha_of(0) == 0.0 and capped.alpha_of(1) == 0.1
     # without the pair the first weight is the constant
     assert constant_schedule(0.1, 0.5).alpha_of(0) == 0.1
 
 
-@pytest.mark.parametrize("name", ["alpha", "lam", "alpha_cap", "sigma", "delta"])
+@pytest.mark.parametrize("name", ["alpha", "lam", "sigma", "delta"])
 def test_constant_schedule_names_a_scalar_that_is_not_a_number(name):
     # None is the default of the optional ones, so it is refused only for alpha and lam
     for value in ("x", "0.5", [0.5], True, False) + ((None,) if name in ("alpha", "lam") else ()):
@@ -80,9 +77,10 @@ def test_constant_schedule_stores_floats_and_keeps_non_finite_values():
     s = constant_schedule(np.float64(0.1), 1, sigma=np.float32(0.25), delta=1)
     assert type(s.sigma) is float and type(s.delta) is float
     assert (s.sigma, s.delta, s.lambda_of(3)) == (0.25, 1.0, 1.0)
-    odd = constant_schedule(math.nan, math.inf, alpha_cap=-math.inf)
-    assert math.isnan(odd.alpha_of(1)) and odd.lambda_of(1) == math.inf
+    odd = constant_schedule(-math.inf, math.inf)
+    assert odd.alpha_of(1) == -math.inf and odd.lambda_of(1) == math.inf
     assert odd.alpha_cap == -math.inf and odd.lambda_ceiling == math.inf
+    assert math.isnan(constant_schedule(math.nan, 0.5).alpha_of(1))
     assert math.isnan(constant_schedule(0.1, 0.5, sigma=math.nan, delta=math.inf).sigma)
 
 
@@ -386,11 +384,12 @@ def test_regime_ii_delta_at_the_threshold_is_infeasible():
 
 def test_regime_ii_refuses_an_alpha_cap_of_one_when_built():
     # regime II's formulas divide by 1 - alpha_cap^2, so such a schedule could not be validated
-    for alpha, cap in ((1.0, None), (0.1, 1.5), (0.1, math.inf)):
+    # a constant schedule's cap is its alpha
+    for alpha in (1.0, 1.5, math.inf):
         with pytest.raises(ValueError, match=r"^alpha_cap must be < 1 in regime II, got "):
-            constant_schedule(alpha, 0.5, sigma=0.01, delta=1.0, alpha_cap=cap)
+            constant_schedule(alpha, 0.5, sigma=0.01, delta=1.0)
     # a NaN cap compares false, so it builds and reads infeasible
-    s = constant_schedule(0.1, 0.5, sigma=0.01, delta=1.0, alpha_cap=math.nan)
+    s = constant_schedule(math.nan, 0.5, sigma=0.01, delta=1.0)
     assert math.isnan(s.alpha_cap)
     assert not validate_schedule(s).feasible
     # regime I leaves its cap to the validator
