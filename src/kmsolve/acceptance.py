@@ -54,7 +54,8 @@ from .schedules import (
 RATE_START_DIST = 0.8  # criterion 2: start distance
 RATE_FAR_START_DIST = 3.0  # criterion 2: a start with dist1 > 1
 QUASI_FEJER_SLACK = 1e-10  # criterion 3: additive slack per step
-GRID_DRAWS = 1000  # criterion 4
+GRID_DRAWS = 1000  # criterion 4: alpha in [0, 0.95]
+WIDE_DRAWS = 200  # criterion 4: alpha in [-1.2, 1.2], -1 and 1 among them
 PROX_ORACLE_TOL = 1e-6  # criterion 5
 PROX_ORACLE_CASES = 100
 LASSO_KKT_TOL = 1e-8  # criterion 6
@@ -251,20 +252,22 @@ def criterion_3() -> tuple[bool, str]:
 
 
 def criterion_4() -> tuple[bool, str]:
-    """The regime-II validator agrees with the raw feasibility inequality on a seeded grid."""
+    """The regime-II validator agrees with the raw feasibility inequality on seeded draws, some alpha outside [0, 1)."""
     rng = np.random.default_rng(404)
+    draws = [
+        (rng.uniform(0.0, 0.95), rng.uniform(1e-3, 2.0), rng.uniform(1e-3, 3.0), rng.uniform(0.01, 1.2))
+        for _ in range(GRID_DRAWS)
+    ]
+    wide = np.random.default_rng(405)
+    alphas = [-1.0, 1.0, *wide.uniform(-1.2, 1.2, WIDE_DRAWS - 2).tolist()]
+    draws += [(a, wide.uniform(1e-3, 2.0), wide.uniform(1e-3, 3.0), wide.uniform(0.01, 1.2)) for a in alphas]
     mismatches = 0
-    for _ in range(GRID_DRAWS):
-        a = float(rng.uniform(0.0, 0.95))
-        sg = float(rng.uniform(1e-3, 2.0))
-        dl = float(rng.uniform(1e-3, 3.0))
-        lm = float(rng.uniform(0.01, 1.2))
-        s = constant_schedule(a, lm, sigma=sg, delta=dl)
-        rep = validate_schedule(s, horizon=8)
+    for a, sg, dl, lm in draws:
+        rep = validate_schedule(constant_schedule(a, lm, sigma=sg, delta=dl), horizon=8)
         c = a * (1.0 + a) + a * dl + sg
-        direct = (dl > delta_threshold(a, sg)) and ((a + dl * lm) * c + dl * lm <= dl)
-        if rep.feasible != direct:
-            mismatches += 1
+        # the inequality is regime II's for 0 <= alpha < 1 only; outside it no schedule is feasible
+        direct = 0.0 <= a < 1.0 and dl > delta_threshold(a, sg) and (a + dl * lm) * c + dl * lm <= dl
+        mismatches += rep.feasible != direct
     pins_ok = (
         delta_threshold(0.1, 0.01) == THRESHOLD_PIN
         and lambda_ceiling_ii(0.1, 0.01, 1.0) == CEILING_PIN
@@ -277,7 +280,7 @@ def criterion_4() -> tuple[bool, str]:
     passed = mismatches == 0 and pins_ok and at_ceiling and infeasible
     return (
         passed,
-        f"{GRID_DRAWS} draws, {mismatches} disagreements; pinned constants "
+        f"{len(draws)} draws, {mismatches} disagreements; pinned constants "
         f"{'match' if pins_ok else 'MISMATCH'}; boundary feasible={at_ceiling}",
     )
 
@@ -396,7 +399,7 @@ def _sweep_run(seed: int):
         lambdas = rng.uniform(0.9 * top, top, 300).tolist()
         cap, sigma = min(level, 0.95), rng.uniform(0.0, 0.1)
         delta = 0.5 * delta_threshold(cap, sigma)
-        sched = ParamSchedule(alphas.__getitem__, lambdas.__getitem__, cap, 0.9 * top, top, sigma, delta)
+        sched = ParamSchedule(alphas.__getitem__, lambdas.__getitem__, sigma, delta)
     elif seed % 2:
         alpha, sigma = rng.uniform(0.0, 0.3), rng.uniform(0.0, 0.1)
         delta = delta_threshold(alpha, sigma) + rng.uniform(0.1, 1.0)

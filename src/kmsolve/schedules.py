@@ -1,29 +1,30 @@
 """Parameter schedules, perturbation models, and the feasibility validator.
 
-validate_schedule checks a schedule under the regime it declares, tagged
-"I" (no sigma, delta) or "II" (sigma and delta given), on alpha_k and
-lambda_k sampled over k = 0..horizon; horizon=run.iterations - 1 checks
-the steps a finished run took.
+A schedule is its two sequences, alpha_k and lambda_k, tagged regime "I"
+(no sigma, delta) or "II" (sigma and delta given).  validate_schedule
+judges the sequences sampled over k = 0..horizon and nothing beyond;
+horizon=run.iterations - 1 judges the steps a finished run took.
 
-Regime I checks the pointwise bounds 0 <= alpha_k <= alpha_cap < 1 and
-0 <= lambda_floor <= lambda_k <= lambda_ceiling < 1.  Its remaining
-hypotheses (summability of the inertia-weighted squared steps, summability
-of the weighted error norms, bounded iterates) depend on the realized run
-and are recorded as deferred-to-runtime; the diagnostics module monitors
-them.
+Regime I checks the pointwise bounds 0 <= alpha_k < 1 and
+0 <= lambda_k < 1.  Its remaining hypotheses (summability of the
+inertia-weighted squared steps, summability of the weighted error norms,
+bounded iterates) depend on the realized run and are recorded as
+deferred-to-runtime; the diagnostics module monitors them.
 
-Regime II requires inertia that starts at zero and never decreases, a
-positive relaxation floor, and scalars sigma, delta > 0 satisfying
+Regime II requires inertia in [0, 1) that starts at zero and never
+decreases, a positive relaxation, and scalars sigma, delta > 0 satisfying
 
     delta > alpha [alpha (1 + alpha) + sigma] / (1 - alpha^2)
 
 which yields the explicit relaxation ceiling
 
     lambda_max = (delta - alpha [alpha (1 + alpha) + alpha delta + sigma])
-                 / (delta [1 + alpha (1 + alpha) + alpha delta + sigma]).
+                 / (delta [1 + alpha (1 + alpha) + alpha delta + sigma]),
 
-constant_schedule builds a schedule of either regime, with alpha as cap
-and lambda as floor and ceiling; with sigma and delta alpha_0 is 0.
+both taken at alpha = max_k alpha_k.
+
+constant_schedule builds a schedule of either regime; with sigma and
+delta its alpha_0 is 0.
 
 Averaged operators admit larger relaxation: for a theta-averaged operator,
 validate_schedule(s, theta=theta) multiplies the relaxation ceiling bound
@@ -45,31 +46,24 @@ ERROR_KINDS = ("zero", "power-decay", "geometric", "custom-list")
 
 @dataclass(frozen=True)
 class ParamSchedule:
-    """Inertia and relaxation sequences with their declared bounds.
+    """Inertia and relaxation sequences, alpha_k = alpha_of(k) and lambda_k = lambda_of(k).
 
-    A hand-built schedule declares its bounds over all k, not only the k a
-    validator samples.  sigma and delta are only meaningful for regime II
-    and must be supplied together.  Regime I reads lambda_ceiling; regime
-    II's ceiling is lambda_max(alpha_cap, sigma, delta).  Construction
-    stores floats and refuses a regime-II alpha_cap >= 1; feasibility is
-    the validator's job.
+    sigma and delta are only meaningful for regime II and must be supplied
+    together; construction stores them as floats.  Any pair of callables
+    builds: feasibility is the validator's job, on the k it samples.
     """
 
     alpha_of: Callable[[int], float]
     lambda_of: Callable[[int], float]
-    alpha_cap: float
-    lambda_floor: float
-    lambda_ceiling: float
     sigma: float | None = None
     delta: float | None = None
 
     def __post_init__(self):
         if (self.sigma is None) != (self.delta is None):
             raise ValueError("sigma and delta must be provided together")
-        for key in ("alpha_cap", "lambda_floor", "lambda_ceiling") + (() if self.sigma is None else ("sigma", "delta")):
-            object.__setattr__(self, key, _real(getattr(self, key), key))
-        if self.sigma is not None and self.alpha_cap >= 1.0:  # a NaN cap builds, and reads infeasible
-            raise ValueError(f"alpha_cap must be < 1 in regime II, got {self.alpha_cap!r}")
+        if self.sigma is not None:
+            for key in ("sigma", "delta"):
+                object.__setattr__(self, key, _real(getattr(self, key), key))
 
     @property
     def condition_set(self) -> str:
@@ -83,10 +77,10 @@ def constant_schedule(
     sigma: float | None = None,
     delta: float | None = None,
 ) -> ParamSchedule:
-    """Constant alpha_k and lambda_k, with alpha as cap and lam as floor and ceiling, their tightest bounds.
+    """Constant alpha_k = alpha and lambda_k = lam.
 
     With sigma and delta the schedule is regime II's: alpha_0 = 0, as that
-    regime demands, then the constant alpha, which must be below 1 there.
+    regime demands, then the constant alpha.
     """
     a = _real(alpha, "alpha")
     l = _real(lam, "lam")
@@ -94,9 +88,6 @@ def constant_schedule(
     return ParamSchedule(
         alpha_of=(lambda k: 0.0 if k == 0 else a) if regime_ii else (lambda k: a),
         lambda_of=lambda k: l,
-        alpha_cap=a,
-        lambda_floor=l,
-        lambda_ceiling=l,
         sigma=sigma,
         delta=delta,
     )
@@ -253,8 +244,9 @@ class ConditionReport:
     """Feasibility verdict for one schedule under one regime.
 
     ``lambda_max`` is the operative relaxation ceiling bound: 1/scaling_theta
-    for regime I, the (rescaled) closed-form ceiling for regime II.  feasible
-    holds exactly when ``violations`` is empty.
+    for regime I, the (rescaled) closed-form ceiling for regime II, NaN
+    where that formula is undefined.  feasible holds exactly when
+    ``violations`` is empty.
     """
 
     condition_set: str
@@ -262,7 +254,6 @@ class ConditionReport:
     delta_threshold: float
     lambda_max: float
     violations: tuple[str, ...]
-    warnings: tuple[str, ...]
     deferred: tuple[str, ...]
     checks: tuple[ConditionCheck, ...]
     scaling_theta: float = 1.0
@@ -275,7 +266,6 @@ class ConditionReport:
             "lambda_max": self.lambda_max,
             "scaling_theta": self.scaling_theta,
             "violations": list(self.violations),
-            "warnings": list(self.warnings),
             "deferred": list(self.deferred),
             "checks": [asdict(c) for c in self.checks],
         }
@@ -301,7 +291,7 @@ def delta_threshold(alpha: float, sigma: float) -> float:
     """Smallest admissible delta under regime II: alpha [alpha (1 + alpha) + sigma] / (1 - alpha^2)."""
     alpha, sigma = _real(alpha, "alpha"), _real(sigma, "sigma")
     if alpha >= 1.0:
-        raise ValueError("alpha_cap must be < 1: threshold formula undefined")
+        raise ValueError("alpha must be < 1: threshold formula undefined")
     return alpha * (alpha * (1.0 + alpha) + sigma) / (1.0 - alpha * alpha)
 
 
@@ -309,111 +299,94 @@ def lambda_ceiling_ii(alpha: float, sigma: float, delta: float) -> float:
     """Closed-form regime-II relaxation ceiling for the given (alpha, sigma, delta)."""
     alpha, sigma, delta = _real(alpha, "alpha"), _real(sigma, "sigma"), _real(delta, "delta")
     if alpha >= 1.0:
-        raise ValueError("alpha_cap must be < 1: ceiling formula undefined")
+        raise ValueError("alpha must be < 1: ceiling formula undefined")
     c = alpha * (1.0 + alpha) + alpha * delta + sigma
     return (delta - alpha * c) / (delta * (1.0 + c))
 
 
 def validate_schedule(s: ParamSchedule, horizon: int = 1000, theta: float = 1.0) -> ConditionReport:
-    """Feasibility of `s` under its own regime, sampling k = 0..horizon.
+    """Feasibility of `s` under its own regime, judged on alpha_k and lambda_k for k = 0..horizon.
 
-    The regime is ``s.condition_set``.  ``theta`` in (0, 1] is the
-    averagedness constant of the operator the schedule drives: the
-    relaxation ceiling bound is multiplied by 1/theta, and theta = 1 is
-    the plain validation.  A NaN alpha_k or lambda_k fails every check it
-    enters.  Only a bad theta or horizon raises: a built schedule always
-    gets a report.
+    The regime is ``s.condition_set``.  The report is about the sampled
+    k and never beyond: a lambda_k that leaves its bounds after the
+    horizon is not seen, and a regime-II alpha_k rising toward a limit is
+    judged at its sampled maximum.  So validate_schedule(run.schedule,
+    horizon=run.iterations - 1) judges exactly the parameters a finished
+    run used.
+
+    ``theta`` in (0, 1] is the averagedness constant of the operator the
+    schedule drives: the relaxation ceiling bound is multiplied by
+    1/theta, and theta = 1 is the plain validation.  Regime II's threshold
+    and ceiling are taken at alpha = max_k alpha_k, and only where their
+    formulas are defined (0 <= alpha_k < 1, and sigma >= 0, delta > 0 for
+    the ceiling); elsewhere they are NaN and their checks fail.  A NaN
+    alpha_k or lambda_k fails every check it enters.  Only a bad theta or
+    horizon raises: a built schedule always gets a report.
     """
     theta = _real(theta, "theta", "lie in (0, 1]", lambda t: 0.0 < t <= 1.0)
     horizon = _integer(horizon, "horizon", "be a nonnegative integer", lambda h: h >= 0)
     ks = range(horizon + 1)
     alphas = np.fromiter(map(s.alpha_of, ks), float, len(ks))
     lambdas = np.fromiter(map(s.lambda_of, ks), float, len(ks))
-    regime_ii = s.condition_set == "II"
-    cap = s.alpha_cap
-    floor = s.lambda_floor
-    a0, a_min, a_max = float(alphas[0]), float(alphas.min()), float(alphas.max())
+    a_min, a_max = float(alphas.min()), float(alphas.max())
     l_min, l_max = float(lambdas.min()), float(lambdas.max())
-    nondecreasing = bool(np.all(alphas[1:] >= alphas[:-1]))
 
     checks = []
     violations = []
-    warnings = []
 
     def add(name, margin, ok, message):
         checks.append(ConditionCheck(name=name, margin=float(margin), ok=bool(ok)))
         if not ok:
             violations.append(message)
 
-    if not regime_ii:
-        add("alpha_cap < 1", 1.0 - cap, cap < 1.0, "alpha_cap must be < 1")
-    add("alpha_cap >= 0", cap, cap >= 0.0, "alpha_cap must be >= 0")
-    if regime_ii:
+    add("min_k alpha_k >= 0", a_min, a_min >= 0.0, f"alpha_of(k) must be >= 0 (min {_fmt(a_min)})")
+    add("max_k alpha_k < 1", 1.0 - a_max, a_max < 1.0, f"alpha_of(k) must be < 1 (max {_fmt(a_max)})")
+    if s.condition_set == "I":
+        thr, lam_max = math.nan, 1.0 / theta
+        add("min_k lambda_k >= 0", l_min, l_min >= 0.0, f"lambda_of(k) must be >= 0 (min {_fmt(l_min)})")
+        add(
+            f"max_k lambda_k < {_fmt(lam_max)}",
+            lam_max - l_max,
+            l_max < lam_max,
+            f"lambda_of(k) must be < {_fmt(lam_max)} (max {_fmt(l_max)})",
+        )
+    else:
         sigma, delta = s.sigma, s.delta
+        a0 = float(alphas[0])
+        nondecreasing = bool(np.all(alphas[1:] >= alphas[:-1]))
+        defined = 0.0 <= a_min and a_max < 1.0  # the formulas divide by 1 - alpha^2
+        thr = delta_threshold(a_max, sigma) if defined else math.nan
+        # sigma >= 0 and delta > 0 keep delta (1 + C) >= delta > 0
+        ceiling_defined = defined and sigma >= 0.0 and delta > 0.0
+        lam_max = lambda_ceiling_ii(a_max, sigma, delta) / theta if ceiling_defined else math.nan
+        add("alpha_of(0) == 0", -abs(a0), a0 == 0.0, f"alpha_of(0) must be 0 (got {_fmt(a0)})")
+        add("alpha_of nondecreasing", 0.0 if nondecreasing else -1.0, nondecreasing, "alpha_of must be nondecreasing")
         add("sigma > 0", sigma, sigma > 0.0, "sigma must be > 0")
         add("delta > 0", delta, delta > 0.0, "delta must be > 0")
-        thr = delta_threshold(cap, sigma)
         add(
             "delta > alpha[alpha(1+alpha)+sigma]/(1-alpha^2)",
             delta - thr,
             delta > thr,
-            f"delta must exceed the threshold {_fmt(thr)} (got {_fmt(delta)})",
+            f"delta must exceed the threshold {_fmt(thr)} (got {_fmt(delta)})"
+            if defined
+            else "delta threshold undefined (needs 0 <= alpha_k < 1)",
         )
-        lam_max = lambda_ceiling_ii(cap, sigma, delta) / theta if delta > 0.0 else math.nan
-        add("alpha_of(0) == 0", -abs(a0), a0 == 0.0, f"alpha_of(0) must be 0 (got {_fmt(a0)})")
-        add("alpha_of nondecreasing", 0.0 if nondecreasing else -1.0, nondecreasing, "alpha_of must be nondecreasing")
-        ceiling_name, ceiling = "lambda_max", lam_max
-        if math.isnan(lam_max):
-            ceiling_message = "lambda_max undefined (delta <= 0)"
-        else:
-            ceiling_message = f"lambda_of(k) must be <= lambda_max = {_fmt(lam_max)} (max {_fmt(l_max)})"
-        cap_note = ""
-    else:
-        thr = math.nan
-        lam_max = 1.0 / theta
-        ceiling_name, ceiling = "lambda_ceiling", s.lambda_ceiling
-        ceiling_message = f"lambda_of(k) must be <= lambda_ceiling (max {_fmt(l_max)})"
-        cap_note = f" vs cap {_fmt(cap)}"
-    add("min_k alpha_k >= 0", a_min, a_min >= 0.0, f"alpha_of(k) must be >= 0 (min {_fmt(a_min)})")
-    add(
-        "max_k alpha_k <= alpha_cap",
-        cap - a_max,
-        a_max <= cap,
-        f"alpha_of(k) must be <= alpha_cap (max {_fmt(a_max)}{cap_note})",
-    )
-    if regime_ii:
-        add("lambda_floor > 0", floor, floor > 0.0, "lambda_floor must be > 0")
-    else:
-        add("lambda_floor >= 0", floor, floor >= 0.0, "lambda_floor must be >= 0")
+        add("min_k lambda_k > 0", l_min, l_min > 0.0, f"lambda_of(k) must be > 0 (min {_fmt(l_min)})")
         add(
-            "lambda_floor <= lambda_ceiling",
-            ceiling - floor,
-            floor <= ceiling,
-            "lambda_floor must be <= lambda_ceiling",
+            "max_k lambda_k <= lambda_max",
+            lam_max - l_max,
+            l_max <= lam_max,
+            f"lambda_of(k) must be <= lambda_max = {_fmt(lam_max)} (max {_fmt(l_max)})"
+            if ceiling_defined
+            else "lambda_max undefined (needs 0 <= alpha_k < 1, sigma >= 0 and delta > 0)",
         )
-        add(
-            f"lambda_ceiling < {_fmt(lam_max)}",
-            lam_max - ceiling,
-            ceiling < lam_max,
-            f"lambda_ceiling must be < {_fmt(lam_max)}",
-        )
-        if floor == 0.0:
-            warnings.append("lambda_floor = 0: the residual rate certificate requires a positive floor")
-    add(
-        "min_k lambda_k >= lambda_floor",
-        l_min - floor,
-        l_min >= floor,
-        f"lambda_of(k) must be >= lambda_floor (min {_fmt(l_min)})",
-    )
-    add(f"max_k lambda_k <= {ceiling_name}", ceiling - l_max, l_max <= ceiling, ceiling_message)
     return ConditionReport(
         condition_set=s.condition_set,
         feasible=not violations,
         delta_threshold=thr,
         lambda_max=lam_max,
         violations=tuple(violations),
-        warnings=tuple(warnings),
-        deferred=_DEFERRED_II if regime_ii else _DEFERRED_I,
+        deferred=_DEFERRED_I if s.condition_set == "I" else _DEFERRED_II,
         checks=tuple(checks),
         scaling_theta=theta,
     )

@@ -45,9 +45,7 @@ def _same(x):
 
 
 def _schedule(**fields):
-    return ParamSchedule(
-        lambda k: 0.0, lambda k: 0.5, **{"alpha_cap": 0.0, "lambda_floor": 0.5, "lambda_ceiling": 0.5, **fields}
-    )
+    return ParamSchedule(lambda k: 0.0, lambda k: 0.5, **fields)
 
 
 def _fb_pieces():
@@ -71,9 +69,6 @@ SCALARS = {
     ("make_soft_threshold", "dim"): (lambda v: make_soft_threshold(0.3, v), "integer", True),
     ("make_affine", "theta"): (lambda v: make_affine(0.5 * np.eye(2), np.zeros(2), theta=v), "real", False),
     ("make_fb_composition", "rho"): (lambda v: make_fb_composition(*_fb_pieces(), v), "real", False),
-    ("ParamSchedule", "alpha_cap"): (lambda v: _schedule(alpha_cap=v), "real", False),
-    ("ParamSchedule", "lambda_floor"): (lambda v: _schedule(lambda_floor=v), "real", False),
-    ("ParamSchedule", "lambda_ceiling"): (lambda v: _schedule(lambda_ceiling=v), "real", False),
     ("ParamSchedule", "sigma"): (lambda v: _schedule(sigma=v, delta=1.0), "real", True),
     ("ParamSchedule", "delta"): (lambda v: _schedule(sigma=0.01, delta=v), "real", True),
     ("constant_schedule", "alpha"): (lambda v: constant_schedule(v, 0.5), "real", False),

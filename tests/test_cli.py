@@ -168,14 +168,28 @@ def test_run_prints_the_library_certificate_on_every_run(tmp_path):
         assert json.loads(out)["certificate"] == {"valid": False, "reason": "needs at least two iterations"}
 
 
-def test_a_regime_ii_alpha_cap_of_one_exits_two_before_iterating(tmp_path, monkeypatch):
-    def no_iterate(*args, **kwargs):
-        raise AssertionError("iterate ran on a rejected config")
-
-    monkeypatch.setattr(cli, "iterate", no_iterate)
-    path = _write(tmp_path, dict(FEASIBLE, schedule={"alpha": 1.0, "lambda": 0.5, "sigma": 0.01, "delta": 1.0}))
-    for command in ("run", "validate"):
-        assert _main([command, path]) == (2, "", "error: bad schedule: alpha_cap must be < 1 in regime II, got 1.0\n")
+def test_a_regime_ii_alpha_outside_zero_one_reads_infeasible(tmp_path):
+    # regime II's formulas are undefined there: validate exits 1 with a report, run iterates and reports
+    undefined = [
+        "delta threshold undefined (needs 0 <= alpha_k < 1)",
+        "lambda_max undefined (needs 0 <= alpha_k < 1, sigma >= 0 and delta > 0)",
+    ]
+    for alpha, broken in (
+        (1.0, ["alpha_of(k) must be < 1 (max 1)"]),
+        (-1.0, ["alpha_of(k) must be >= 0 (min -1)", "alpha_of must be nondecreasing"]),
+    ):
+        path = _write(tmp_path, dict(FEASIBLE, schedule={"alpha": alpha, "lambda": 0.5, "sigma": 0.01, "delta": 1.0}))
+        code, out, err = _main(["validate", path])
+        assert (code, err) == (1, "")
+        report = json.loads(out)
+        assert report["feasible"] is False
+        assert report["violations"] == broken + undefined
+        assert report["delta_threshold"] is None and report["lambda_max"] is None
+        code, out, err = _main(["run", path])
+        assert err == ""
+        data = json.loads(out)
+        assert data["iterations"] > 1 and code == (0 if data["converged"] else 1)
+        assert data["feasibility"] == report
 
 
 def test_a_traced_run_sees_every_layer_of_run(tmp_path):
@@ -245,7 +259,7 @@ def test_validate_regime_ii_config(tmp_path):
 
 
 def test_a_config_alpha_cap_is_ignored(tmp_path):
-    # a constant schedule's cap is its alpha; an "alpha_cap" left in a config changes nothing, whatever its value
+    # a schedule declares no cap; an "alpha_cap" left in a config changes nothing, whatever its value
     for sched in ({"alpha": 0.1, "lambda": 0.5, "sigma": 0.01, "delta": 1.0}, {"alpha": 0.2, "lambda": 0.5}):
         plain = dict(FEASIBLE, schedule=sched)
         for cap in (0.3, -1.0, "x", {}, None):
@@ -329,11 +343,6 @@ def test_run_rejects_bad_input_before_iterating(tmp_path, monkeypatch):
     code, out, err = _main(["run", _write(tmp_path, nan_matrix, "nan.json")])
     assert code == 2 and out == ""
     assert err.startswith("error: bad problem:") and "non-finite" in err
-
-    alpha_one = dict(FEASIBLE, schedule={"alpha": 1.0, "lambda": 0.5, "sigma": 0.01, "delta": 1.0})
-    code, out, err = _main(["run", _write(tmp_path, alpha_one, "alpha_one.json")])
-    assert code == 2 and out == ""
-    assert err.startswith("error: bad schedule: alpha_cap must be < 1")
 
     bad_engines = [
         ({"max_iter": -3}, "error: bad engine options: max_iter must be nonnegative"),
@@ -678,7 +687,7 @@ def test_box_projection_problem(tmp_path):
         "problem": {"kind": "box-projection", "lo": [-1.0], "hi": [1.0], "z0": [4.0], "z_star": [1.0]},
         "schedule": {"alpha": 0.0, "lambda": 1.0, "lambda_ceiling": 1.0},
     }
-    # ceiling pinned at 1.0 is infeasible in its regime but still runs
+    # lambda = 1 is infeasible in its regime but still runs
     code, out, _ = _main(["run", _write(tmp_path, cfg)])
     assert code == 0
     data = json.loads(out)

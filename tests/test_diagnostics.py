@@ -40,9 +40,6 @@ def _varying_schedule():
     return ParamSchedule(
         alpha_of=lambda k: 0.1 + 0.1 * math.cos(k),
         lambda_of=lambda k: 0.5 + 0.3 * math.cos(k),
-        alpha_cap=0.2,
-        lambda_floor=0.2,
-        lambda_ceiling=0.8,
     )
 
 
@@ -125,7 +122,7 @@ def test_certificate_refusal_reasons():
     assert rate_certificate(run).reason == "needs 0 < lambda_k < 1 on steps 1..9 (min 0, max 0)"
 
     # a NaN lambda_k fails the range check, wherever it is
-    nan_late = ParamSchedule(lambda k: 0.2, lambda k: 0.5 if k < 5 else math.nan, 0.2, 0.5, 0.5)
+    nan_late = ParamSchedule(lambda k: 0.2, lambda k: 0.5 if k < 5 else math.nan)
     run = iterate(prob, nan_late, tol=-1.0, max_iter=10)
     assert (run.stop_reason, run.iterations) == ("diverged", 6)
     assert rate_certificate(run).reason == "needs 0 < lambda_k < 1 on steps 1..5 (min nan, max nan)"
@@ -195,29 +192,19 @@ def test_certificate_to_dict():
 
 
 def test_certificate_refuses_parameters_past_the_validated_horizon():
-    # lambda_k leaves [lambda_floor, lambda_ceiling] only after the default 1000-step scan
-    sched = ParamSchedule(
-        alpha_of=lambda k: 0.0,
-        lambda_of=lambda k: 0.5 if k < 2000 else 1.5,
-        alpha_cap=0.0,
-        lambda_floor=0.5,
-        lambda_ceiling=0.5,
-    )
+    # lambda_k leaves (0, 1) only after the default 1000-step scan
+    sched = ParamSchedule(alpha_of=lambda k: 0.0, lambda_of=lambda k: 0.5 if k < 2000 else 1.5)
     assert validate_schedule(sched).feasible
     run = iterate(_contraction(seed=32), sched, tol=-1.0, max_iter=3000)
     assert run.lambdas.max() == 1.5
+    as_run = validate_schedule(run.schedule, horizon=run.iterations - 1)
+    assert as_run.violations == ("lambda_of(k) must be < 1 (max 1.5)",)
     cert = rate_certificate(run)
     assert not cert.valid
     assert cert.reason == f"needs 0 < lambda_k < 1 on steps 1..{run.iterations - 1} (min 0.5, max 1.5)"
 
     # a schedule infeasible only from k = 500 on certifies a run that stops before it
-    late = ParamSchedule(
-        alpha_of=lambda k: 0.2,
-        lambda_of=lambda k: 0.5 if k < 500 else 1.5,
-        alpha_cap=0.2,
-        lambda_floor=0.5,
-        lambda_ceiling=0.5,
-    )
+    late = ParamSchedule(alpha_of=lambda k: 0.2, lambda_of=lambda k: 0.5 if k < 500 else 1.5)
     assert not validate_schedule(late).feasible
     cert = rate_certificate(iterate(_contraction(seed=32), late, tol=-1.0, max_iter=10))
     assert cert.valid and cert.reason == ""
@@ -230,9 +217,6 @@ def test_certificate_holds_where_the_declared_regime_fails_as_run():
     drop = ParamSchedule(
         alpha_of=lambda k: 0.0 if k == 0 else (0.1 if k < 1500 else 0.05),
         lambda_of=lambda k: 0.5,
-        alpha_cap=0.1,
-        lambda_floor=0.5,
-        lambda_ceiling=0.5,
         sigma=0.01,
         delta=1.0,
     )
@@ -256,29 +240,6 @@ def test_certificate_ceiling_per_regime():
     run_ii = iterate(_contraction(seed=25), sched, tol=-1.0, max_iter=5)
     assert lambda_ceiling_ii(0.1, 0.01, 1.0) > 0.5
     assert rate_certificate(run_ii).ceiling == 0.5
-
-
-def test_lambda_is_a_constant_schedules_tightest_floor_and_ceiling():
-    # a hand-built schedule with constant_schedule's closures and looser regime-I bounds certifies the same
-    rng = np.random.default_rng(2201)
-    for i in range(100):
-        alpha, lam = float(rng.uniform(0.0, 0.6)), float(rng.uniform(0.05, 0.95))
-        u, v = rng.uniform(0.5, 1.0), rng.uniform(0.0, 0.9)
-        const = constant_schedule(alpha, lam)
-        hand = ParamSchedule(
-            const.alpha_of,
-            const.lambda_of,
-            alpha_cap=alpha,
-            lambda_floor=lam * u,
-            lambda_ceiling=lam + (1.0 - lam) * v,
-        )
-        if validate_schedule(hand).feasible:
-            assert validate_schedule(const).feasible, i
-        prob = _contraction(dim=int(rng.integers(2, 20)), seed=2300 + i)
-        errors = ErrorModel.power_decay(1e-3, 2.0, seed=i) if i % 2 else None
-        certs = [rate_certificate(iterate(prob, s, errors, tol=-1.0, max_iter=40)) for s in (const, hand)]
-        assert certs[0].valid and certs[1].valid, i
-        assert np.array_equal(certs[0].rhs_squared, certs[1].rhs_squared), i
 
 
 def test_quasi_fejer_passes_on_summable_errors():

@@ -189,13 +189,7 @@ def _scaled_operator(factor, dim):
 
 def _lambda_at(step, value, lam, alpha=0.0):
     """Constant alpha and lam, except lambda_k = value at k = step."""
-    return ParamSchedule(
-        lambda k: alpha,
-        lambda k: value if k == step else lam,
-        alpha_cap=alpha,
-        lambda_floor=lam,
-        lambda_ceiling=lam,
-    )
+    return ParamSchedule(lambda k: alpha, lambda k: value if k == step else lam)
 
 
 def _peak(norms):
@@ -503,7 +497,7 @@ def test_step_scalar_cache_never_changes_a_bit():
         (lambda k: alphas[k % len(alphas)], lambda k: lambdas[k % len(lambdas)]),
         (lambda k: alphas[(k // 5) % len(alphas)], _fresh_floats(lambdas)),
     ):
-        sched = ParamSchedule(alpha_of, lambda_of, alpha_cap=1.0 / 3.0, lambda_floor=1.0 / 3.0, lambda_ceiling=1.5)
+        sched = ParamSchedule(alpha_of, lambda_of)
         run = iterate(prob, sched, tol=-1.0, max_iter=200, record_states=True)
         ref = _every_step_norm_run(prob, sched, tol=-1.0, max_iter=200, divergence_norm=1e12)
         _assert_run_equals_every_step_norm_run(run, ref)
@@ -516,7 +510,7 @@ def test_step_scalar_cache_keeps_signed_zero_relaxations_apart():
     prob = Problem(operator=make_affine(0.5 * np.eye(2), np.zeros(2)), z0=[-0.0, 1.0], z_star=[0.0, 0.0])
     signed = [-0.0, 0.0]
     for lambda_of in (_fresh_floats(signed), lambda k: signed[k % 2]):
-        sched = ParamSchedule(lambda k: 0.0, lambda_of, alpha_cap=0.0, lambda_floor=0.0, lambda_ceiling=0.0)
+        sched = ParamSchedule(lambda k: 0.0, lambda_of)
         run = iterate(prob, sched, tol=-1.0, max_iter=6, record_states=True)
         ref = _every_step_norm_run(prob, sched, tol=-1.0, max_iter=6, divergence_norm=1e12)
         _assert_run_equals_every_step_norm_run(run, ref)

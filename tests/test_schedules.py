@@ -1,7 +1,7 @@
 """Parameter schedules, error models, and the feasibility validators."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -30,23 +30,29 @@ def test_constant_schedule_defaults_caps_to_the_constants():
     s = constant_schedule(0.2, 0.5)
     assert s.alpha_of(0) == 0.2 and s.alpha_of(17) == 0.2
     assert s.lambda_of(0) == 0.5 and s.lambda_of(17) == 0.5
-    assert s.alpha_cap == 0.2
-    assert s.lambda_floor == 0.5
-    assert s.lambda_ceiling == 0.5
     assert s.condition_set == "I"
+    # the validator's bounds are the sampled extremes, here the constants themselves
+    margins = {c.name: c.margin for c in validate_schedule(s).checks}
+    assert margins == {
+        "min_k alpha_k >= 0": 0.2,
+        "max_k alpha_k < 1": 1.0 - 0.2,
+        "min_k lambda_k >= 0": 0.5,
+        "max_k lambda_k < 1": 0.5,
+    }
+
+
+def test_a_schedule_is_its_two_sequences():
+    assert [f.name for f in fields(ParamSchedule)] == ["alpha_of", "lambda_of", "sigma", "delta"]
+    s = ParamSchedule(lambda k: 0.1, lambda k: 0.5)
+    assert (s.sigma, s.delta, s.condition_set) == (None, None, "I")
+    # any pair of callables builds, whatever values they return
+    for alpha in (-1.0, 1.0, math.inf, math.nan):
+        ParamSchedule(lambda k: alpha, lambda k: alpha, sigma=0.01, delta=1.0)
 
 
 def test_sigma_and_delta_must_come_together():
     with pytest.raises(ValueError):
-        ParamSchedule(
-            alpha_of=lambda k: 0.0,
-            lambda_of=lambda k: 0.5,
-            alpha_cap=0.0,
-            lambda_floor=0.5,
-            lambda_ceiling=0.5,
-            sigma=0.1,
-            delta=None,
-        )
+        ParamSchedule(alpha_of=lambda k: 0.0, lambda_of=lambda k: 0.5, sigma=0.1, delta=None)
 
 
 def test_constant_schedule_with_sigma_and_delta_zeroes_the_first_weight():
@@ -55,8 +61,9 @@ def test_constant_schedule_with_sigma_and_delta_zeroes_the_first_weight():
     assert s.alpha_of(1) == 0.1
     assert s.alpha_of(100) == 0.1
     assert s.condition_set == "II"
-    assert s.alpha_cap == 0.1
-    assert validate_schedule(s).feasible
+    rep = validate_schedule(s)
+    assert rep.feasible
+    assert rep.delta_threshold == delta_threshold(0.1, 0.01)
     # without the pair the first weight is the constant
     assert constant_schedule(0.1, 0.5).alpha_of(0) == 0.1
 
@@ -79,7 +86,6 @@ def test_constant_schedule_stores_floats_and_keeps_non_finite_values():
     assert (s.sigma, s.delta, s.lambda_of(3)) == (0.25, 1.0, 1.0)
     odd = constant_schedule(-math.inf, math.inf)
     assert odd.alpha_of(1) == -math.inf and odd.lambda_of(1) == math.inf
-    assert odd.alpha_cap == -math.inf and odd.lambda_ceiling == math.inf
     assert math.isnan(constant_schedule(math.nan, 0.5).alpha_of(1))
     assert math.isnan(constant_schedule(0.1, 0.5, sigma=math.nan, delta=math.inf).sigma)
 
@@ -341,24 +347,19 @@ def test_regime_i_feasible_constant():
     assert rep.feasible
     assert not rep.violations
     assert len(rep.deferred) == 3
+    assert validate_schedule(constant_schedule(0.0, 0.0)).feasible
 
 
 def test_regime_i_rejects_ceiling_at_one():
     rep = validate_schedule(constant_schedule(0.3, 1.0))
     assert not rep.feasible
-    assert any("lambda_ceiling" in v for v in rep.violations)
+    assert rep.violations == ("lambda_of(k) must be < 1 (max 1)",)
 
 
 def test_regime_i_rejects_alpha_cap_at_one():
     rep = validate_schedule(constant_schedule(1.0, 0.5))
     assert not rep.feasible
-
-
-def test_regime_i_warns_on_zero_floor():
-    s = constant_schedule(0.0, 0.0)
-    rep = validate_schedule(s)
-    assert rep.feasible
-    assert any("positive floor" in w for w in rep.warnings)
+    assert rep.violations == ("alpha_of(k) must be < 1 (max 1)",)
 
 
 def test_regime_ii_boundary_is_feasible():
@@ -382,18 +383,57 @@ def test_regime_ii_delta_at_the_threshold_is_infeasible():
     assert "delta must exceed the threshold 0.0121212121212 (got 0.0121212121212)" in rep.violations
 
 
-def test_regime_ii_refuses_an_alpha_cap_of_one_when_built():
-    # regime II's formulas divide by 1 - alpha_cap^2, so such a schedule could not be validated
-    # a constant schedule's cap is its alpha
+def test_regime_ii_alpha_of_one_builds_and_reads_infeasible():
+    # regime II's formulas divide by 1 - alpha^2: outside 0 <= alpha_k < 1 they are not evaluated
+    undefined = (
+        "delta threshold undefined (needs 0 <= alpha_k < 1)",
+        "lambda_max undefined (needs 0 <= alpha_k < 1, sigma >= 0 and delta > 0)",
+    )
     for alpha in (1.0, 1.5, math.inf):
-        with pytest.raises(ValueError, match=r"^alpha_cap must be < 1 in regime II, got "):
-            constant_schedule(alpha, 0.5, sigma=0.01, delta=1.0)
-    # a NaN cap compares false, so it builds and reads infeasible
-    s = constant_schedule(math.nan, 0.5, sigma=0.01, delta=1.0)
-    assert math.isnan(s.alpha_cap)
-    assert not validate_schedule(s).feasible
-    # regime I leaves its cap to the validator
+        rep = validate_schedule(constant_schedule(alpha, 0.5, sigma=0.01, delta=1.0))
+        assert not rep.feasible
+        assert rep.violations == (f"alpha_of(k) must be < 1 (max {alpha:.12g})",) + undefined
+        assert math.isnan(rep.delta_threshold) and math.isnan(rep.lambda_max)
+        assert rep.to_dict()["delta_threshold"] is None
+    rep = validate_schedule(constant_schedule(-1.0, 0.5, sigma=0.01, delta=1.0))
+    assert rep.violations == ("alpha_of(k) must be >= 0 (min -1)", "alpha_of must be nondecreasing") + undefined
+    assert not validate_schedule(constant_schedule(math.nan, 0.5, sigma=0.01, delta=1.0)).feasible
+    # regime I reads an alpha of 1 infeasible too
     assert not validate_schedule(constant_schedule(1.0, 0.5)).feasible
+
+
+def test_regime_ii_ceiling_needs_a_nonnegative_sigma():
+    # at alpha = 0 and sigma = -1 the ceiling's denominator delta (1 + C) is 0
+    rep = validate_schedule(constant_schedule(0.0, 0.5, sigma=-1.0, delta=1.0))
+    assert rep.violations == (
+        "sigma must be > 0",
+        "lambda_max undefined (needs 0 <= alpha_k < 1, sigma >= 0 and delta > 0)",
+    )
+    assert math.isnan(rep.lambda_max)
+    assert validate_schedule(constant_schedule(0.0, 0.5, sigma=0.0, delta=1.0)).lambda_max == 1.0
+
+
+def test_validate_schedule_reports_on_every_built_constant_schedule():
+    odd = (-1.0, -0.5, 0.0, 1.0, 1.5, math.inf, -math.inf, math.nan)
+    pairs = (
+        {},
+        {"sigma": 0.01, "delta": 1.0},
+        {"sigma": -1.0, "delta": 1.0},
+        {"sigma": 0.0, "delta": 0.0},
+        {"sigma": math.nan, "delta": math.nan},
+    )
+    for alpha in odd:
+        for lam in odd:
+            for pair in pairs:
+                s = constant_schedule(alpha, lam, **pair)
+                for theta in (1.0, 0.5):
+                    for horizon in (0, 8):
+                        rep = validate_schedule(s, horizon=horizon, theta=theta)
+                        case = (alpha, lam, pair, theta, horizon)
+                        assert rep.feasible == (not rep.violations), case
+                        assert len(rep.checks) == (4 if s.condition_set == "I" else 9), case
+                        assert rep.feasible == all(c.ok for c in rep.checks), case
+                        rep.to_dict()
 
 
 def test_regime_ii_rejects_small_delta():
@@ -404,17 +444,10 @@ def test_regime_ii_rejects_small_delta():
 
 
 def test_regime_ii_requires_zero_initial_weight():
-    s = ParamSchedule(
-        alpha_of=lambda k: 0.1,
-        lambda_of=lambda k: 0.2,
-        alpha_cap=0.1,
-        lambda_floor=0.2,
-        lambda_ceiling=0.2,
-        sigma=0.01,
-        delta=1.0,
-    )
+    s = ParamSchedule(alpha_of=lambda k: 0.1, lambda_of=lambda k: 0.2, sigma=0.01, delta=1.0)
     rep = validate_schedule(s)
     assert not rep.feasible
+    assert rep.violations == ("alpha_of(0) must be 0 (got 0.1)",)
 
 
 def test_regime_ii_validator_matches_raw_inequality():
@@ -435,8 +468,8 @@ def test_validate_schedule_dispatches_on_condition_set():
     assert validate_schedule(constant_schedule(0.1, 0.5)).condition_set == "I"
     s = constant_schedule(0.1, 0.5, sigma=0.01, delta=1.0)
     assert validate_schedule(s).condition_set == "II"
-    with pytest.raises(ValueError, match="alpha_cap"):
-        validate_schedule(constant_schedule(1.0, 0.5, sigma=0.01, delta=1.0))
+    rep = validate_schedule(constant_schedule(1.0, 0.5, sigma=0.01, delta=1.0))
+    assert rep.condition_set == "II" and not rep.feasible
     # a NaN parameter anywhere in the scan is infeasible in both regimes
     for base in (constant_schedule(0.1, 0.5), s):
         nan_lambda = replace(base, lambda_of=lambda k: math.nan if k == 5 else 0.5)
@@ -482,3 +515,52 @@ def test_report_to_dict_is_json_friendly():
     assert d["condition_set"] == "I"
     assert d["delta_threshold"] is None  # regime I has no threshold
     assert isinstance(d["checks"], list)
+    assert list(d) == [
+        "condition_set",
+        "feasible",
+        "delta_threshold",
+        "lambda_max",
+        "scaling_theta",
+        "violations",
+        "deferred",
+        "checks",
+    ]
+
+
+def _ramp(k):
+    return 0.3 * min(k, 10) / 10
+
+
+def test_the_report_reads_only_the_sampled_steps():
+    # two schedules that agree on k = 0..h and differ after h get the same report at horizon h
+    h = 20
+    for pair in ({}, {"sigma": 0.01, "delta": 1.0}):
+        lam = 0.4 if pair else 0.7
+        same = ParamSchedule(_ramp, lambda k: lam, **pair)
+        later = ParamSchedule(
+            lambda k: _ramp(k) if k <= h else 1.5 - k % 2,
+            lambda k: lam if k <= h else math.nan,
+            **pair,
+        )
+        for theta in (1.0, 0.5):
+            assert validate_schedule(later, horizon=h, theta=theta).to_dict() == validate_schedule(
+                same, horizon=h, theta=theta
+            ).to_dict()
+            assert validate_schedule(same, theta=theta).feasible
+            assert not validate_schedule(later, horizon=h + 1, theta=theta).feasible
+
+
+def test_regime_ii_formulas_take_the_sampled_maximum_of_alpha():
+    s = ParamSchedule(_ramp, lambda k: 0.5, sigma=0.01, delta=1.0)
+    for horizon in (10, 11, 1000):
+        rep = validate_schedule(s, horizon=horizon)
+        assert rep.lambda_max == lambda_ceiling_ii(0.3, 0.01, 1.0)
+        assert rep.delta_threshold == delta_threshold(0.3, 0.01)
+    rep = validate_schedule(s, horizon=1)
+    assert rep.lambda_max == lambda_ceiling_ii(0.03, 0.01, 1.0)
+    assert rep.delta_threshold == delta_threshold(0.03, 0.01)
+    # a relaxation above the ceiling at alpha = 0.3, below the one at 0.03, is feasible only on the short scan
+    lam = 0.5 * (lambda_ceiling_ii(0.3, 0.01, 1.0) + lambda_ceiling_ii(0.03, 0.01, 1.0))
+    between = ParamSchedule(_ramp, lambda k: lam, sigma=0.01, delta=1.0)
+    assert validate_schedule(between, horizon=1).feasible
+    assert not validate_schedule(between, horizon=10).feasible

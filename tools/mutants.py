@@ -41,23 +41,37 @@ class Mutant(NamedTuple):
 
 CERT = "src/kmsolve/diagnostics.py"
 ENGINE = "src/kmsolve/engine.py"
+SCHED = "src/kmsolve/schedules.py"
 EXTREMES = "floor, ceiling, cap = float(lam.min()), float(lam.max()), float(al.max())"
 DELTA = "delta = drift + err_term + step_term"
+GUARD = "defined = 0.0 <= a_min and a_max < 1.0"
 
 MUTANTS = (
     Mutant("ceiling-is-min-lambda", CERT, EXTREMES, EXTREMES.replace("float(lam.max())", "float(lam.min())")),
     Mutant("floor-is-max-lambda", CERT, EXTREMES, EXTREMES.replace("float(lam.min())", "float(lam.max())")),
     Mutant("drift-weight-is-min-alpha", CERT, EXTREMES, EXTREMES.replace("float(al.max())", "float(al.min())")),
-    Mutant(
-        "drift-weight-is-declared-cap",
-        CERT,
-        EXTREMES,
-        EXTREMES.replace("float(al.max())", "float(result.schedule.alpha_cap)"),
-    ),
     Mutant("no-step-term", CERT, DELTA, "delta = drift + err_term"),
     # only the literal recomputation of the certificate kills this one: no run of criterion 7 needs the
     # term to hold its bound, though the proof does
     Mutant("no-drift-term", CERT, DELTA, "delta = err_term + step_term"),
+    Mutant("tail-verdict-at-half", CERT, "if i1 >= 0.8 * i2:", "if i1 >= 0.5 * i2:"),
+    Mutant(
+        "ceiling-from-min-alpha",
+        SCHED,
+        "lambda_ceiling_ii(a_max, sigma, delta)",
+        "lambda_ceiling_ii(a_min, sigma, delta)",
+    ),
+    Mutant("alpha-of-one-allowed", SCHED, "1.0 - a_max, a_max < 1.0,", "1.0 - a_max, a_max <= 1.0,"),
+    Mutant(
+        "no-nondecreasing-check",
+        SCHED,
+        "nondecreasing = bool(np.all(alphas[1:] >= alphas[:-1]))",
+        "nondecreasing = True",
+    ),
+    Mutant("no-formula-guard", SCHED, GUARD, "defined = True"),
+    Mutant("delta-at-threshold-feasible", SCHED, "delta > thr,", "delta >= thr,"),
+    # no seeded draw gives an all-zero row: a planted cache block reaches this branch
+    Mutant("zero-row-falls-back-to-last-axis", SCHED, "d[0] = 1.0", "d[-1] = 1.0"),
     Mutant(
         "no-grow-margin",
         ENGINE,
