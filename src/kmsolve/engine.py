@@ -30,6 +30,14 @@ called only when it is not one already, since it would return it as is.
 An exact run records no error norm in the step: its err_norms are zeros,
 filled once when the run ends.
 
+The record keeps each value in 8 bytes.  Residuals, step norms, error
+norms and distances go into array("d") buffers, and the RunResult gets
+float64 views of them (np.frombuffer, no copy); a block's distances enter
+as its bytes, so no Python float is made per state.  alphas and lambdas
+stay lists, copied to arrays at the end: a constant schedule returns one
+shared float object, so its list already costs 8 bytes per entry, and
+appending to a list is cheaper per step than to a buffer.
+
 Nothing in the loop reads the distance ||z^k - z*|| to a known solution,
 so the step does not take it.  Every distance, z^0's included, takes one
 path: the states, arrays the loop never writes into, are kept until
@@ -59,6 +67,7 @@ numpy's overflow and invalid-value warnings are silenced for the run.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -98,7 +107,10 @@ class RunResult:
     Arrays are aligned per iteration k = 0..n-1: `residuals[k]` is
     ||T mu^k - mu^k||, `err_norms[k]` the scheme-level ||e^k||,
     `step_norms[k]` is ||z^{k+1} - z^k||, and `alphas` / `lambdas` the
-    realized parameters.  `dists` has one extra leading entry: dists[k]
+    realized parameters, all float64.  The residual, step and distance
+    arrays, and a perturbed run's error norms, view the loop's array("d")
+    buffers without a copy; alphas and lambdas are copied from lists (see
+    the module docstring).  `dists` has one extra leading entry: dists[k]
     is ||z^k - z_star|| for k = 0..n, or None when no solution is known;
     `iterate` takes them in blocks, outside the step, with the bits a
     per-step sqrt(x.dot(x)) gives.  `states` likewise holds z^0..z^n
@@ -150,15 +162,15 @@ def _model_perturb(model: ErrorModel, apply_op, dim: int) -> PerturbFn:
     return p
 
 
-def _distances(points: list[np.ndarray], z_star: np.ndarray) -> list[float]:
-    """||p - z_star|| for each p in `points`, bit for bit sqrt(x.dot(x)) per point.
+def _distances(points: list[np.ndarray], z_star: np.ndarray) -> np.ndarray:
+    """||p - z_star|| for each p in `points` as a float64 array, bit for bit sqrt(x.dot(x)) per point.
 
     Not einsum or (x * x).sum(1): they add the squares in another order.
     The subtraction is in place, so a block allocates one (B, n) array.
     """
     x = np.array(points)
     x -= z_star
-    return np.sqrt(np.matmul(x[:, None, :], x[:, :, None])).ravel().tolist()
+    return np.sqrt(np.matmul(x[:, None, :], x[:, :, None])).ravel()
 
 
 def _check_options(**opts) -> None:
@@ -209,12 +221,10 @@ def iterate(
 
     z = problem.z0
     dz = z - z  # z^0 - z^{-1} with z^{-1} = z^0: exact zeros, z0 being finite
-    residuals: list[float] = []
-    err_norms: list[float] = []
+    residuals, err_norms, steps = array("d"), array("d"), array("d")
     alphas: list[float] = []
     lambdas: list[float] = []
-    steps: list[float] = []
-    dists: list[float] | None = None if z_star is None else []
+    dists = None if z_star is None else array("d")
     pending: list[np.ndarray] = [] if z_star is None else [z]  # states whose distance is not yet in dists
     rows = _block_rows(z.size)
     states = [z.copy()] if record_states else None
@@ -281,7 +291,7 @@ def iterate(
         if dists is not None:
             add_pending(z_next)
             if len(pending) == rows:
-                dists += _distances(pending, z_star)
+                dists.frombytes(_distances(pending, z_star).tobytes())
                 pending.clear()
         if states is not None:
             states.append(z_next.copy())
@@ -306,18 +316,18 @@ def iterate(
         limit = min(max_norm, divergence_norm) * _SHRINK
 
     if pending:
-        dists += _distances(pending, z_star)
+        dists.frombytes(_distances(pending, z_star).tobytes())
     return RunResult(
         stop_reason=stop_reason,
         converged=stop_reason == "residual-tol",
         iterations=len(residuals),
         z=z,
-        residuals=np.asarray(residuals),
-        err_norms=np.zeros(len(residuals)) if perturb_fn is None else np.asarray(err_norms),
+        residuals=np.frombuffer(residuals),
+        err_norms=np.zeros(len(residuals)) if perturb_fn is None else np.frombuffer(err_norms),
         alphas=np.asarray(alphas),
         lambdas=np.asarray(lambdas),
-        step_norms=np.asarray(steps),
-        dists=None if dists is None else np.asarray(dists),
+        step_norms=np.frombuffer(steps),
+        dists=None if dists is None else np.frombuffer(dists),
         states=states,
         max_state_norm=float(max_norm),
         errors=() if errors is None else (errors,),

@@ -288,18 +288,25 @@ _DEFERRED_II = (
 
 
 def delta_threshold(alpha: float, sigma: float) -> float:
-    """Smallest admissible delta under regime II: alpha [alpha (1 + alpha) + sigma] / (1 - alpha^2)."""
-    alpha, sigma = _real(alpha, "alpha"), _real(sigma, "sigma")
-    if alpha >= 1.0:
-        raise ValueError("alpha must be < 1: threshold formula undefined")
+    """Smallest admissible delta under regime II: alpha [alpha (1 + alpha) + sigma] / (1 - alpha^2).
+
+    Defined for 0 <= alpha < 1, where validate_schedule evaluates it;
+    any other alpha raises ValueError.
+    """
+    alpha = _real(alpha, "alpha", "lie in [0, 1)", lambda a: 0.0 <= a < 1.0)
+    sigma = _real(sigma, "sigma")
     return alpha * (alpha * (1.0 + alpha) + sigma) / (1.0 - alpha * alpha)
 
 
 def lambda_ceiling_ii(alpha: float, sigma: float, delta: float) -> float:
-    """Closed-form regime-II relaxation ceiling for the given (alpha, sigma, delta)."""
-    alpha, sigma, delta = _real(alpha, "alpha"), _real(sigma, "sigma"), _real(delta, "delta")
-    if alpha >= 1.0:
-        raise ValueError("alpha must be < 1: ceiling formula undefined")
+    """Closed-form regime-II relaxation ceiling for the given (alpha, sigma, delta).
+
+    Defined for 0 <= alpha < 1, sigma >= 0 and delta > 0, where
+    validate_schedule evaluates it; any other input raises ValueError.
+    """
+    alpha = _real(alpha, "alpha", "lie in [0, 1)", lambda a: 0.0 <= a < 1.0)
+    sigma = _real(sigma, "sigma", "be >= 0", lambda v: v >= 0.0)
+    delta = _real(delta, "delta", "be > 0", lambda v: v > 0.0)
     c = alpha * (1.0 + alpha) + alpha * delta + sigma
     return (delta - alpha * c) / (delta * (1.0 + c))
 

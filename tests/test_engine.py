@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -440,12 +441,39 @@ def test_stacked_matmul_row_dot_equals_ndarray_dot_bitwise():
 
 
 def test_exact_runs_record_positive_zero_error_norms():
+    # every record is a float64 array of n entries (dists: n + 1) with the
+    # restatement's bits, an empty run's too; an exact run's err_norms are +0.0
     prob = _averaged_affine_problem(53, n=5)
+    schedule = constant_schedule(0.2, 1.1)
     for errors in (None, ErrorModel.zero()):
         for max_iter in (0, 1, 70):
-            run = iterate(prob, constant_schedule(0.2, 1.1), errors, tol=-1.0, max_iter=max_iter)
-            assert run.err_norms.dtype == np.float64 and run.err_norms.shape == (max_iter,)
+            opts = dict(tol=-1.0, max_iter=max_iter, divergence_norm=1e12)
+            run = iterate(prob, schedule, errors, **opts)
+            ref = _every_step_norm_run(prob, schedule, errors, **opts)
+            _assert_run_equals_every_step_norm_run(run, ref, max_iter, states=False)
+            for name in ("residuals", "err_norms", "alphas", "lambdas", "step_norms", "dists"):
+                recorded = getattr(run, name)
+                assert recorded.dtype == np.float64, (name, max_iter)
+                assert recorded.shape == (max_iter + (name == "dists"),), (name, max_iter)
             assert not run.err_norms.any() and not np.signbit(run.err_norms).any()
+
+
+def test_a_long_exact_run_records_under_100_bytes_per_step():
+    # residuals, step norms and distances are 8 bytes each in float64 buffers
+    # that the result views without a copy; alphas and lambdas hold the
+    # schedule's one shared float (8 B per entry) and are copied once (8 B),
+    # and err_norms are filled at the end (8 B): about 67 B per step in all.
+    # Lists of Python floats copied at the end cost about 164 B per step.
+    prob = _averaged_affine_problem(55, n=2)
+    steps = 10_000
+    tracemalloc.start()
+    try:
+        run = iterate(prob, constant_schedule(0.2, 1.1), tol=-1.0, max_iter=steps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert run.iterations == steps
+    assert peak / steps < 100, peak / steps
 
 
 def test_perturb_callback_error_norms_are_recorded_as_given():
@@ -457,6 +485,7 @@ def test_perturb_callback_error_norms_are_recorded_as_given():
 
     run = iterate(prob, constant_schedule(0.2, 1.1), perturb=perturb, tol=-1.0, max_iter=7)
     assert run.err_norms.tolist() == [-float(k) for k in range(7)]
+    assert run.err_norms.dtype == np.float64
 
 
 @pytest.mark.parametrize("perturbed", [False, True], ids=["exact", "perturb-callback"])

@@ -341,6 +341,46 @@ def test_threshold_and_ceiling_pins():
         delta_threshold(1.0, 0.1)
 
 
+@pytest.mark.parametrize(
+    "formula, args, param",
+    [
+        (delta_threshold, (-1.0, 0.01), "alpha"),  # 1 - alpha^2 = 0
+        (lambda_ceiling_ii, (0.0, -1.0, 1.0), "sigma"),  # delta (1 + C) = 0
+        (lambda_ceiling_ii, (0.1, 0.01, 0.0), "delta"),  # delta = 0
+    ],
+    ids=["threshold-alpha-minus-one", "ceiling-sigma-minus-one", "ceiling-delta-zero"],
+)
+def test_regime_ii_formulas_refuse_a_vanishing_denominator_by_name(formula, args, param):
+    with pytest.raises(ValueError, match=f"^{param} must "):
+        formula(*args)
+
+
+def test_regime_ii_formulas_raise_exactly_where_the_validator_leaves_them_undefined():
+    # the formulas are defined for 0 <= alpha < 1, the ceiling also needs
+    # sigma >= 0 and delta > 0; there they give the report's numbers
+    def same(x, y):
+        return x == y or (math.isnan(x) and math.isnan(y))
+
+    odd = (-math.inf, -1.0, -0.5, -0.0, 0.0, 0.1, 0.99, 1.0, 1.5, math.inf, math.nan)
+    for a in odd:
+        for sg in (-1.0, -0.0, 0.0, 0.01, math.inf, math.nan):
+            for dl in (-1.0, 0.0, 1e-300, 1.0, math.inf, math.nan):
+                rep = validate_schedule(constant_schedule(a, 0.5, sigma=sg, delta=dl), horizon=8)
+                defined = 0.0 <= a < 1.0
+                if defined:
+                    assert same(delta_threshold(a, sg), rep.delta_threshold), (a, sg, dl)
+                else:
+                    with pytest.raises(ValueError, match="^alpha must "):
+                        delta_threshold(a, sg)
+                    assert math.isnan(rep.delta_threshold), (a, sg, dl)
+                if defined and sg >= 0.0 and dl > 0.0:
+                    assert same(lambda_ceiling_ii(a, sg, dl), rep.lambda_max), (a, sg, dl)
+                else:
+                    with pytest.raises(ValueError, match="^(alpha|sigma|delta) must "):
+                        lambda_ceiling_ii(a, sg, dl)
+                    assert math.isnan(rep.lambda_max), (a, sg, dl)
+
+
 def test_regime_i_feasible_constant():
     rep = validate_schedule(constant_schedule(0.3, 0.7))
     assert rep.condition_set == "I"

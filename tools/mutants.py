@@ -42,6 +42,8 @@ class Mutant(NamedTuple):
 CERT = "src/kmsolve/diagnostics.py"
 ENGINE = "src/kmsolve/engine.py"
 SCHED = "src/kmsolve/schedules.py"
+OPS = "src/kmsolve/operators.py"
+APPS = "src/kmsolve/applications.py"
 EXTREMES = "floor, ceiling, cap = float(lam.min()), float(lam.max()), float(al.max())"
 DELTA = "delta = drift + err_term + step_term"
 GUARD = "defined = 0.0 <= a_min and a_max < 1.0"
@@ -72,6 +74,60 @@ MUTANTS = (
     Mutant("delta-at-threshold-feasible", SCHED, "delta > thr,", "delta >= thr,"),
     # no seeded draw gives an all-zero row: a planted cache block reaches this branch
     Mutant("zero-row-falls-back-to-last-axis", SCHED, "d[0] = 1.0", "d[-1] = 1.0"),
+    Mutant("no-error-term", CERT, DELTA, "delta = drift + step_term"),
+    Mutant(
+        "rhs-twice-looser",
+        CERT,
+        "rhs_squared = (dist1 * dist1 + delta)",
+        "rhs_squared = 2.0 * (dist1 * dist1 + delta)",
+    ),
+    Mutant(
+        "quasi-fejer-without-error-allowance",
+        CERT,
+        "allowed = d[:-1] + result.lambdas * result.err_norms + _real(tol, \"tol\")",
+        "allowed = d[:-1] + _real(tol, \"tol\")",
+    ),
+    Mutant(
+        "ceiling-without-alpha-delta",
+        SCHED,
+        "c = alpha * (1.0 + alpha) + alpha * delta + sigma",
+        "c = alpha * (1.0 + alpha) + sigma",
+    ),
+    Mutant(
+        "power-decay-exponent-one-summable",
+        SCHED,
+        "if self.exponent > 1.0 else",
+        "if self.exponent >= 1.0 else",
+    ),
+    Mutant("fb-theta-halved", OPS, "theta = 2.0 * beta / (4.0 * beta - rho)", "theta = beta / (4.0 * beta - rho)"),
+    Mutant("spectral-slack-1e-6", OPS, "_SPECTRAL_SLACK = 1e-12", "_SPECTRAL_SLACK = 1e-6"),
+    Mutant("memo-key-without-shape", OPS, "key = (a.shape, a.tobytes())", "key = a.tobytes()"),
+    Mutant("forward-error-sign", APPS, "b_mu + emit_error(fe, k, dim, fe_cache)", "b_mu - emit_error(fe, k, dim, fe_cache)"),
+    Mutant("no-norm-floor", ENGINE, "_FLOOR = 1e-140", "_FLOOR = 0.0"),
+    Mutant(
+        "residuals-in-float32",
+        ENGINE,
+        'residuals, err_norms, steps = array("d"), array("d"), array("d")',
+        'residuals, err_norms, steps = array("f"), array("d"), array("d")',
+    ),
+    Mutant(
+        "distances-by-einsum",
+        ENGINE,
+        "np.sqrt(np.matmul(x[:, None, :], x[:, :, None])).ravel()",
+        'np.sqrt(np.einsum("ij,ij->i", x, x))',
+    ),
+    Mutant(
+        "no-final-distance-flush",
+        ENGINE,
+        "    if pending:\n        dists.frombytes",
+        "    if False:\n        dists.frombytes",
+    ),
+    Mutant(
+        "exact-err-norms-negative-zero",
+        ENGINE,
+        "err_norms=np.zeros(len(residuals))",
+        "err_norms=np.full(len(residuals), -0.0)",
+    ),
     Mutant(
         "no-grow-margin",
         ENGINE,
