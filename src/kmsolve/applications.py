@@ -57,17 +57,17 @@ def solve_ppa(
 ) -> RunResult:
     """Proximal point iteration on a firmly nonexpansive resolvent.
 
-    The resolvent is 1/2-averaged, so relaxations up to 2 are admissible
-    (`validate_schedule(schedule, theta=0.5)`).  `route` is inert:
-    "direct" and "unwrap" run the same iteration, and any other value is
-    refused.  It stays only because the benchmark's small-exact workload
-    passes route="unwrap"; it goes in the benchmark change that edits
-    that call.
+    The resolvent is at most 1/2-averaged, so relaxations up to 1/theta
+    are admissible (`validate_schedule(schedule, theta=resolvent.theta)`).
+    `route` is inert: "direct" and "unwrap" run the same iteration, and
+    any other value is refused.  It stays only because the benchmark's
+    small-exact workload passes route="unwrap"; it goes in the benchmark
+    change that edits that call.
     """
     if route not in ("direct", "unwrap"):
         raise ValueError(f"unknown route {route!r}")
-    if resolvent.theta != 0.5:
-        raise ValueError("proximal point needs a firmly nonexpansive resolvent (theta = 1/2)")
+    if resolvent.theta > 0.5:
+        raise ValueError("proximal point needs a firmly nonexpansive resolvent (theta <= 1/2)")
     prob = Problem(operator=resolvent, z0=z0, z_star=z_star)
     return iterate(prob, schedule, errors, **engine_options)
 

@@ -6,10 +6,9 @@ Subcommands:
   described by the config, print the library's reports on it as JSON
   (each its ``to_dict``), optionally dump the per-iteration table.
   Exit 0 when the run converged, 1 otherwise.
-* ``kmsolve validate config.json [--theta X]``: print the feasibility
-  report for the config's schedule, with the relaxation ceiling scaled
-  by 1/X for an X-averaged operator (X in (0, 1], default 1).  Exit 0
-  when feasible, 1 otherwise.
+* ``kmsolve validate config.json``: print the feasibility report for the
+  config's schedule at its operator's theta (1 without a "problem"), the
+  one ``run`` prints.  Exit 0 when feasible, 1 otherwise.
 * ``kmsolve compare config.json``: run the schedule as given and with
   inertia switched off, print both summaries and the iteration ratio.
   Exit 0 when both runs converged, 1 otherwise.
@@ -87,7 +86,7 @@ def _section(cfg: dict, key: str, required: bool = True) -> dict:
 
 
 @contextmanager
-def _config_errors(prefix: str = ""):
+def _config_errors(prefix: str):
     """Report a TypeError or ValueError raised inside as a ConfigError."""
     try:
         yield
@@ -269,7 +268,7 @@ def cmd_run(args) -> int:
         write_csv(args.csv, result, cert)
     summary = {
         **_brief(result),
-        "feasibility": validate_schedule(schedule).to_dict(),
+        "feasibility": validate_schedule(schedule, theta=problem.operator.theta).to_dict(),
         "certificate": cert.to_dict(),
         "consistency": consistency_report(result).to_dict(),
     }
@@ -278,9 +277,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    schedule = schedule_from_config(_section(_load_config(args.config), "schedule"))
-    with _config_errors():
-        report = validate_schedule(schedule, theta=args.theta)
+    cfg = _load_config(args.config)
+    theta = problem_from_config(_section(cfg, "problem")).operator.theta if "problem" in cfg else 1.0
+    report = validate_schedule(schedule_from_config(_section(cfg, "schedule")), theta=theta)
     _print_json(report.to_dict())
     return 0 if report.feasible else 1
 
@@ -315,11 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--csv", help="write the per-iteration table to this path")
     run_p.set_defaults(func=cmd_run)
 
-    val_p = sub.add_parser("validate", help="feasibility report for a config's schedule")
+    val_p = sub.add_parser("validate", help="feasibility report for a config's schedule at its operator's theta")
     val_p.add_argument("config")
-    val_p.add_argument(
-        "--theta", type=float, default=1.0, help="averagedness in (0, 1]; scales the ceiling by 1/theta"
-    )
     val_p.set_defaults(func=cmd_validate)
 
     cmp_p = sub.add_parser("compare", help="inertial vs zero-inertia run of the same config")

@@ -290,11 +290,11 @@ def quadratic_gradient(m, b) -> IsmOperator:
 def make_fb_composition(resolvent: OperatorSpec, forward: IsmOperator, rho: float) -> OperatorSpec:
     """Forward-backward map x -> resolvent(x - rho * forward(x)).
 
-    Requires 0 < rho < 2 beta and a firmly nonexpansive backward step; the
+    Requires 0 < rho < 2 beta and a resolvent with theta <= 1/2; the
     composition is averaged with theta = 2 beta / (4 beta - rho).
     """
-    if resolvent.theta != 0.5:
-        raise ValueError("resolvent must be firmly nonexpansive (theta = 1/2)")
+    if resolvent.theta > 0.5:
+        raise ValueError("resolvent must be firmly nonexpansive (theta <= 1/2)")
     beta = forward.beta
     rho = _real(rho, "rho")
     if not (0.0 < rho < 2.0 * beta):

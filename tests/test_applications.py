@@ -15,6 +15,7 @@ from kmsolve.applications import (
 )
 from kmsolve.engine import Problem, iterate
 from kmsolve.operators import (
+    IsmOperator,
     OperatorSpec,
     make_affine,
     make_fb_composition,
@@ -22,12 +23,26 @@ from kmsolve.operators import (
     norm,
     quadratic_gradient,
 )
-from kmsolve.schedules import ErrorModel, constant_schedule, emit_error
+from kmsolve.schedules import ErrorModel, constant_schedule, emit_error, validate_schedule
 
 
 def test_ppa_requires_a_firmly_nonexpansive_resolvent():
     with pytest.raises(ValueError):
         solve_ppa(make_affine(np.eye(2), np.zeros(2)), np.ones(2), constant_schedule(0.0, 0.5))
+
+
+def test_a_resolvent_averaged_below_one_half_runs_and_one_above_is_refused():
+    # x -> x / 2, the resolvent of 1/2 ||x||^2, is certified 1/4-averaged; it is 1/2-averaged as well
+    halving = make_affine(0.5 * np.eye(2), np.zeros(2), theta=0.25)
+    run = solve_ppa(halving, np.ones(2), constant_schedule(0.0, 3.0), z_star=np.zeros(2))
+    assert run.converged and validate_schedule(run.schedule, theta=halving.theta).feasible
+    zero = IsmOperator(apply=lambda x: np.zeros_like(x), beta=1.0)
+    assert make_fb_composition(halving, zero, 1.0).theta == 2.0 / 3.0
+    above = OperatorSpec(apply=halving.apply, theta=0.5000001, dim=2)
+    with pytest.raises(ValueError, match=r"^proximal point needs a firmly nonexpansive resolvent \(theta <= 1/2\)$"):
+        solve_ppa(above, np.ones(2), constant_schedule(0.0, 0.5))
+    with pytest.raises(ValueError, match=r"^resolvent must be firmly nonexpansive \(theta <= 1/2\)$"):
+        make_fb_composition(above, zero, 1.0)
 
 
 def test_ppa_converges_to_the_prox_fixed_point():

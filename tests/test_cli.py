@@ -238,15 +238,44 @@ def test_validate_feasible_and_infeasible(tmp_path):
 
 
 def test_validate_theta_rescales_the_ceiling(tmp_path):
-    cfg = dict(FEASIBLE, schedule={"alpha": 0.0, "lambda": 1.5})
-    path = _write(tmp_path, cfg)
-    code, plain, _ = _main(["validate", path])
-    assert code == 1
-    code, out, _ = _main(["validate", path, "--theta", "1"])
-    assert code == 1 and out == plain
-    code, out, _ = _main(["validate", path, "--theta", "0.5"])
+    # diag(0.5, 0.25) is certified 1/2-averaged, so the ceiling 1 becomes 2 and lambda = 1.5 is feasible
+    schedule = {"alpha": 0.0, "lambda": 1.5}
+    code, plain, _ = _main(["validate", _write(tmp_path, dict(FEASIBLE, schedule=schedule), "plain.json")])
+    assert code == 1 and json.loads(plain)["scaling_theta"] == 1.0
+    path = _write(tmp_path, dict(FEASIBLE, schedule=schedule, problem=dict(FEASIBLE["problem"], theta=0.5)))
+    code, out, _ = _main(["validate", path])
     assert code == 0
-    assert json.loads(out)["feasible"] is True
+    report = json.loads(out)
+    assert (report["feasible"], report["scaling_theta"], report["lambda_max"]) == (True, 0.5, 2.0)
+    # the operator is theta's only source: a flag for it is a usage error
+    err = io.StringIO()
+    with pytest.raises(SystemExit) as usage, redirect_stderr(err):
+        cli.main(["validate", path, "--theta", "0.5"])
+    assert usage.value.code == 2 and "unrecognized arguments: --theta 0.5" in err.getvalue()
+
+
+def test_validate_without_a_problem_judges_at_theta_one(tmp_path):
+    for lam, code in ((0.5, 0), (1.5, 1)):
+        with_problem = dict(FEASIBLE, schedule={"alpha": 0.0, "lambda": lam})
+        without = {"schedule": with_problem["schedule"]}
+        want = _main(["validate", _write(tmp_path, with_problem, "with.json")])
+        assert want[0] == code and json.loads(want[1])["scaling_theta"] == 1.0
+        assert _main(["validate", _write(tmp_path, without, "without.json")]) == want
+
+
+def test_run_prints_what_validate_prints_at_the_operator_theta(tmp_path):
+    # a soft threshold is 1/2-averaged by construction: lambda = 1.5 sits under its ceiling 2
+    soft = {"kind": "soft-threshold", "gamma": 0.3, "dim": 4, "z0": [1.0, -2.0, 0.1, 0.6], "z_star": [0.0] * 4}
+    path = _write(tmp_path, {"problem": soft, "schedule": {"alpha": 0.0, "lambda": 1.5}})
+    code, out, err = _main(["validate", path])
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert (report["feasible"], report["scaling_theta"], report["lambda_max"]) == (True, 0.5, 2.0)
+    code, out, err = _main(["run", path])
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert data["converged"] is True
+    assert data["feasibility"] == report
 
 
 def test_validate_regime_ii_config(tmp_path):
@@ -542,7 +571,8 @@ def test_non_object_sections_exit_two(tmp_path, monkeypatch):
     cases = [
         ("schedule", [1, 2], ("run", "validate", "compare")),
         ("schedule", None, ("run", "validate", "compare")),
-        ("problem", "affine", ("run", "compare")),
+        ("problem", "affine", ("run", "validate", "compare")),
+        ("problem", None, ("run", "validate", "compare")),
         ("errors", [1], ("run", "compare")),
         ("engine", [1], ("run", "compare")),
         ("engine", "fast", ("run", "compare")),
@@ -554,9 +584,26 @@ def test_non_object_sections_exit_two(tmp_path, monkeypatch):
             assert (code, out) == (2, ""), (key, section, command)
             assert err == f"error: {key!r} must be a JSON object\n"
 
-    # validate reads only the schedule
-    code, out, _ = _main(["validate", _write(tmp_path, dict(FEASIBLE, problem="affine"), "validate.json")])
-    assert code == 0 and json.loads(out)["feasible"] is True
+    # validate builds the problem for its theta, so a malformed problem exits 2 there as in run and compare
+    bad_problem = _write(tmp_path, dict(FEASIBLE, problem=dict(FEASIBLE["problem"], theta="half")), "problem.json")
+    for command in ("run", "validate", "compare"):
+        assert _main([command, bad_problem]) == (2, "", "error: bad problem: theta must be a number, got 'half'\n")
+
+
+@pytest.mark.parametrize(
+    "cfg, commands, message",
+    [
+        ([1, 2], ("run", "validate", "compare"), "config must be a JSON object"),
+        (dict(FEASIBLE, schedule={"alpha": 0.2}), ("run", "validate", "compare"), "missing 'lambda' in schedule"),
+        ({"schedule": FEASIBLE["schedule"]}, ("run", "compare"), "missing 'problem' in config"),
+        (dict(FEASIBLE, errors={"kind": "bogus"}), ("run", "compare"), "unknown error kind 'bogus'"),
+    ],
+)
+def test_config_refusals_exit_two_with_their_message(tmp_path, monkeypatch, cfg, commands, message):
+    monkeypatch.setattr(cli, "iterate", lambda *args, **kwargs: pytest.fail("iterate ran on a rejected config"))
+    path = _write(tmp_path, cfg)
+    for command in commands:
+        assert _main([command, path]) == (2, "", f"error: {message}\n"), command
 
 
 def test_null_optional_sections_read_as_empty(tmp_path):
@@ -687,11 +734,11 @@ def test_box_projection_problem(tmp_path):
         "problem": {"kind": "box-projection", "lo": [-1.0], "hi": [1.0], "z0": [4.0], "z_star": [1.0]},
         "schedule": {"alpha": 0.0, "lambda": 1.0, "lambda_ceiling": 1.0},
     }
-    # lambda = 1 is infeasible in its regime but still runs
+    # lambda = 1 is feasible under the projection's ceiling 1/theta = 2
     code, out, _ = _main(["run", _write(tmp_path, cfg)])
     assert code == 0
     data = json.loads(out)
-    assert data["feasibility"]["feasible"] is False
+    assert (data["feasibility"]["feasible"], data["feasibility"]["scaling_theta"]) == (True, 0.5)
     # no certificate where a lambda_k it sums is 1
     assert data["certificate"] == {
         "valid": False,

@@ -154,6 +154,20 @@ def test_error_model_validation():
                 ErrorModel(**{"kind": kind, "magnitude": 1.0, "exponent": 0.5, name: value})
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: ErrorModel(kind="bogus"), "unknown error kind 'bogus'"),
+        (lambda: ErrorModel.from_norms([0.1, -1.0]), "custom norms must be finite and nonnegative"),
+        (lambda: ErrorModel.from_norms([math.inf]), "custom norms must be finite and nonnegative"),
+    ],
+)
+def test_error_model_refusals_name_their_reason(build, message):
+    with pytest.raises(ValueError) as refusal:
+        build()
+    assert str(refusal.value) == message
+
+
 def test_error_norm_laws():
     p = ErrorModel.power_decay(2.0, 1.5)
     assert p.norm_at(0) == 2.0

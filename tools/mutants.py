@@ -44,6 +44,7 @@ ENGINE = "src/kmsolve/engine.py"
 SCHED = "src/kmsolve/schedules.py"
 OPS = "src/kmsolve/operators.py"
 APPS = "src/kmsolve/applications.py"
+CLI = "src/kmsolve/cli.py"
 EXTREMES = "floor, ceiling, cap = float(lam.min()), float(lam.max()), float(al.max())"
 DELTA = "delta = drift + err_term + step_term"
 GUARD = "defined = 0.0 <= a_min and a_max < 1.0"
@@ -128,6 +129,20 @@ MUTANTS = (
         "err_norms=np.zeros(len(residuals))",
         "err_norms=np.full(len(residuals), -0.0)",
     ),
+    Mutant(
+        "rate-rhs-dist1-unsquared",
+        CERT,
+        "rhs_squared = (dist1 * dist1 + delta)",
+        "rhs_squared = (dist1 + delta)",
+    ),
+    Mutant(
+        "run-validates-at-theta-one",
+        CLI,
+        "validate_schedule(schedule, theta=problem.operator.theta)",
+        "validate_schedule(schedule)",
+    ),
+    Mutant("resolvent-theta-exactly-half", APPS, "if resolvent.theta > 0.5:", "if resolvent.theta != 0.5:"),
+    Mutant("fb-resolvent-theta-exactly-half", OPS, "if resolvent.theta > 0.5:", "if resolvent.theta != 0.5:"),
     Mutant(
         "no-grow-margin",
         ENGINE,
