@@ -13,9 +13,9 @@ whose norm is recorded as err_norm and obeys
 ||e-bar|| <= rho ||e1|| + ||e2|| by nonexpansiveness of the resolvent.
 Every step evaluates B mu and T mu once, so exact and resolvent-only
 steps cost one forward and one resolvent evaluation; a forward error adds
-a second resolvent evaluation.  Each channel keeps its own block cache
-for the run (see `emit_error`).  Give the two channels different seeds;
-equal seeds draw identical directions at each k.
+a second resolvent evaluation.  Each channel keeps its own cache of
+scaled error blocks for the run (see `emit_error`).  Give the two
+channels different seeds; equal seeds draw identical directions at each k.
 
 plant_lasso builds an l1-regularized least-squares instance whose exact
 solution is known by construction, for end-to-end solver checks.

@@ -6,9 +6,10 @@ Subcommands:
   described by the config, print the library's reports on it as JSON
   (each its ``to_dict``), optionally dump the per-iteration table.
   Exit 0 when the run converged, 1 otherwise.
-* ``kmsolve validate config.json``: print the feasibility report for the
-  config's schedule at its operator's theta (1 without a "problem"), the
-  one ``run`` prints.  Exit 0 when feasible, 1 otherwise.
+* ``kmsolve validate config.json``: check the config as ``run`` does, then
+  print the feasibility report for its schedule at its operator's theta
+  (1 without a "problem"), the one ``run`` prints.  Exit 0 when feasible,
+  1 otherwise.
 * ``kmsolve compare config.json``: run the schedule as given and with
   inertia switched off, print both summaries and the iteration ratio.
   Exit 0 when both runs converged, 1 otherwise.
@@ -209,9 +210,9 @@ def _engine_options(cfg: dict) -> dict:
     return opts
 
 
-def _load_run(cfg: dict):
-    """Problem, schedule, errors and engine options of a config, all checked before any run."""
-    problem = problem_from_config(_section(cfg, "problem"))
+def _load_run(cfg: dict, problem_required: bool = True):
+    """Problem (None when optional and absent), schedule, errors and engine options of a config, all checked."""
+    problem = problem_from_config(_section(cfg, "problem")) if problem_required or "problem" in cfg else None
     schedule = schedule_from_config(_section(cfg, "schedule"))
     errors = errors_from_config(_section(cfg, "errors", required=False))
     return problem, schedule, errors, _engine_options(_section(cfg, "engine", required=False))
@@ -277,9 +278,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    cfg = _load_config(args.config)
-    theta = problem_from_config(_section(cfg, "problem")).operator.theta if "problem" in cfg else 1.0
-    report = validate_schedule(schedule_from_config(_section(cfg, "schedule")), theta=theta)
+    # the whole config is checked, so validate refuses what run and compare refuse
+    problem, schedule, _, _ = _load_run(_load_config(args.config), problem_required=False)
+    report = validate_schedule(schedule, theta=1.0 if problem is None else problem.operator.theta)
     _print_json(report.to_dict())
     return 0 if report.feasible else 1
 

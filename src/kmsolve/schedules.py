@@ -203,33 +203,42 @@ def emit_error(model: ErrorModel, k: int, dim: int, cache: dict | None = None) -
     repeated calls are bit-identical.
 
     `cache` is an optional dict owned by the caller, typically one per run
-    and error channel.  It keeps the latest block, so consecutive steps
-    share one draw.  It is a memo only: the returned vector is the same
-    with or without it.
+    and error channel.  Per dim it holds the model and its latest block
+    with every row already scaled to its step's norm, so the block's other
+    steps are row lookups.  It is a memo only: the vector is the same with
+    or without it.  A nonzero vector is a read-only view of that block.
     """
+    if cache is None:
+        cache = {}
+    entry = cache.get(dim)
+    if entry is not None:
+        m, lo, hi, rows = entry
+        if m is model and lo <= k < hi:
+            return rows[k - lo]
     if k < 0:
         raise ValueError("k must be nonnegative")
     if dim < 1:
         raise ValueError("dim must be positive")
-    target = model.norm_at(k)
-    if target == 0.0:
+    if model.norm_at(k) == 0.0:
         return np.zeros(dim)
-    rows = _block_rows(dim)
-    key = (model.seed, k // rows, dim)
-    if cache is not None and cache.get("key") == key:
-        block = cache["block"]
-    else:
-        seq = np.random.SeedSequence(entropy=model.seed, spawn_key=(k // rows,))
-        block = np.random.default_rng(seq).standard_normal((rows, dim))
-        if cache is not None:
-            cache["key"], cache["block"] = key, block
-    d = block[k % rows]
-    n = math.sqrt(d.dot(d))
-    if n == 0.0:
-        d = np.zeros(dim)
-        d[0] = 1.0
-        n = 1.0
-    return d * (target / n)
+    b = _block_rows(dim)
+    lo = k - k % b
+    seq = np.random.SeedSequence(entropy=model.seed, spawn_key=(k // b,))
+    block = np.random.default_rng(seq).standard_normal((b, dim))
+    # the bits of sqrt(d.dot(d)) per row d: see engine._distances
+    norms = np.sqrt(np.matmul(block[:, None, :], block[:, :, None])).ravel()
+    flat = norms == 0.0  # an all-zero row falls back to the first unit vector
+    if flat.any():
+        block[flat] = 0.0
+        block[flat, 0] = 1.0
+        norms[flat] = 1.0
+    targets = np.fromiter(map(model.norm_at, range(lo, lo + b)), float, b)
+    with np.errstate(over="ignore", invalid="ignore"):  # other steps' rows may leave the float range
+        block *= (targets / norms)[:, None]
+    block[targets == 0.0] = 0.0  # +0.0, as np.zeros: a scaled row could hold -0.0
+    block.flags.writeable = False
+    cache[dim] = (model, lo, lo + b, block)
+    return block[k - lo]
 
 
 @dataclass(frozen=True)

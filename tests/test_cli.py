@@ -573,9 +573,9 @@ def test_non_object_sections_exit_two(tmp_path, monkeypatch):
         ("schedule", None, ("run", "validate", "compare")),
         ("problem", "affine", ("run", "validate", "compare")),
         ("problem", None, ("run", "validate", "compare")),
-        ("errors", [1], ("run", "compare")),
-        ("engine", [1], ("run", "compare")),
-        ("engine", "fast", ("run", "compare")),
+        ("errors", [1], ("run", "validate", "compare")),
+        ("engine", [1], ("run", "validate", "compare")),
+        ("engine", "fast", ("run", "validate", "compare")),
     ]
     for i, (key, section, commands) in enumerate(cases):
         path = _write(tmp_path, dict(FEASIBLE, **{key: section}), f"section{i}.json")
@@ -596,7 +596,7 @@ def test_non_object_sections_exit_two(tmp_path, monkeypatch):
         ([1, 2], ("run", "validate", "compare"), "config must be a JSON object"),
         (dict(FEASIBLE, schedule={"alpha": 0.2}), ("run", "validate", "compare"), "missing 'lambda' in schedule"),
         ({"schedule": FEASIBLE["schedule"]}, ("run", "compare"), "missing 'problem' in config"),
-        (dict(FEASIBLE, errors={"kind": "bogus"}), ("run", "compare"), "unknown error kind 'bogus'"),
+        (dict(FEASIBLE, errors={"kind": "bogus"}), ("run", "validate", "compare"), "unknown error kind 'bogus'"),
     ],
 )
 def test_config_refusals_exit_two_with_their_message(tmp_path, monkeypatch, cfg, commands, message):
@@ -604,6 +604,22 @@ def test_config_refusals_exit_two_with_their_message(tmp_path, monkeypatch, cfg,
     path = _write(tmp_path, cfg)
     for command in commands:
         assert _main([command, path]) == (2, "", f"error: {message}\n"), command
+
+
+def test_validate_refuses_the_errors_and_engine_sections_run_refuses(tmp_path):
+    soft = {"problem": {"kind": "soft-threshold", "gamma": 0.5, "dim": 3, "z0": [1.0, -2.0, 0.5]}, "schedule": {"lambda": 0.5}}
+    cases = {
+        "errors": ({"kind": "bogus"}, "error: unknown error kind 'bogus'\n"),
+        "engine": ({"max_iter": -3}, "error: bad engine options: max_iter must be nonnegative\n"),
+    }
+    assert _main(["validate", _write(tmp_path, soft, "soft.json")])[0] == 0
+    for key, (section, message) in cases.items():
+        path = _write(tmp_path, dict(soft, **{key: section}), f"{key}.json")
+        for command in ("run", "validate", "compare"):
+            assert _main([command, path]) == (2, "", message), (key, command)
+        # without a problem, validate still checks the other sections
+        path = _write(tmp_path, {"schedule": soft["schedule"], key: section}, f"{key}-alone.json")
+        assert _main(["validate", path]) == (2, "", message), key
 
 
 def test_null_optional_sections_read_as_empty(tmp_path):

@@ -1,12 +1,13 @@
 """Parameter schedules, error models, and the feasibility validators."""
 
 import math
+import types
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from kmsolve import applications
+from kmsolve import applications, schedules
 from kmsolve.applications import lasso_fbs_pieces, plant_lasso, solve_fbs
 from kmsolve.engine import Problem, iterate
 from kmsolve.operators import make_affine, make_soft_threshold, norm, quadratic_gradient
@@ -239,36 +240,98 @@ def _block_row(seed, k, dim, rows):
     return np.random.default_rng(ss).standard_normal((rows, dim))[k % rows]
 
 
+def _block_laws(rows):
+    """Seed-17 laws: power-decay; geometric reaching inf at k = 78; a custom list with zeros that ends mid-block."""
+    listed = 2 * rows + rows // 2 + 1
+    return {
+        "power-decay": ErrorModel.power_decay(0.3, 1.5, seed=17),
+        "geometric": ErrorModel.geometric(1e-3, 1e4, seed=17),
+        "custom-list": ErrorModel.from_norms([0.1 * (i % 5) for i in range(listed)], seed=17),
+    }
+
+
 @pytest.mark.parametrize("dim, rows", [(1, 64), (8, 64), (200, 64), (16384, 1), (16385, 1)])
 def test_block_draw_is_the_same_with_or_without_a_cache(dim, rows):
-    m = ErrorModel.power_decay(0.3, 1.5, seed=17)
-    other = ErrorModel.geometric(0.5, 0.9, seed=18)
-    # scrambled, crossing several block boundaries, with repeats
-    ks = [0, rows - 1, rows, 3 * rows + 2, 1, 2 * rows - 1, 2 * rows, rows + 1, 5 * rows, rows]
-    ks = [int(k) for k in np.random.default_rng(dim).permutation(ks)]
+    for m in _block_laws(rows).values():
+        _check_block_draws(m, dim, rows)
+    geometric = _block_laws(rows)["geometric"]
+    assert geometric.norm_at(77) < math.inf == geometric.norm_at(78)
+
+
+def _check_block_draws(m, dim, rows):
+    other = ErrorModel.power_decay(0.5, 0.9, seed=17)  # the same seed: the same directions, other norms
+    # scrambled, crossing several block boundaries, with repeats; then a run's walk over three blocks
+    ks = [0, rows - 1, rows, 3 * rows + 2, 1, 2 * rows - 1, 2 * rows, rows + 1, 5 * rows, rows, 77, 78, 79]
+    ks = [int(k) for k in np.random.default_rng(dim).permutation(ks)] + list(range(3 * rows))
     cache, shared = {}, {}
     for k in ks:
         plain = emit_error(m, k, dim)
-        assert np.array_equal(emit_error(m, k, dim, cache), plain), (dim, k)
-        # one cache passed between two laws and seeds still returns each one's own draw
-        assert np.array_equal(emit_error(m, k, dim, shared), plain), (dim, k)
-        assert np.array_equal(emit_error(other, k, dim, shared), emit_error(other, k, dim)), (dim, k)
-        assert cache["block"].shape == (rows, dim)
+        assert emit_error(m, k, dim, cache).tobytes() == plain.tobytes(), (dim, k)
+        # one cache passed between two laws of one seed still returns each one's own vector
+        assert emit_error(m, k, dim, shared).tobytes() == plain.tobytes(), (dim, k)
+        assert emit_error(other, k, dim, shared).tobytes() == emit_error(other, k, dim).tobytes(), (dim, k)
         target = m.norm_at(k)
-        assert abs(math.sqrt(float(plain @ plain)) - target) <= 1e-12 * target
+        if target == 0.0:
+            assert plain.tobytes() == np.zeros(dim).tobytes(), (dim, k)
+            continue
+        model, lo, hi, block = cache[dim]
+        assert model is m and (lo, hi) == (k - k % rows, k - k % rows + rows) and block.shape == (rows, dim)
         d = _block_row(17, k, dim, rows)
-        assert np.array_equal(plain, d * (target / math.sqrt(float(d @ d)))), (dim, k)
+        with np.errstate(over="ignore"):
+            assert plain.tobytes() == (d * (target / math.sqrt(float(d @ d)))).tobytes(), (dim, k)
+        if math.isfinite(target):
+            assert abs(math.hypot(*plain) - target) <= 1e-12 * target
 
 
-def test_a_zero_direction_row_falls_back_to_the_first_unit_vector():
-    # a standard normal row is never all zeros in practice, so the cached block is planted
+def test_a_returned_error_vector_is_read_only():
+    m = ErrorModel.power_decay(0.3, 1.5, seed=20)
+    for e in (emit_error(m, 5, 4), emit_error(m, 5, 4, {})):
+        with pytest.raises(ValueError):
+            e[0] = 1.0
+
+
+def test_a_custom_list_past_its_end_draws_no_block(monkeypatch):
+    draws = []
+    real = np.random.default_rng
+
+    def counting(seq):
+        draws.append((seq.entropy, seq.spawn_key))
+        return real(seq)
+
+    monkeypatch.setattr(schedules.np.random, "default_rng", counting)
+    m = ErrorModel.from_norms([0.1, 0.2, 0.3], seed=21)
+    cache = {}
+    for k in (3, 4, 64, 200):
+        assert emit_error(m, k, 8).tobytes() == emit_error(m, k, 8, cache).tobytes() == np.zeros(8).tobytes()
+    assert draws == []
+    # a step inside the list draws its block once; the ended steps of that block are lookups
+    for k in (1, 2, 3, 63):
+        emit_error(m, k, 8, cache)
+    assert draws == [(21, (0,))]
+
+
+def test_a_zero_direction_row_falls_back_to_the_first_unit_vector(monkeypatch):
+    # a standard normal row is never all zeros in practice, so the drawn block is planted
     m = ErrorModel.power_decay(0.3, 1.5, seed=19)
     dim, k = 3, 70
     rows = 64  # _block_rows(3)
-    block = np.ones((rows, dim))
-    block[k % rows] = 0.0
-    cache = {"key": (m.seed, k // rows, dim), "block": block}
-    assert np.array_equal(emit_error(m, k, dim, cache), m.norm_at(k) * np.eye(dim)[0])
+
+    def planted(seq):
+        assert (seq.entropy, seq.spawn_key) == (m.seed, (k // rows,))
+
+        def standard_normal(shape):
+            assert shape == (rows, dim)
+            block = np.ones(shape)
+            block[k % rows] = 0.0
+            return block
+
+        return types.SimpleNamespace(standard_normal=standard_normal)
+
+    monkeypatch.setattr(schedules.np.random, "default_rng", planted)
+    for cache in (None, {}):
+        assert emit_error(m, k, dim, cache).tobytes() == (m.norm_at(k) * np.eye(dim)[0]).tobytes()
+        unit = np.ones(dim) / math.sqrt(dim)
+        assert np.array_equal(emit_error(m, k + 1, dim, cache), unit * m.norm_at(k + 1))
 
 
 def _soft_problem(dim=8, seed=72):

@@ -73,8 +73,11 @@ MUTANTS = (
     ),
     Mutant("no-formula-guard", SCHED, GUARD, "defined = True"),
     Mutant("delta-at-threshold-feasible", SCHED, "delta > thr,", "delta >= thr,"),
-    # no seeded draw gives an all-zero row: a planted cache block reaches this branch
-    Mutant("zero-row-falls-back-to-last-axis", SCHED, "d[0] = 1.0", "d[-1] = 1.0"),
+    # no seeded draw gives an all-zero row: a planted block reaches this branch
+    Mutant("zero-row-falls-back-to-last-axis", SCHED, "block[flat, 0] = 1.0", "block[flat, -1] = 1.0"),
+    Mutant("emit-cache-hit-ignores-model", SCHED, "if m is model and lo <= k < hi:", "if lo <= k < hi:"),
+    Mutant("emit-zero-target-rows-signed", SCHED, "block[targets == 0.0] = 0.0", "pass"),
+    Mutant("emit-targets-off-by-one", SCHED, "range(lo, lo + b)", "range(lo + 1, lo + b + 1)"),
     Mutant("no-error-term", CERT, DELTA, "delta = drift + step_term"),
     Mutant(
         "rhs-twice-looser",
