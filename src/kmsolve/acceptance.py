@@ -121,13 +121,13 @@ def _quadratic_prox(dim: int, cond: float, rho: float, seed: int, start_dist: fl
 def _restated_affine_run(q, b, z0, alpha: float, lam: float, errors: ErrorModel | None, steps: int):
     """States and residuals of the loop on x -> q x + b, written out in plain numpy, z^{-1} = z^0."""
     z_prev = z = z0
-    states, residuals = [z0], []
+    states, residuals, cache = [z0], [], {}
     for k in range(steps):
         mu = z + alpha * (z - z_prev)
         t = q.dot(mu) + b
         residuals.append(np.linalg.norm(t - mu))
         if errors is not None and errors.norm_at(k) != 0.0:
-            t = t + emit_error(errors, k, z.shape[0])
+            t = t + emit_error(errors, k, z.shape[0], cache)
         z_prev, z = z, mu + lam * (t - mu)
         states.append(z)
     return states, residuals

@@ -197,7 +197,8 @@ def lasso_fbs_pieces(inst: LassoInstance, rho: float) -> tuple[OperatorSpec, Ism
     The forward map is the least-squares gradient with its certified
     cocoercivity modulus; the resolvent is the soft threshold at rho * reg.
     When rho was just taken from quadratic_gradient(inst.matrix,
-    inst.rhs).beta, the forward map reuses that SVD (spectral_norm's memo).
+    inst.rhs).beta, the forward map shares that call's SVD and its copy of
+    m^T (quadratic_gradient's memo).
     """
     forward = quadratic_gradient(inst.matrix, inst.rhs)
     resolvent = make_soft_threshold(_real(rho, "rho") * inst.reg, inst.matrix.shape[1])

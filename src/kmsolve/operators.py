@@ -156,11 +156,6 @@ class IsmOperator:
         return self.apply(x)
 
 
-# spectral_norm's memo: ((shape, C-order bytes) of the last matrix, its
-# spectral norm).  The empty key matches no matrix.
-_spectral_memo: tuple[tuple, float] = ((), 0.0)
-
-
 def spectral_norm(mat) -> float:
     """Largest singular value ||mat||_2, computed by an SVD.
 
@@ -168,30 +163,8 @@ def spectral_norm(mat) -> float:
     need an upper bound on ||mat||_2, which an estimate converging from
     below (power iteration) cannot give.  Raises ValueError for non-matrices
     and for non-finite entries, on every call.
-
-    The last result is memoized in one entry, keyed on the matrix's content:
-    its shape and the bytes of its float64 entries in C order, held as one
-    private, immutable copy of the size of that matrix.  A repeated matrix
-    is a hit whatever its memory layout or identity (an F-ordered copy
-    hits); any other shape or any changed bit, a flipped sign of zero
-    included, is a miss and runs the SVD.  So calling quadratic_gradient
-    twice on the same m, as the lasso pattern in the README does, takes one
-    SVD.  The memo never changes a value: a hit returns the float the SVD
-    gave for those very bits, and np.linalg.norm copies its input into its
-    own buffer, so the layout does not reach the result.  Key and value are
-    stored as one tuple in one assignment, so a concurrent reader sees a
-    matched pair; two threads that miss together both compute and the last
-    one stays.
     """
-    global _spectral_memo
-    a = _as_matrix(mat, "mat")
-    key = (a.shape, a.tobytes())
-    memo = _spectral_memo
-    if memo[0] == key:
-        return memo[1]
-    value = float(np.linalg.norm(a, 2))
-    _spectral_memo = (key, value)
-    return value
+    return float(np.linalg.norm(_as_matrix(mat, "mat"), 2))
 
 
 def make_identity(dim: int) -> OperatorSpec:
@@ -260,6 +233,12 @@ def make_affine(q, b, theta: float = 1.0) -> OperatorSpec:
     return spec
 
 
+# quadratic_gradient's memo: (m^T as a read-only C-contiguous copy, ||m||_2)
+# of the last matrix it certified, read and stored as one tuple, so a
+# concurrent caller sees a matched pair.  The empty copy matches no matrix.
+_gradient_memo: tuple[np.ndarray, float] = (np.empty((0, 0)), 0.0)
+
+
 def quadratic_gradient(m, b) -> IsmOperator:
     """Gradient of x -> 0.5 ||m x - b||^2 as an IsmOperator.
 
@@ -267,19 +246,26 @@ def quadratic_gradient(m, b) -> IsmOperator:
     a convex function with an L-Lipschitz gradient has a (1/L)-cocoercive
     gradient (Baillon-Haddad), so beta = 1 / ||m||_2^2.  ||m||_2 is exact
     (see spectral_norm), so beta does not overstate the modulus beyond
-    rounding.  A second call on the same m reuses the SVD through
-    spectral_norm's memo.
+    rounding.
 
-    The product m x uses the caller's m by reference, not a private copy,
-    which would hold one more matrix of m's size.  beta certifies m as
+    The product m x uses the caller's m by reference; m^T is a private,
+    read-only copy.  The last copy and its ||m||_2 stay as a one-entry
+    memo: a later m with the same shape and bits (a flipped sign of zero
+    differs) shares the copy and takes no SVD, so the README's lasso
+    pattern takes one SVD and one copy per matrix.  beta certifies m as
     passed, so a caller that changes m afterwards voids it.
     """
+    global _gradient_memo
     m = _as_matrix(m, "m")
     b = as_point(b, dim=m.shape[0], name="b")
-    sigma = spectral_norm(m)
-    if sigma == 0.0:
-        raise ValueError("zero matrix: choose beta explicitly via IsmOperator(apply=..., beta=...)")
-    mt = np.ascontiguousarray(m.T)
+    mt, sigma = _gradient_memo
+    if not np.array_equal(mt.T.view(np.uint64), m.view(np.uint64)):
+        sigma = spectral_norm(m)
+        if sigma == 0.0:
+            raise ValueError("zero matrix: choose beta explicitly via IsmOperator(apply=..., beta=...)")
+        mt = np.array(m.T, order="C")  # never a view: an F-ordered m has a C-contiguous m.T
+        mt.flags.writeable = False
+        _gradient_memo = (mt, sigma)
 
     def apply(x):
         return mt @ (m @ x - b)

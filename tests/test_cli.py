@@ -211,8 +211,10 @@ def test_a_traced_run_sees_every_layer_of_run(tmp_path):
     layers = {"engine", "operators.apply", "schedules.validate", "diagnostics.certificate", "diagnostics.consistency"}
     assert names >= layers | {"cli.write_csv"}
 
-    # the lasso path: the SVD of its set-up, and the error draws of the engine and of solve_fbs
-    assert "operators.spectral_norm" in traced(lambda: quadratic_gradient(np.eye(3), np.zeros(3)))[1]
+    # the lasso path: the SVD of its set-up, and the error draws of the engine and of solve_fbs; the
+    # matrix is one no other test passes, so quadratic_gradient's memo misses and takes the SVD
+    unseen = np.diag([3.0, 2.0, 1.0])
+    assert "operators.spectral_norm" in traced(lambda: quadratic_gradient(unseen, np.zeros(3)))[1]
     prob = Problem(operator=make_soft_threshold(0.2, 2), z0=[1.0, -1.0])
     schedule, errors = constant_schedule(0.0, 0.5), ErrorModel.power_decay(1e-2, 2.0, seed=1)
     run, names = traced(lambda: iterate(prob, schedule, errors, max_iter=5))

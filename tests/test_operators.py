@@ -2,11 +2,13 @@
 
 import math
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from kmsolve import operators
 from kmsolve.applications import lasso_fbs_pieces, plant_lasso
 from kmsolve.engine import Problem, iterate
 from kmsolve.operators import (
@@ -199,18 +201,24 @@ def _count_svds(monkeypatch):
     return calls, real
 
 
-def test_spectral_norm_memo_hits_only_on_the_same_bits(monkeypatch):
+def _reset_gradient_memo():
+    """Leave np.eye(1) in quadratic_gradient's memo, whatever an earlier test left there."""
+    quadratic_gradient(np.eye(1), [0.0])
+
+
+def test_gradient_memo_hits_only_on_the_same_bits(monkeypatch):
     calls, real = _count_svds(monkeypatch)
 
     def check(a, svds):
         before = len(calls)
-        value = spectral_norm(a)
-        assert value.hex() == float(real(np.asarray(a, dtype=float), 2)).hex()
+        op = quadratic_gradient(a, np.ones(np.shape(a)[0]))
+        sigma = float(real(np.asarray(a, dtype=float), 2))
+        assert op.beta.hex() == (1.0 / (sigma * sigma)).hex()
         assert len(calls) - before == svds
 
     rng = np.random.default_rng(808)
     base = rng.standard_normal((6, 4))
-    spectral_norm(np.eye(1))  # whatever an earlier test left in the memo, it is not base
+    _reset_gradient_memo()
     check(base, 1)
     check(base, 0)
     check(np.asfortranarray(base), 0)  # same content, other layout
@@ -235,23 +243,28 @@ def test_spectral_norm_memo_hits_only_on_the_same_bits(monkeypatch):
     check(square, 1)
     check(square.T, 1)
 
-    mutable = base.copy()
-    check(mutable, 1)
-    mutable[1, 1] *= 2.0  # the caller changes its array after the call
-    check(mutable, 1)
-    check(mutable, 0)
+    # the caller changes its array after the call; an F-ordered m.T is C-contiguous, so a memo
+    # that kept m.T as a view of it would see the change too
+    for mutable in (base.copy(), np.asfortranarray(base)):
+        check(mutable, 1)
+        mutable[1, 1] *= 2.0
+        check(mutable, 1)
+        check(mutable, 0)
 
     for bad in (np.nan, np.inf):
         broken = mutable.copy()
         broken[3, 3] = bad
         with pytest.raises(ValueError, match="non-finite"):
-            spectral_norm(broken)
+            quadratic_gradient(broken, np.ones(6))
     check(mutable, 0)  # a refused matrix leaves the memo as it was
+    with pytest.raises(ValueError, match="zero matrix"):
+        quadratic_gradient(np.zeros((6, 4)), np.ones(6))
+    check(mutable, 0)
 
 
 def test_lasso_pattern_takes_one_svd_per_instance(monkeypatch):
     instances = [plant_lasso(300, 200, seed=seed) for seed in (909, 910)]
-    spectral_norm(np.eye(1))
+    _reset_gradient_memo()
     calls, _ = _count_svds(monkeypatch)
     for inst in instances:
         rho = quadratic_gradient(inst.matrix, inst.rhs).beta
@@ -260,18 +273,45 @@ def test_lasso_pattern_takes_one_svd_per_instance(monkeypatch):
     assert len(calls) == len(instances)
 
 
-def test_spectral_norm_memo_is_sound_under_threads():
+def test_lasso_pattern_keeps_one_transposed_copy():
+    inst = plant_lasso(300, 200, seed=911)
+    xs = np.random.default_rng(912).standard_normal((5, 200))
+    _reset_gradient_memo()
+    fresh = quadratic_gradient(inst.matrix, inst.rhs)
+    expected = [fresh(x).tobytes() for x in xs]
+    tracemalloc.start()
+    try:
+        _, forward = lasso_fbs_pieces(inst, fresh.beta)  # a hit: no byte key, no second m^T
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < inst.matrix.nbytes / 2
+    assert [forward(x).tobytes() for x in xs] == expected
+
+
+def test_gradient_memo_keeps_a_private_read_only_transpose():
+    for m in (np.arange(1.0, 7.0).reshape(3, 2), np.asfortranarray(np.arange(11.0, 17.0).reshape(3, 2))):
+        quadratic_gradient(m, np.zeros(3))
+        mt = operators._gradient_memo[0]
+        assert mt.flags.c_contiguous and not mt.flags.writeable
+        assert not np.shares_memory(mt, m) and np.array_equal(mt, m.T)
+
+
+def test_gradient_memo_is_sound_under_threads():
     # few matrices and many calls, so a thread often looks up a matrix that
     # another thread has just stored or is about to replace
     rng = np.random.default_rng(1010)
     mats = [rng.standard_normal((4, 3)) for _ in range(3)]
-    expected = [float(np.linalg.norm(m, 2)) for m in mats]
+    rhs, x = rng.standard_normal(4), rng.standard_normal(3)
+    sigmas = [float(np.linalg.norm(m, 2)) for m in mats]
+    expected = [(1.0 / (s * s), (np.ascontiguousarray(m.T) @ (m @ x - rhs)).tobytes()) for s, m in zip(sigmas, mats)]
 
     def worker(shift):
         wrong = 0
         for i in range(1000):
             j = (i + shift) % len(mats)
-            wrong += spectral_norm(mats[j]) != expected[j]
+            op = quadratic_gradient(mats[j], rhs)
+            wrong += (op.beta, op(x).tobytes()) != expected[j]
         return wrong
 
     interval = sys.getswitchinterval()

@@ -105,7 +105,20 @@ MUTANTS = (
     ),
     Mutant("fb-theta-halved", OPS, "theta = 2.0 * beta / (4.0 * beta - rho)", "theta = beta / (4.0 * beta - rho)"),
     Mutant("spectral-slack-1e-6", OPS, "_SPECTRAL_SLACK = 1e-12", "_SPECTRAL_SLACK = 1e-6"),
-    Mutant("memo-key-without-shape", OPS, "key = (a.shape, a.tobytes())", "key = a.tobytes()"),
+    Mutant(
+        "gradient-memo-float-compare",
+        OPS,
+        "np.array_equal(mt.T.view(np.uint64), m.view(np.uint64))",
+        "np.array_equal(mt.T, m)",
+    ),
+    Mutant("gradient-memo-writable-copy", OPS, "        mt.flags.writeable = False\n", ""),
+    # np.ascontiguousarray(m.T) is a view of an F-ordered m, so the memo would follow the caller's later edits
+    Mutant(
+        "gradient-memo-view-of-fortran-m",
+        OPS,
+        'mt = np.array(m.T, order="C")',
+        "mt = np.ascontiguousarray(m.T)",
+    ),
     Mutant("forward-error-sign", APPS, "b_mu + emit_error(fe, k, dim, fe_cache)", "b_mu - emit_error(fe, k, dim, fe_cache)"),
     Mutant("no-norm-floor", ENGINE, "_FLOOR = 1e-140", "_FLOOR = 0.0"),
     Mutant(
