@@ -127,7 +127,6 @@ class LassoInstance:
     x_star: np.ndarray
     dual: np.ndarray
     support: np.ndarray
-    seed: int
 
 
 def plant_lasso(
@@ -163,15 +162,7 @@ def plant_lasso(
     dual[support] = np.sign(x_star[support])
     w = m @ np.linalg.solve(m.T @ m, dual)
     rhs = m @ x_star + reg * w
-    return LassoInstance(
-        matrix=m,
-        rhs=rhs,
-        reg=reg,
-        x_star=x_star,
-        dual=dual,
-        support=support,
-        seed=seed,
-    )
+    return LassoInstance(matrix=m, rhs=rhs, reg=reg, x_star=x_star, dual=dual, support=support)
 
 
 def lasso_kkt_gap(inst: LassoInstance) -> float:

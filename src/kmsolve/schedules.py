@@ -215,11 +215,9 @@ def emit_error(model: ErrorModel, k: int, dim: int, cache: dict | None = None) -
         m, lo, hi, rows = entry
         if m is model and lo <= k < hi:
             return rows[k - lo]
-    if k < 0:
-        raise ValueError("k must be nonnegative")
     if dim < 1:
         raise ValueError("dim must be positive")
-    if model.norm_at(k) == 0.0:
+    if model.norm_at(k) == 0.0:  # also refuses a negative k
         return np.zeros(dim)
     b = _block_rows(dim)
     lo = k - k % b

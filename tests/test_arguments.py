@@ -32,7 +32,6 @@ from kmsolve import (
     make_identity,
     make_soft_threshold,
     plant_lasso,
-    quasi_fejer_violations,
     solve_fbs,
     validate_schedule,
 )
@@ -103,7 +102,6 @@ SCALARS = {
     ("plant_lasso", "reg"): (lambda v: plant_lasso(reg=v), "real", False),
     ("plant_lasso", "seed"): (lambda v: plant_lasso(seed=v), "integer", False),
     ("lasso_fbs_pieces", "rho"): (lambda v: lasso_fbs_pieces(_LASSO, v), "real", False),
-    ("quasi_fejer_violations", "tol"): (lambda v: quasi_fejer_violations(_run(), tol=v), "real", False),
 }
 
 # float and int parameters the table leaves out, and why

@@ -273,10 +273,73 @@ def test_quasi_fejer_requires_solution_and_no_inertia():
     run = iterate(prob, constant_schedule(0.3, 0.5), tol=-1.0, max_iter=10)
     with pytest.raises(ValueError):
         quasi_fejer_violations(run)
+    # alpha_k = 0, -0.9, -0.9, ...: the largest alpha is 0, yet the run extrapolates
+    run = iterate(prob, constant_schedule(-0.9, 0.9, sigma=0.01, delta=1.0), tol=-1.0, max_iter=10)
+    assert run.alphas.max() == 0.0
+    with pytest.raises(ValueError, match="zero-inertia runs"):
+        quasi_fejer_violations(run)
     anon = Problem(operator=prob.operator, z0=prob.z0)
     run = iterate(anon, constant_schedule(0.0, 0.5), tol=-1.0, max_iter=10)
     with pytest.raises(ValueError):
         quasi_fejer_violations(run)
+
+
+def _honest_sweep(n_runs=60, steps=400):
+    """Zero-inertia affine runs, dims 2-200, ||z*|| from 1e-3 to 1e8, theta 1 and 1/2, half inexact."""
+    rng = np.random.default_rng(0)
+    for i in range(n_runs):
+        dim = int(round(10 ** rng.uniform(math.log10(2), math.log10(200))))
+        scale = 10.0 ** (-3.0 + 11.0 * (i + rng.uniform()) / n_runs)
+        theta = 1.0 if i % 2 == 0 else 0.5
+        lam = rng.uniform(0.05, 0.99 / theta)
+        u = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+        if theta == 1.0:  # a scaled rotation, every fourth an isometry
+            q = (1.0 if i % 8 in (0, 2) else rng.uniform(0.5, 1.0)) * u
+        else:  # symmetric with spectrum in [0, 1]
+            q = (u * rng.uniform(0.0, 1.0, dim)) @ u.T
+        z_star = scale * rng.standard_normal(dim) / math.sqrt(dim)
+        z0 = z_star + scale * 10 ** rng.uniform(-8, 0) * rng.standard_normal(dim) / math.sqrt(dim)
+        # error laws from rounding level up to 1e-3 of the scale
+        errors = ErrorModel.power_decay(scale * 10 ** rng.uniform(-17, -3), 2.0, seed=i) if i % 4 >= 2 else None
+        prob = Problem(operator=make_affine(q, z_star - q @ z_star, theta=theta), z0=z0, z_star=z_star)
+        yield iterate(prob, constant_schedule(0.0, lam), errors, tol=-1.0, max_iter=steps)
+
+
+def test_quasi_fejer_passes_every_honest_step_at_any_scale():
+    # a fixed slack of 1e-10 flags 377 of these 24000 steps: the rounding of runs with large ||z*||
+    runs = list(_honest_sweep())
+    assert sum(r.iterations for r in runs) == 24000
+    assert [quasi_fejer_violations(r).size for r in runs] == [0] * 60
+
+
+def test_quasi_fejer_slack_shrinks_with_the_run():
+    # ||z*|| = 1e-9: an undeclared drift of 1e-20 per entry and step is far above this run's
+    # rounding, yet a fixed slack of 1e-10, or one floored at 32 eps, would miss it
+    z_star = np.full(4, 5e-10)
+    prob = Problem(operator=make_identity(4), z0=z_star, z_star=z_star)
+    t = prob.operator.apply
+    honest = iterate(prob, constant_schedule(0.0, 0.5), tol=-1.0, max_iter=20)
+    assert quasi_fejer_violations(honest).size == 0
+    lying = iterate(
+        prob,
+        constant_schedule(0.0, 0.5),
+        perturb=lambda mu, k: (t(mu), t(mu) + 1e-20, 0.0),
+        tol=-1.0,
+        max_iter=20,
+    )
+    assert quasi_fejer_violations(lying).size == 20
+
+
+def test_quasi_fejer_slack_scales_with_the_error_term():
+    # started at z* = 0, the first step's only length is lambda_0 ||e^0||, rounded once into
+    # d_1 and once into the bound: a slack scaled by ||z*|| + d_k alone flags 84 of these 200
+    flagged = 0
+    for dim in (1, 2, 5, 40):
+        prob = Problem(operator=make_identity(dim), z0=np.zeros(dim), z_star=np.zeros(dim))
+        for seed in range(50):
+            run = iterate(prob, constant_schedule(0.0, 0.7), ErrorModel.power_decay(1e-2, 2.0, seed=seed), max_iter=1)
+            flagged += quasi_fejer_violations(run).size
+    assert flagged == 0
 
 
 def test_consistency_report_clean_run():

@@ -161,6 +161,9 @@ def test_error_model_validation():
         (lambda: ErrorModel(kind="bogus"), "unknown error kind 'bogus'"),
         (lambda: ErrorModel.from_norms([0.1, -1.0]), "custom norms must be finite and nonnegative"),
         (lambda: ErrorModel.from_norms([math.inf]), "custom norms must be finite and nonnegative"),
+        (lambda: ErrorModel.zero().norm_at(-1), "k must be nonnegative"),
+        (lambda: emit_error(ErrorModel.power_decay(0.1, 2.0), -1, 4), "k must be nonnegative"),
+        (lambda: emit_error(ErrorModel.power_decay(0.1, 2.0), 0, 0), "dim must be positive"),
     ],
 )
 def test_error_model_refusals_name_their_reason(build, message):
@@ -191,9 +194,13 @@ def test_error_norm_laws_past_the_float_range():
     assert tiny.summability == "summable"
     assert tiny.norm_at(5) == 6.0**-400 and 0.0 < tiny.norm_at(5) < 1e-300
     assert ErrorModel.power_decay(0.0, 400.0).norm_at(5) == 0.0
-    # 6.0 ** -400 underflows to 0, the law itself overflows
+    # 6.0 ** -400 is subnormal, and the quotient overflows to inf
     assert ErrorModel.power_decay(1.0, -400.0).norm_at(5) == math.inf
     assert ErrorModel.power_decay(0.0, -400.0).norm_at(5) == 0.0
+    # 10001.0 ** -400 underflows to 0: the law itself overflows
+    assert 10001.0**-400 == 0.0
+    assert ErrorModel.power_decay(2.0, -400.0).norm_at(10**4) == math.inf
+    assert ErrorModel.power_decay(0.0, -400.0).norm_at(10**4) == 0.0
     # 2.0 ** 2000 overflows
     assert ErrorModel.geometric(0.0, 2.0).norm_at(2000) == 0.0
     assert ErrorModel.geometric(1e-300, 2.0).norm_at(2000) == math.inf

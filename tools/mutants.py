@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TIER1 = ("-m", "pytest", "-q", "-x", "--continue-on-collection-errors", "-p", "no:cacheprovider")
-TIMEOUT_S = 600  # tier-1 takes about 8 s; one that runs this long counts as failed
+TIMEOUT_S = 600  # tier-1 takes about 12 s; one that runs this long counts as failed
 SKIP = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", "*.egg-info", ".perfbench", ".benchmarks")
 
 
@@ -48,6 +48,8 @@ CLI = "src/kmsolve/cli.py"
 EXTREMES = "floor, ceiling, cap = float(lam.min()), float(lam.max()), float(al.max())"
 DELTA = "delta = drift + err_term + step_term"
 GUARD = "defined = 0.0 <= a_min and a_max < 1.0"
+FEJER_BOUND = "bound = d[:-1] + result.lambdas * result.err_norms"
+FEJER_SCALE = "(norm(result.problem.z_star) + bound)"
 
 MUTANTS = (
     Mutant("ceiling-is-min-lambda", CERT, EXTREMES, EXTREMES.replace("float(lam.max())", "float(lam.min())")),
@@ -85,11 +87,15 @@ MUTANTS = (
         "rhs_squared = (dist1 * dist1 + delta)",
         "rhs_squared = 2.0 * (dist1 * dist1 + delta)",
     ),
+    Mutant("quasi-fejer-without-error-allowance", CERT, FEJER_BOUND, "bound = d[:-1]"),
+    Mutant("quasi-fejer-no-slack", CERT, "d[1:] > bound + slack", "d[1:] > bound"),
+    Mutant("quasi-fejer-slack-unscaled", CERT, FEJER_SCALE, "1.0"),
+    Mutant("quasi-fejer-slack-without-error-scale", CERT, FEJER_SCALE, "(norm(result.problem.z_star) + d[:-1])"),
     Mutant(
-        "quasi-fejer-without-error-allowance",
+        "quasi-fejer-inertia-test-by-max",
         CERT,
-        "allowed = d[:-1] + result.lambdas * result.err_norms + _real(tol, \"tol\")",
-        "allowed = d[:-1] + _real(tol, \"tol\")",
+        "if np.any(result.alphas != 0.0):\n        raise ValueError(\"distance",
+        "if result.alphas.size and float(np.max(result.alphas)) != 0.0:\n        raise ValueError(\"distance",
     ),
     Mutant(
         "ceiling-without-alpha-delta",
