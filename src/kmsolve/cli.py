@@ -24,7 +24,11 @@ infinite value prints as null.
 The config schema, every key of the "problem", "schedule", "errors" and
 "engine" sections, is documented once, in the README's CLI section, and
 read by `problem_from_config`, `schedule_from_config`, `errors_from_config`
-and `_engine_options` below.
+and `_engine_options` below.  Scalar fields pass through `_real` and
+`_integer`, which add JSON-only readings (a numeric string, an integral
+float) to the library's checks.  Array fields go to the library as they
+are: its one array reader, `operators._as_array`, refuses a bad one by
+its parameter's name, and the parameters carry the fields' names.
 
 The per-iteration CSV has exactly the columns
 ``k,residual,err_norm,dist_to_star,delta_partial,min_residual_sq,rate_rhs``
@@ -44,7 +48,7 @@ import numpy as np
 from . import operators
 from .diagnostics import _min_residual_sq, consistency_report, rate_certificate
 from .engine import Problem, _check_options, iterate
-from .operators import as_point, make_affine, make_box_projection, make_identity, make_soft_threshold
+from .operators import make_affine, make_box_projection, make_identity, make_soft_threshold
 from .schedules import ErrorModel, constant_schedule, validate_schedule
 
 CSV_HEADER = "k,residual,err_norm,dist_to_star,delta_partial,min_residual_sq,rate_rhs"
@@ -108,35 +112,13 @@ def _real(value, name: str) -> float:
     return operators._real(value, name, "be a number")
 
 
-def _array(value, name: str) -> np.ndarray:
-    """`value` as np.asarray(value, dtype=float) reads it; a value it cannot read names the field."""
-    try:
-        return np.asarray(value, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"{name} must be an array of numbers: {exc}") from None
-
-
-def _number_array(value, name: str) -> np.ndarray:
-    """`value` as `_array` reads it, refusing a boolean entry at any depth, which numpy reads as 1 or 0."""
-    array = _array(value, name)
-    for entry in np.asarray(value, dtype=object).flat:
-        if entry is not None and not isinstance(entry, str):  # numpy reads null as NaN, a string as float() does
-            operators._real(entry, name, "be an array of numbers")
-    return array
-
-
 @_config_errors("bad problem: ")
 def problem_from_config(cfg: dict) -> Problem:
     kind = _require(cfg, "kind", "problem")
     if kind == "affine":
-        # shapes and finiteness are checked here first, so an error names the config field
-        matrix = _number_array(_require(cfg, "matrix", "problem"), "matrix")
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise ValueError(f"matrix must be a square matrix, got shape {matrix.shape}")
-        offset = _number_array(_require(cfg, "offset", "problem"), "offset")
         op = make_affine(
-            operators._as_matrix(matrix, "matrix"),
-            as_point(offset, dim=matrix.shape[0], name="offset"),
+            _require(cfg, "matrix", "problem"),
+            _require(cfg, "offset", "problem"),
             theta=_real(cfg.get("theta", 1.0), "theta"),
         )
     elif kind == "soft-threshold":
@@ -145,19 +127,12 @@ def problem_from_config(cfg: dict) -> Problem:
             _integer(_require(cfg, "dim", "problem"), "dim"),
         )
     elif kind == "box-projection":
-        op = make_box_projection(
-            _number_array(_require(cfg, "lo", "problem"), "lo"), _number_array(_require(cfg, "hi", "problem"), "hi")
-        )
+        op = make_box_projection(_require(cfg, "lo", "problem"), _require(cfg, "hi", "problem"))
     elif kind == "identity":
         op = make_identity(_integer(_require(cfg, "dim", "problem"), "dim"))
     else:
         raise ConfigError(f"unknown problem kind {kind!r}")
-    z_star = cfg.get("z_star")
-    return Problem(
-        operator=op,
-        z0=_number_array(_require(cfg, "z0", "problem"), "z0"),
-        z_star=None if z_star is None else _number_array(z_star, "z_star"),
-    )
+    return Problem(operator=op, z0=_require(cfg, "z0", "problem"), z_star=cfg.get("z_star"))
 
 
 @_config_errors("bad schedule: ")
@@ -188,10 +163,7 @@ def errors_from_config(cfg: dict | None) -> ErrorModel:
         magnitude = _real(_require(cfg, "magnitude", "errors"), "magnitude")
         return ErrorModel.geometric(magnitude, _real(ratio, "ratio"), seed)
     if kind == "custom-list":
-        norms = _require(cfg, "norms", "errors")
-        if _array(norms, "norms").ndim != 1:
-            raise ValueError(f"norms must be a list of numbers, got {norms!r}")
-        return ErrorModel.from_norms(norms, seed)
+        return ErrorModel.from_norms(_require(cfg, "norms", "errors"), seed)
     raise ConfigError(f"unknown error kind {kind!r}")
 
 

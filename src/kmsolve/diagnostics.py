@@ -91,10 +91,12 @@ def _min_residual_sq(residuals: np.ndarray) -> np.ndarray:
     return np.minimum.accumulate(residuals[1:] ** 2)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def rate_certificate(result: RunResult) -> RateCertificate:
     """Residual rate certificate for a finished run, or the reason there is none.
 
     Floor, ceiling and drift weight are the extremes of the recorded lambda_k and alpha_k of steps 1..n - 1.
+    A right-hand side that overflows or meets inf * 0, as a diverged run's may, bounds nothing and is refused.
     """
     n = result.iterations
     if n < 2:
@@ -121,6 +123,10 @@ def rate_certificate(result: RunResult) -> RateCertificate:
 
     dist1 = float(d[1])
     rhs_squared = (dist1 * dist1 + delta) / (kk * floor * (1.0 - ceiling))
+    unbounded = kk[~np.isfinite(rhs_squared)]
+    if unbounded.size:
+        reason = f"needs a finite right-hand side {steps} (first non-finite at k = {unbounded[0]})"
+        return RateCertificate(False, reason)
 
     return RateCertificate(
         valid=True,

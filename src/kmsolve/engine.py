@@ -94,10 +94,8 @@ class Problem:
 
     def __post_init__(self):
         object.__setattr__(self, "z0", as_point(self.z0, dim=self.operator.dim, name="z0"))
-        if self.z_star is not None:
-            object.__setattr__(
-                self, "z_star", as_point(self.z_star, dim=self.operator.dim, name="z_star")
-            )
+        if self.z_star is not None:  # measured against z0, which fits an operator of any dimension too
+            object.__setattr__(self, "z_star", as_point(self.z_star, dim=self.z0.shape[0], name="z_star"))
 
 
 @dataclass

@@ -6,9 +6,10 @@ claim; firmly nonexpansive maps (proximity operators, projections,
 resolvents) carry theta = 1/2.  The factories below declare the constant
 their construction guarantees, and make_affine certifies a caller's claim
 exactly.  An OperatorSpec built by hand carries its theta uncertified.
-Every module and the CLI check their arguments here: `_real` and
-`_integer` take scalars, `as_point` finite vectors and `_as_matrix` finite
-matrices, and a refusal names the argument.
+Every module and the CLI check their arguments here, and a refusal names
+the argument: `_real` and `_integer` take scalars, and `_as_array` is the
+one reader of arrays, whose two shapes are `as_point` (finite vectors)
+and `_as_matrix` (finite matrices).
 
 The built-in operators are closures that the loop calls on every step, so
 each binds its per-call scalars once, when it is built, as private
@@ -37,7 +38,7 @@ import numpy as np
 Point = np.ndarray
 
 # Rounding allowance for make_affine's certificate: the computed largest
-# singular value of an orthogonal or identity q may land a few ulps above 1.
+# singular value of an orthogonal or identity matrix may land a few ulps above 1.
 _SPECTRAL_SLACK = 1e-12
 
 
@@ -78,20 +79,37 @@ def _integer(value, name: str, rule: str = "be an integer", ok: Callable[[int], 
     raise ValueError(f"{name} must {rule}, got {value!r}")
 
 
-def as_point(x, dim: int | None = None, name: str = "point") -> Point:
-    """Coerce to a finite 1-D float64 vector, optionally checking length."""
+def _as_array(x, name: str) -> np.ndarray:
+    """`x` as a finite float64 array (`x` itself if it is one); else ValueError by name.
+
+    What np.asarray(x, dtype=float) reads, a string as float() reads it
+    included, except a boolean entry at any depth, which numpy reads as 1
+    or 0.  Only a numeric ndarray, which cannot hold one, skips the walk.
+    """
     try:
-        p = np.asarray(x, dtype=float)
-    except OverflowError:
+        a = np.asarray(x, dtype=float)
+    except OverflowError:  # an integer outside the float range
         raise ValueError(f"{name} contains an entry outside the float range") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name} must be an array of numbers: {exc}") from None
+    if not (isinstance(x, np.ndarray) and x.dtype.kind in "fiu"):
+        for entry in np.asarray(x, dtype=object).flat:
+            if isinstance(entry, (bool, np.bool_)):
+                raise ValueError(f"{name} must be an array of numbers, got {bool(entry)}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} contains non-finite entries")
+    return a
+
+
+def as_point(x, dim: int | None = None, name: str = "point") -> Point:
+    """`x` as a finite 1-D float64 vector (a number as one entry), optionally checking length."""
+    p = _as_array(x, name)
     if p.ndim == 0:
         p = p.reshape(1)
     if p.ndim != 1:
         raise ValueError(f"{name} must be a vector, got shape {p.shape}")
     if p.size == 0:
         raise ValueError(f"{name} must have at least one entry")
-    if not np.isfinite(p).all():
-        raise ValueError(f"{name} contains non-finite entries")
     if dim is not None and p.shape[0] != dim:
         raise ValueError(f"{name} has dimension {p.shape[0]}, expected {dim}")
     return p
@@ -99,14 +117,9 @@ def as_point(x, dim: int | None = None, name: str = "point") -> Point:
 
 def _as_matrix(x, name: str) -> np.ndarray:
     """`x` as a finite 2-D float64 array (`x` itself if it is one); else ValueError by name."""
-    try:
-        a = np.asarray(x, dtype=float)
-    except OverflowError:
-        raise ValueError(f"{name} contains an entry outside the float range") from None
+    a = _as_array(x, name)
     if a.ndim != 2:
         raise ValueError(f"{name} must be a matrix, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValueError(f"{name} contains non-finite entries")
     return a
 
 
@@ -199,25 +212,25 @@ def make_box_projection(lo, hi) -> OperatorSpec:
     return OperatorSpec(apply=apply, theta=0.5, dim=lo.shape[0])
 
 
-def make_affine(q, b, theta: float = 1.0) -> OperatorSpec:
-    """Affine map x -> q x + b, certified theta-averaged by an exact spectral norm.
+def make_affine(matrix, offset, theta: float = 1.0) -> OperatorSpec:
+    """Affine map x -> matrix x + offset, certified theta-averaged by an exact spectral norm.
 
-    The map is theta-averaged iff ||q - (1 - theta) I||_2 <= theta; at the
-    default theta = 1 that is nonexpansiveness, ||q||_2 <= 1, and a smaller
-    theta implies it.  The bound gets a 1e-12 rounding allowance for the
-    SVD, so an orthogonal q passes.
+    The map is theta-averaged iff ||matrix - (1 - theta) I||_2 <= theta; at
+    the default theta = 1 that is nonexpansiveness, ||matrix||_2 <= 1, and
+    a smaller theta implies it.  The bound gets a 1e-12 rounding allowance
+    for the SVD, so an orthogonal matrix passes.
 
-    The operator keeps private copies of q and b, so the certificate covers
-    the map it applies even if the caller changes its arrays later.  The
-    copy of q is C- or F-contiguous (np.array keeps the layout), and on
-    such a matrix `q.dot(x)` rounds exactly like `q @ x`; on a strided view
-    the two products can differ in the last bit, so a run on a view rounds
-    like one on its contiguous copy.
+    The operator keeps private copies of matrix and offset, so the
+    certificate covers the map it applies even if the caller changes its
+    arrays later.  The copy q of matrix is C- or F-contiguous (np.array
+    keeps the layout), and on such a matrix `q.dot(x)` rounds exactly like
+    `q @ x`; on a strided view the two products can differ in the last
+    bit, so a run on a view rounds like one on its contiguous copy.
     """
-    q = np.array(_as_matrix(q, "q"))
+    q = np.array(_as_matrix(matrix, "matrix"))
     if q.shape[0] != q.shape[1]:
-        raise ValueError("q must be a square matrix")
-    b = as_point(b, dim=q.shape[0], name="b").copy()
+        raise ValueError(f"matrix must be a square matrix, got shape {q.shape}")
+    b = as_point(offset, dim=q.shape[0], name="offset").copy()
 
     def apply(x):
         return q.dot(x) + b
@@ -227,7 +240,7 @@ def make_affine(q, b, theta: float = 1.0) -> OperatorSpec:
     cert = spectral_norm(q - (1.0 - spec.theta) * np.eye(q.shape[0]))
     if cert > spec.theta + _SPECTRAL_SLACK:
         raise ValueError(
-            f"spectral norm certificate failed: ||q - (1 - theta) I||_2 = {cert} "
+            f"spectral norm certificate failed: ||matrix - (1 - theta) I||_2 = {cert} "
             f"exceeds theta + 1e-12 at theta = {spec.theta}"
         )
     return spec

@@ -39,7 +39,7 @@ from typing import Callable
 
 import numpy as np
 
-from .operators import _integer, _real
+from .operators import _as_array, _integer, _real
 
 ERROR_KINDS = ("zero", "power-decay", "geometric", "custom-list")
 
@@ -133,9 +133,12 @@ class ErrorModel:
         if self.kind == "custom-list":
             if self.norms is None:
                 raise ValueError("custom-list law needs explicit norms")
-            object.__setattr__(self, "norms", tuple(_real(v, f"norms[{i}]") for i, v in enumerate(self.norms)))
-            if any((v < 0.0 or not math.isfinite(v)) for v in self.norms):
+            norms = _as_array(self.norms, "norms")
+            if norms.ndim != 1:
+                raise ValueError(f"norms must be a list of numbers, got {self.norms!r}")
+            if not (norms >= 0.0).all():
                 raise ValueError("custom norms must be finite and nonnegative")
+            object.__setattr__(self, "norms", tuple(norms.tolist()))
         elif self.norms is not None:
             raise ValueError(f"norms are only valid for custom-list, not {self.kind!r}")
 

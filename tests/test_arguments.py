@@ -1,4 +1,4 @@
-"""Every public scalar parameter is checked by name: one table, one rule.
+"""Every public scalar and array parameter is checked by name: one table each, one rule each.
 
 A real parameter refuses True, "1", None and an integer outside the float
 range; an integer parameter refuses True, "1" and None.  Each refusal is
@@ -7,9 +7,15 @@ a legal value (an operator without a dimension, a default, the absent
 regime-II pair), it is not tried.  A second test reads the signatures of
 everything `kmsolve` exports, so a new float or int parameter that is
 missing from the table fails by name.
+
+An array parameter refuses an entry that is a boolean, a string or other
+value float() cannot read, an integer outside the float range, NaN or
+None, with a ValueError whose message starts with "<parameter> must" or
+"<parameter> contains".
 """
 
 import inspect
+import math
 import re
 
 import numpy as np
@@ -28,11 +34,14 @@ from kmsolve import (
     lambda_ceiling_ii,
     lasso_fbs_pieces,
     make_affine,
+    make_box_projection,
     make_fb_composition,
     make_identity,
     make_soft_threshold,
     plant_lasso,
+    quadratic_gradient,
     solve_fbs,
+    spectral_norm,
     validate_schedule,
 )
 
@@ -83,7 +92,6 @@ SCALARS = {
     ("ErrorModel.geometric", "magnitude"): (lambda v: ErrorModel.geometric(v, 0.5), "real", False),
     ("ErrorModel.geometric", "ratio"): (lambda v: ErrorModel.geometric(0.1, v), "real", False),
     ("ErrorModel.geometric", "seed"): (lambda v: ErrorModel.geometric(0.1, 0.5, seed=v), "integer", False),
-    ("ErrorModel.from_norms", "norms[0]"): (lambda v: ErrorModel.from_norms([v]), "real", False),
     ("ErrorModel.from_norms", "seed"): (lambda v: ErrorModel.from_norms([0.1], seed=v), "integer", False),
     ("validate_schedule", "horizon"): (lambda v: validate_schedule(_schedule(), horizon=v), "integer", False),
     ("validate_schedule", "theta"): (lambda v: validate_schedule(_schedule(), theta=v), "real", False),
@@ -156,6 +164,36 @@ def test_the_table_covers_every_exported_float_and_int_parameter():
             for attr, member in vars(obj).items():
                 if not attr.startswith("_") and (inspect.isfunction(member) or isinstance(member, classmethod)):
                     found |= _scalar_parameters(f"{name}.{attr}", getattr(obj, attr))
-    listed = {key for key in SCALARS if not key[1].endswith("]")} | NOT_ARGUMENTS
+    listed = set(SCALARS) | NOT_ARGUMENTS
     assert sorted(found - listed) == []
     assert sorted(listed - found) == []
+
+
+# (callable, parameter): build with the bad entry placed in an otherwise good array
+ARRAYS = {
+    ("Problem", "z0"): lambda v: Problem(operator=make_identity(2), z0=[v, 0.0]),
+    ("Problem", "z_star"): lambda v: Problem(operator=make_identity(2), z0=[1.0, 0.0], z_star=[0.0, v]),
+    ("make_affine", "matrix"): lambda v: make_affine([[0.5, v], [0.0, 0.5]], [0.0, 0.0]),
+    ("make_affine", "offset"): lambda v: make_affine(0.5 * np.eye(2), [0.0, v]),
+    ("make_box_projection", "lo"): lambda v: make_box_projection([v, 0.0], [1.0, 1.0]),
+    ("make_box_projection", "hi"): lambda v: make_box_projection([0.0, 0.0], [1.0, v]),
+    ("quadratic_gradient", "m"): lambda v: quadratic_gradient([[1.0, v]], [0.0]),
+    ("quadratic_gradient", "b"): lambda v: quadratic_gradient([[1.0, 0.0]], [v]),
+    ("spectral_norm", "mat"): lambda v: spectral_norm([[1.0, v]]),
+    ("ErrorModel", "norms"): lambda v: ErrorModel(kind="custom-list", norms=(0.1, v)),
+    ("ErrorModel.from_norms", "norms"): lambda v: ErrorModel.from_norms([0.1, v]),
+}
+BAD_ENTRIES = {"True": True, "'a'": "a", "dict": {}, "huge": HUGE, "nan": math.nan, "None": None}
+
+
+@pytest.mark.parametrize(
+    "build, param, value",
+    [
+        pytest.param(build, param, value, id=f"{owner}-{param}-{label}")
+        for (owner, param), build in ARRAYS.items()
+        for label, value in BAD_ENTRIES.items()
+    ],
+)
+def test_a_bad_array_entry_is_refused_by_name(build, param, value):
+    with pytest.raises(ValueError, match=rf"^{re.escape(param)} (must|contains) "):
+        build(value)

@@ -439,7 +439,7 @@ def test_run_rejects_bad_input_before_iterating(tmp_path, monkeypatch):
         ({"errors": dict(geometric, ratio=True)}, "error: bad errors: ratio must be a number, got True"),
         ({"problem": dict(FEASIBLE["problem"], theta=True)}, "error: bad problem: theta must be a number, got True"),
         ({"problem": dict(soft, gamma=True, dim=2)}, "error: bad problem: gamma must be a number, got True"),
-        ({"errors": {"kind": "custom-list", "norms": [0.1, True]}}, "error: bad errors: norms[1] must be a real number, got True"),
+        ({"errors": {"kind": "custom-list", "norms": [0.1, True]}}, "error: bad errors: norms must be an array of numbers, got True"),
     ]
     # array fields name themselves when numpy cannot read them as float arrays
     affine = FEASIBLE["problem"]
@@ -460,7 +460,7 @@ def test_run_rejects_bad_input_before_iterating(tmp_path, monkeypatch):
     # shape and finiteness errors of the affine arrays name the config field
     bad_shapes = [
         ({"problem": dict(affine, matrix=[[0.5, 0.0, 1.0]])}, "error: bad problem: matrix must be a square matrix, got shape (1, 3)"),
-        ({"problem": dict(affine, matrix=[0.5, 0.0])}, "error: bad problem: matrix must be a square matrix, got shape (2,)"),
+        ({"problem": dict(affine, matrix=[0.5, 0.0])}, "error: bad problem: matrix must be a matrix, got shape (2,)"),
         ({"problem": dict(affine, offset=[1.0])}, "error: bad problem: offset has dimension 1, expected 2"),
         ({"problem": dict(affine, offset=[[1.0], [0.0]])}, "error: bad problem: offset must be a vector, got shape (2, 1)"),
         ({"problem": dict(affine, offset=[1.0, None])}, "error: bad problem: offset contains non-finite entries"),
@@ -488,6 +488,21 @@ def test_integral_floats_read_as_integers(tmp_path):
     expected = _main(["run", _write(tmp_path, ints, "ints.json")])
     assert expected[0] == 0
     assert _main(["run", _write(tmp_path, floats, "floats.json")]) == expected
+
+
+def test_every_array_field_reads_numeric_strings_alike(tmp_path):
+    # "norms": ["0.01", 0.001] exited 2 naming norms[0], while "z0": ["3.0", 2.0] ran
+    numbers = {
+        "problem": {"kind": "box-projection", "lo": [0.0, 0.0], "hi": [1.0, 1.0], "z0": [3.0, 2.0], "z_star": [1.0, 1.0]},
+        "schedule": {"alpha": 0.1, "lambda": 0.5},
+        "errors": {"kind": "custom-list", "norms": [0.01, 0.001], "seed": 3},
+    }
+    strings = json.loads(json.dumps(numbers))
+    for section, key in [("problem", "lo"), ("problem", "hi"), ("problem", "z0"), ("problem", "z_star"), ("errors", "norms")]:
+        strings[section][key] = [str(v) for v in numbers[section][key]]
+    expected = _main(["run", _write(tmp_path, numbers, "numbers.json")])
+    assert expected[0] == 0
+    assert _main(["run", _write(tmp_path, strings, "strings.json")]) == expected
 
 
 HUGE = 10**400  # a JSON integer that float() cannot convert
@@ -524,7 +539,7 @@ def test_numbers_outside_the_float_range_exit_two_by_name(tmp_path, monkeypatch)
         ({"errors": {"kind": "custom-list", "norms": [0.1, HUGE]}}, "bad errors: norms"),
     ]
     cases += [
-        (section, f"error: {field} must be an array of numbers: int too large to convert to float")
+        (section, f"error: {field} contains an entry outside the float range")
         for section, field in arrays
     ]
     for i, (section, message) in enumerate(cases):

@@ -1,6 +1,7 @@
 """Rate certificates, distance monotonicity checks, and run post-mortems."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -110,6 +111,19 @@ def test_certificate_holds_on_a_feasible_far_start():
     assert cert.min_residual_sq[0] == 90.25
     assert cert.rhs_squared[0] == 100.0
     assert cert.holds()
+
+
+def test_a_certificate_whose_bound_overflows_is_refused_without_a_warning():
+    # the distances overflow, so the error term meets inf * 0: the certificate read
+    # valid with a NaN bound, and numpy warned "invalid value encountered in multiply"
+    prob = Problem(operator=make_affine([[-1.0]], [0.0]), z0=[1.0], z_star=[0.0])
+    run = iterate(prob, constant_schedule(0.99, 0.99), max_iter=2000, divergence_norm=1e308)
+    assert (run.stop_reason, run.iterations) == ("diverged", 414)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cert = rate_certificate(run)
+    assert not cert.valid
+    assert cert.reason == "needs a finite right-hand side on steps 1..413 (first non-finite at k = 413)"
 
 
 def test_certificate_refusal_reasons():

@@ -788,6 +788,13 @@ def test_problem_validates_dimensions():
     op = make_affine(np.eye(2), np.zeros(2))
     with pytest.raises(ValueError):
         Problem(operator=op, z0=np.ones(2), z_star=np.ones(3))
+    # on an operator of any dimension z_star is checked against z0: a shorter one
+    # broadcast against every state, and a longer one failed after the run
+    anydim = OperatorSpec(apply=lambda x: x, theta=1.0, dim=None)
+    for z_star, got in (([0.0], 1), ([0.0, 0.0, 0.0], 3)):
+        with pytest.raises(ValueError, match=f"^z_star has dimension {got}, expected 2$"):
+            Problem(operator=anydim, z0=[1.0, 2.0], z_star=z_star)
+    assert Problem(operator=anydim, z0=[1.0, 2.0], z_star=[0.0, 0.0]).z_star.shape == (2,)
 
 
 def test_a_scalar_start_is_a_point_of_a_one_dimensional_problem():

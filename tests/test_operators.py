@@ -141,10 +141,31 @@ def test_a_vector_entry_outside_the_float_range_is_named():
             build()
 
 
+def test_a_boolean_entry_is_refused_in_any_container():
+    # numpy reads a boolean as 1 or 0: Problem(make_identity(2), [True, False]) used to run from [1, 0]
+    containers = [
+        [1.0, True],
+        [[0.5], [np.True_]],
+        np.array([True, False]),
+        np.array([1.0, True], dtype=object),  # an ndarray, but not a numeric one
+        False,
+    ]
+    for bad in containers:
+        with pytest.raises(ValueError, match="^z0 must be an array of numbers, got (True|False)$"):
+            as_point(bad, name="z0")
+    assert as_point(np.array([1, 0]), name="z0").tolist() == [1.0, 0.0]  # integers are numbers
+
+
+def test_a_float64_array_argument_is_read_as_it_is():
+    z = np.array([1.0, 2.0])
+    m = np.eye(2)
+    assert as_point(z, name="z0") is z and operators._as_matrix(m, "m") is m
+
+
 @pytest.mark.parametrize(
     "build, name",
     [
-        (lambda m: make_affine(m, [0.0]), "q"),
+        (lambda m: make_affine(m, [0.0]), "matrix"),
         (lambda m: quadratic_gradient(m, [0.0]), "m"),
         (spectral_norm, "mat"),
     ],

@@ -100,10 +100,7 @@ def test_error_model_names_a_value_that_is_not_a_real_number():
         (lambda: ErrorModel.geometric(None, 0.5), "magnitude"),
         (lambda: ErrorModel.geometric(0.1, None), "ratio"),
         (lambda: ErrorModel.geometric(0.1, True), "ratio"),
-        (lambda: ErrorModel.from_norms([0.1, "a"]), r"norms\[1\]"),
-        (lambda: ErrorModel.from_norms([False]), r"norms\[0\]"),
         (lambda: ErrorModel(kind="power-decay", magnitude=True, exponent=2.0), "magnitude"),
-        (lambda: ErrorModel(kind="custom-list", norms=(0.1, None)), r"norms\[1\]"),
     ]
     for build, name in bad:
         with pytest.raises(ValueError, match=f"^{name} must be a real number, got"):
@@ -160,7 +157,8 @@ def test_error_model_validation():
     [
         (lambda: ErrorModel(kind="bogus"), "unknown error kind 'bogus'"),
         (lambda: ErrorModel.from_norms([0.1, -1.0]), "custom norms must be finite and nonnegative"),
-        (lambda: ErrorModel.from_norms([math.inf]), "custom norms must be finite and nonnegative"),
+        (lambda: ErrorModel.from_norms([math.inf]), "norms contains non-finite entries"),
+        (lambda: ErrorModel.from_norms(5), "norms must be a list of numbers, got 5"),
         (lambda: ErrorModel.zero().norm_at(-1), "k must be nonnegative"),
         (lambda: emit_error(ErrorModel.power_decay(0.1, 2.0), -1, 4), "k must be nonnegative"),
         (lambda: emit_error(ErrorModel.power_decay(0.1, 2.0), 0, 0), "dim must be positive"),

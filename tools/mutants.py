@@ -163,6 +163,20 @@ MUTANTS = (
         "validate_schedule(schedule, theta=problem.operator.theta)",
         "validate_schedule(schedule)",
     ),
+    Mutant("array-boolean-entry-allowed", OPS, "if isinstance(entry, (bool, np.bool_)):", "if False:"),
+    Mutant(
+        "array-walk-skipped-for-any-ndarray",
+        OPS,
+        'if not (isinstance(x, np.ndarray) and x.dtype.kind in "fiu"):',
+        "if not isinstance(x, np.ndarray):",
+    ),
+    Mutant(
+        "z-star-length-unchecked",
+        ENGINE,
+        'as_point(self.z_star, dim=self.z0.shape[0], name="z_star")',
+        'as_point(self.z_star, dim=self.operator.dim, name="z_star")',
+    ),
+    Mutant("certificate-nonfinite-rhs-allowed", CERT, "    if unbounded.size:\n", "    if False:\n"),
     Mutant("resolvent-theta-exactly-half", APPS, "if resolvent.theta > 0.5:", "if resolvent.theta != 0.5:"),
     Mutant("fb-resolvent-theta-exactly-half", OPS, "if resolvent.theta > 0.5:", "if resolvent.theta != 0.5:"),
     Mutant(
