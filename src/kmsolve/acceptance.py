@@ -463,7 +463,7 @@ def criterion_7() -> tuple[bool, str]:
 
 
 def criterion_8() -> tuple[bool, str]:
-    """No fixed point means no convergence claim; divergent error laws get flagged."""
+    """No fixed point means no convergence claim; divergent error laws get flagged, undeclared sums never pass."""
     # z -> z + v with v != 0: nonexpansive, fixed-point free
     rng = np.random.default_rng(808)
     v = 0.01 * _unit(rng, 8)
@@ -476,6 +476,19 @@ def criterion_8() -> tuple[bool, str]:
     )
     report = consistency_report(run)
     floor = float(np.min(run.residuals))
+
+    # a perturb callback declares no law.  Harmonic errors leave a finite partial sum, which no run
+    # settles; an exact evaluation that records an error bound of 1e308 a step overflows the sum
+    t, u = prob.operator.apply, _unit(rng, 8)
+    harmonic = iterate(
+        prob,
+        constant_schedule(0.0, 0.5),
+        perturb=lambda mu, k: (t(mu), t(mu) + (1e-2 / (k + 1)) * u, 1e-2 / (k + 1)),
+        max_iter=5000,
+    )
+    overflow = iterate(prob, constant_schedule(0.0, 0.5), perturb=lambda mu, k: (t(mu), t(mu), 1e308), max_iter=8)
+    reports = [consistency_report(r) for r in (harmonic, overflow)]
+    undeclared = [(r.item("weighted-error-sum").verdict, r.verdict) for r in reports]
     passed = (
         run.stop_reason == "max-iter"
         and not run.converged
@@ -483,11 +496,13 @@ def criterion_8() -> tuple[bool, str]:
         and run.errors[0].summability == "not-guaranteed"
         and report.item("weighted-error-sum").verdict == "not-consistent"
         and report.verdict == "not-consistent"
+        and undeclared == [("unjudged", "unjudged"), ("not-consistent", "not-consistent")]
     )
     return (
         passed,
         f"stop={run.stop_reason}, residual floor {floor:.1e}, "
-        f"error-sum verdict {report.item('weighted-error-sum').verdict}",
+        f"error-sum verdict {report.item('weighted-error-sum').verdict}; undeclared harmonic errors "
+        f"{undeclared[0][0]}, undeclared overflowing errors {undeclared[1][0]}",
     )
 
 

@@ -36,6 +36,7 @@ from .operators import (
     _fb_value,
     _integer,
     _real,
+    as_point,
     make_box_projection,
     make_fb_composition,
     make_soft_threshold,
@@ -202,11 +203,14 @@ def box_intersection_pieces(lo1, hi1, lo2, hi2) -> tuple[OperatorSpec, IsmOperat
     The first box enters through its projection (the resolvent); the
     second through the 1-cocoercive displacement map x - P2 x.  With
     rho = 1 the composition is P1 after P2, averaged with theta = 2/3.
+    A refusal names the bound, lo1 to hi2, that it refuses.
     """
-    p1 = make_box_projection(lo1, hi1)
-    p2 = make_box_projection(lo2, hi2)
-    if p1.dim != p2.dim:
-        raise ValueError(f"box dimensions differ: {p1.dim} vs {p2.dim}")
+    lo1 = as_point(lo1, name="lo1")
+    hi1, lo2, hi2 = (as_point(x, dim=lo1.shape[0], name=n) for x, n in ((hi1, "hi1"), (lo2, "lo2"), (hi2, "hi2")))
+    for n, lo, hi in (("1", lo1, hi1), ("2", lo2, hi2)):
+        if not (lo <= hi).all():
+            raise ValueError(f"box bounds require lo{n} <= hi{n} componentwise")
+    p1, p2 = make_box_projection(lo1, hi1), make_box_projection(lo2, hi2)
     p2_apply = p2.apply
     forward = IsmOperator(apply=lambda x: x - p2_apply(x), beta=1.0)
     return p1, forward

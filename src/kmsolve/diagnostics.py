@@ -10,7 +10,7 @@ Three layers, all computed from recorded run quantities:
   32 eps (||z*|| + ||z^k - z*|| + lambda_k ||e^k||);
 * a consistency report for the hypotheses that validation deferred to
   runtime (summable weighted errors, summable inertia-weighted squared
-  steps, bounded iterates).
+  steps, bounded iterates), unjudged where no finite run settles a sum.
 
 The certificate bounds the best residual seen so far:
 
@@ -191,12 +191,13 @@ class ConsistencyReport:
     items: tuple[ConsistencyItem, ...]
 
     @property
-    def consistent(self) -> bool:
-        return all(i.verdict == "consistent" for i in self.items)
-
-    @property
     def verdict(self) -> str:
-        return "consistent" if self.consistent else "not-consistent"
+        """not-consistent if any item is, consistent if all are, else unjudged."""
+        verdicts = {i.verdict for i in self.items}
+        for v in ("not-consistent", "unjudged"):
+            if v in verdicts:
+                return v
+        return "consistent"
 
     def item(self, name: str) -> ConsistencyItem:
         for i in self.items:
@@ -208,42 +209,23 @@ class ConsistencyReport:
         return {"verdict": self.verdict, "items": [asdict(i) for i in self.items]}
 
 
-def _tail_verdict(partial: np.ndarray) -> tuple[str, str]:
-    """Crude convergence heuristic on a partial-sum curve.
-
-    Compares the mass added over the last half against the preceding
-    quarter; a divergent-log curve adds about the same over both, a
-    convergent one markedly less.  Conservative: slowly convergent series
-    can be flagged.  Used only when no declared law is available.  A
-    non-finite total is flagged; under 8 steps the tail is not judged.
-    """
-    n = partial.size
-    total = float(partial[-1]) if n else 0.0
-    if not math.isfinite(total):
-        return "not-consistent", "non-finite total"
-    if total <= 1e-12:
-        return "consistent", "negligible total"
-    if n < 8:
-        return "consistent", f"too few steps ({n}) to judge the tail"
-    i1 = float(partial[-1] - partial[n // 2 - 1])
-    i2 = float(partial[n // 2 - 1] - partial[n // 4 - 1])
-    if i1 <= max(1e-12, 1e-9 * total):
-        return "consistent", "tail increment negligible"
-    if i1 >= 0.8 * i2:
-        return "not-consistent", f"tail not flattening (last-half gain {i1:.3g} vs prior {i2:.3g})"
-    return "consistent", "tail flattening"
+def _series_item(name: str, total: float, why: str) -> ConsistencyItem:
+    """A deferred series at its partial sum: not-consistent if that is non-finite, else unjudged for `why`."""
+    if math.isfinite(total):
+        return ConsistencyItem(name, total, "unjudged", why)
+    return ConsistencyItem(name, total, "not-consistent", "non-finite total")
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def consistency_report(result: RunResult) -> ConsistencyReport:
-    """Verdicts for the hypotheses deferred to runtime.
+    """Verdicts for the hypotheses deferred to runtime, from what the run shows.
 
-    The weighted-error item is consistent when every declared error law
-    is summable; without one, and always for the inertia term, a tail
-    heuristic on the partial sums decides.  Verdicts describe hypothesis
-    consistency, not convergence of the run itself.  A sum that meets an
-    infinite parameter (inf * 0 is NaN) has a non-finite total, which is
-    flagged, without a numpy warning.
+    The weighted-error item is judged by the declared error laws, and the
+    inertia item is consistent without inertia.  Otherwise a sum reports
+    its partial sum: not-consistent if that is non-finite (an overflow, or
+    inf * 0, without a numpy warning), else unjudged, because no finite
+    run proves or refutes a series.  Verdicts describe the hypotheses, not
+    the run's convergence.
     """
     items = []
 
@@ -257,37 +239,23 @@ def consistency_report(result: RunResult) -> ConsistencyReport:
         )
     )
 
+    # totals are the last left-to-right partial sums: np.sum adds pairwise and may round differently
     # without inertia the sum is 0 by definition; summing would meet 0 * inf on a diverged run
     if np.any(result.alphas != 0.0):
-        s1 = np.cumsum(result.alphas * result.step_norms**2)
-        value1 = float(s1[-1])
-        v1, d1 = _tail_verdict(s1)
+        s1 = float(np.cumsum(result.alphas * result.step_norms**2)[-1])
+        items.append(_series_item("inertia-weighted-step-sum", s1, "no finite run settles the series"))
     else:
-        value1, v1, d1 = 0.0, "consistent", "no inertia"
-    items.append(
-        ConsistencyItem(
-            name="inertia-weighted-step-sum",
-            value=value1,
-            verdict=v1,
-            detail=d1,
-        )
-    )
+        items.append(ConsistencyItem("inertia-weighted-step-sum", 0.0, "consistent", "no inertia"))
 
-    s2 = np.cumsum(result.lambdas * result.err_norms)
+    s2 = float(np.cumsum(result.lambdas * result.err_norms)[-1]) if result.iterations else 0.0
     if result.errors:
         laws = [m.summability for m in result.errors]
         v2 = "consistent" if all(summ == "summable" for summ in laws) else "not-consistent"
         d2 = f"declared error law is {laws[0]}" if len(laws) == 1 else f"declared error laws are {', '.join(laws)}"
-    elif s2.size == 0 or float(s2[-1]) == 0.0:
-        v2, d2 = "consistent", "no errors recorded"
+        items.append(ConsistencyItem("weighted-error-sum", s2, v2, d2))
+    elif s2 == 0.0:
+        items.append(ConsistencyItem("weighted-error-sum", s2, "consistent", "no errors recorded"))
     else:
-        v2, d2 = _tail_verdict(s2)
-    items.append(
-        ConsistencyItem(
-            name="weighted-error-sum",
-            value=float(s2[-1]) if s2.size else 0.0,
-            verdict=v2,
-            detail=d2,
-        )
-    )
+        why = "no declared error law, and no finite run settles the series"
+        items.append(_series_item("weighted-error-sum", s2, why))
     return ConsistencyReport(items=tuple(items))

@@ -270,8 +270,10 @@ def test_box_intersection_composition_is_the_projection_product():
         p2 = np.clip(x, lo2, hi2)
         # x - rho*(x - p2) reassociates, so allow one ulp of drift
         assert np.allclose(comp(x), np.clip(p2, lo1, hi1), rtol=0, atol=1e-14)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^lo2 has dimension 3, expected 4$"):
         box_intersection_pieces(lo1, hi1, np.zeros(3), np.ones(3))
+    with pytest.raises(ValueError, match="^box bounds require lo2 <= hi2 componentwise$"):
+        box_intersection_pieces(lo1, hi1, hi2, lo2)
 
 
 def test_box_intersection_solve_lands_in_both_boxes():

@@ -28,6 +28,7 @@ from kmsolve import (
     OperatorSpec,
     ParamSchedule,
     Problem,
+    box_intersection_pieces,
     constant_schedule,
     delta_threshold,
     iterate,
@@ -177,6 +178,10 @@ ARRAYS = {
     ("make_affine", "offset"): lambda v: make_affine(0.5 * np.eye(2), [0.0, v]),
     ("make_box_projection", "lo"): lambda v: make_box_projection([v, 0.0], [1.0, 1.0]),
     ("make_box_projection", "hi"): lambda v: make_box_projection([0.0, 0.0], [1.0, v]),
+    ("box_intersection_pieces", "lo1"): lambda v: box_intersection_pieces([v, 0.0], [1.0, 1.0], [0.0, 0.0], [1.0, 1.0]),
+    ("box_intersection_pieces", "hi1"): lambda v: box_intersection_pieces([0.0, 0.0], [1.0, v], [0.0, 0.0], [1.0, 1.0]),
+    ("box_intersection_pieces", "lo2"): lambda v: box_intersection_pieces([0.0, 0.0], [1.0, 1.0], [v, 0.0], [1.0, 1.0]),
+    ("box_intersection_pieces", "hi2"): lambda v: box_intersection_pieces([0.0, 0.0], [1.0, 1.0], [0.0, 0.0], [1.0, v]),
     ("quadratic_gradient", "m"): lambda v: quadratic_gradient([[1.0, v]], [0.0]),
     ("quadratic_gradient", "b"): lambda v: quadratic_gradient([[1.0, 0.0]], [v]),
     ("spectral_norm", "mat"): lambda v: spectral_norm([[1.0, v]]),

@@ -48,7 +48,8 @@ def test_run_converges_and_reports(tmp_path):
     assert data["stop_reason"] == "residual-tol"
     assert data["feasibility"]["feasible"] is True
     assert data["certificate"]["valid"] is True
-    assert data["consistency"]["verdict"] == "consistent"
+    # an inertial run: its inertia sum is a series, which no finite run settles
+    assert data["consistency"]["verdict"] == "unjudged"
 
 
 def test_engine_route_key_is_ignored(tmp_path):
@@ -153,6 +154,18 @@ def test_run_without_solution_names_why_the_certificate_is_missing(tmp_path):
     data = json.loads(out)
     assert data["certificate"] == {"valid": False, "reason": "needs a known solution"}
     assert data["final_dist"] is None
+
+
+def test_an_inertial_run_without_solution_reads_unjudged_and_exits_zero(tmp_path):
+    cfg = json.loads(json.dumps(FEASIBLE))
+    del cfg["problem"]["z_star"]
+    code, out, _ = _main(["run", _write(tmp_path, cfg)])
+    assert code == 0
+    consistency = json.loads(out)["consistency"]
+    items = {item["name"]: item for item in consistency["items"]}
+    assert consistency["verdict"] == items["inertia-weighted-step-sum"]["verdict"] == "unjudged"
+    assert items["inertia-weighted-step-sum"]["detail"] == "no finite run settles the series"
+    assert items["bounded-iterates"]["verdict"] == items["weighted-error-sum"]["verdict"] == "consistent"
 
 
 def test_run_prints_the_library_certificate_on_every_run(tmp_path):

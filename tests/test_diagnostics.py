@@ -9,7 +9,8 @@ import pytest
 
 from kmsolve.applications import lasso_fbs_pieces, plant_lasso, solve_fbs
 from kmsolve.diagnostics import (
-    _tail_verdict,
+    ConsistencyItem,
+    ConsistencyReport,
     consistency_report,
     quasi_fejer_violations,
     rate_certificate,
@@ -357,11 +358,15 @@ def test_quasi_fejer_slack_scales_with_the_error_term():
 
 
 def test_consistency_report_clean_run():
+    # bounded, exact and inertial: the inertia sum is a series, which the converged run cannot settle
     run = iterate(_contraction(seed=28), constant_schedule(0.2, 0.6), max_iter=100_000)
     rep = consistency_report(run)
-    assert rep.consistent
-    assert rep.verdict == "consistent"
+    assert run.converged and rep.verdict == "unjudged"
     assert rep.item("bounded-iterates").verdict == "consistent"
+    assert rep.item("weighted-error-sum").detail == "no errors recorded"
+    inertia = rep.item("inertia-weighted-step-sum")
+    assert inertia.value == float(np.cumsum(run.alphas * run.step_norms**2)[-1]) > 0.0
+    assert (inertia.verdict, inertia.detail) == ("unjudged", "no finite run settles the series")
     assert {i.name for i in rep.items} == {
         "bounded-iterates",
         "inertia-weighted-step-sum",
@@ -380,7 +385,6 @@ def test_consistency_report_flags_divergent_error_law():
     rep = consistency_report(run)
     assert rep.item("weighted-error-sum").verdict == "not-consistent"
     assert rep.verdict == "not-consistent"
-    assert not rep.consistent
 
 
 @pytest.mark.parametrize(
@@ -421,21 +425,27 @@ def test_run_errors_are_the_declared_laws():
     assert iterate(prob, constant_schedule(0.0, 0.5), perturb=lambda mu, k: (t(mu), t(mu), 0.0), max_iter=3).errors == ()
 
 
-def test_a_perturb_run_with_recorded_errors_gets_the_tail_verdict():
-    # a perturb callback declares no law, so its recorded error norms are judged by their partial sums
+def test_a_perturb_run_with_recorded_errors_is_unjudged_unless_its_sum_overflows():
+    # a perturb callback declares no law: a divergent, a summable and an overflowing sum of its
+    # recorded error norms; only the last is a partial sum no convergent series can have
     prob = Problem(operator=make_identity(2), z0=[1.0, 0.0])
     t = prob.operator.apply
+    unjudged = ("unjudged", "no declared error law, and no finite run settles the series")
     cases = [
-        (lambda k: 1.0 / (k + 1), "not-consistent", "tail not flattening (last-half gain 0.343 vs prior 0.339)"),
-        (lambda k: 2.0**-k, "consistent", "tail increment negligible"),
+        (lambda k: 1.0 / (k + 1), unjudged),
+        (lambda k: 2.0**-k, unjudged),
+        (lambda k: 1e308, ("not-consistent", "non-finite total")),
     ]
-    for law, verdict, detail in cases:
+    for law, verdict in cases:
         run = iterate(
             prob, constant_schedule(0.0, 0.5), perturb=lambda mu, k: (t(mu), t(mu), law(k)), tol=-1.0, max_iter=64
         )
         assert run.errors == () and run.err_norms[1] > 0.0
-        item = consistency_report(run).item("weighted-error-sum")
-        assert (item.verdict, item.detail) == (verdict, detail)
+        rep = consistency_report(run)
+        item = rep.item("weighted-error-sum")
+        assert (item.verdict, item.detail) == verdict and rep.verdict == verdict[0]
+        with np.errstate(over="ignore"):
+            assert item.value == float(np.cumsum(run.lambdas * run.err_norms)[-1])
 
 
 def test_consistency_report_item_of_an_unknown_name_raises():
@@ -468,8 +478,8 @@ def test_consistency_report_on_a_zero_inertia_overflow():
     [
         # the state overflows in 5 steps, so the inertia-weighted sum is inf
         (1e-3, 1e40, 5, "not-consistent", "non-finite total"),
-        # a geometric law with ratio above 1 (1e-3 * 2^k) stops at the budget of 6 steps
-        (1e-3, 2.0, 6, "consistent", "too few steps (6) to judge the tail"),
+        # a geometric law with ratio above 1 (1e-3 * 2^k) stops at the budget of 6 steps, its sum finite
+        (1e-3, 2.0, 6, "unjudged", "no finite run settles the series"),
     ],
 )
 def test_inertia_verdict_on_a_short_run(magnitude, ratio, steps, verdict, detail):
@@ -488,16 +498,20 @@ def test_inertia_verdict_on_a_short_run(magnitude, ratio, steps, verdict, detail
 
 
 @pytest.mark.parametrize(
-    "gain, verdict, detail",
+    "verdicts, verdict",
     [
-        (0.799, "consistent", "tail flattening"),
-        (0.801, "not-consistent", "tail not flattening (last-half gain 0.801 vs prior 1)"),
+        (("consistent", "consistent", "consistent"), "consistent"),
+        (("consistent", "unjudged", "consistent"), "unjudged"),
+        (("unjudged", "unjudged", "unjudged"), "unjudged"),
+        (("consistent", "consistent", "not-consistent"), "not-consistent"),
+        (("not-consistent", "unjudged", "consistent"), "not-consistent"),
+        (("unjudged", "not-consistent", "not-consistent"), "not-consistent"),
     ],
 )
-def test_tail_verdict_flags_a_last_half_gain_of_four_fifths_of_the_prior_quarter(gain, verdict, detail):
-    # eight partial sums: the quarter before the last half adds 1, the last half adds `gain`
-    partial = np.array([0.0, 0.0, 0.5, 1.0, 1.0, 1.0, 1.0, 1.0 + gain])
-    assert _tail_verdict(partial) == (verdict, detail)
+def test_report_verdict_is_its_worst_item_verdict(verdicts, verdict):
+    # any refuted item refutes the report; an unjudged one keeps it from reading consistent
+    report = ConsistencyReport(tuple(ConsistencyItem(f"item-{i}", 0.0, v, "") for i, v in enumerate(verdicts)))
+    assert report.verdict == report.to_dict()["verdict"] == verdict
 
 
 def test_consistency_to_dict():

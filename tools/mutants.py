@@ -59,7 +59,6 @@ MUTANTS = (
     # only the literal recomputation of the certificate kills this one: no run of criterion 7 needs the
     # term to hold its bound, though the proof does
     Mutant("no-drift-term", CERT, DELTA, "delta = err_term + step_term"),
-    Mutant("tail-verdict-at-half", CERT, "if i1 >= 0.8 * i2:", "if i1 >= 0.5 * i2:"),
     Mutant(
         "ceiling-from-min-alpha",
         SCHED,
@@ -177,6 +176,13 @@ MUTANTS = (
         'as_point(self.z_star, dim=self.operator.dim, name="z_star")',
     ),
     Mutant("certificate-nonfinite-rhs-allowed", CERT, "    if unbounded.size:\n", "    if False:\n"),
+    Mutant(
+        "report-counts-unjudged-as-consistent",
+        CERT,
+        'for v in ("not-consistent", "unjudged"):',
+        'for v in ("not-consistent",):',
+    ),
+    Mutant("nonfinite-partial-sum-unjudged", CERT, "    if math.isfinite(total):\n", "    if True:\n"),
     Mutant("resolvent-theta-exactly-half", APPS, "if resolvent.theta > 0.5:", "if resolvent.theta != 0.5:"),
     Mutant("fb-resolvent-theta-exactly-half", OPS, "if resolvent.theta > 0.5:", "if resolvent.theta != 0.5:"),
     Mutant(
