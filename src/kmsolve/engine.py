@@ -73,7 +73,7 @@ from typing import Callable
 
 import numpy as np
 
-from .operators import OperatorSpec, _integer, _real, as_point, norm
+from .operators import OperatorSpec, _integer, _real, _row_norms, as_point, norm
 from .schedules import ErrorModel, ParamSchedule, _block_rows, emit_error
 
 PerturbFn = Callable[[np.ndarray, int], tuple[np.ndarray, np.ndarray, float]]
@@ -161,14 +161,13 @@ def _model_perturb(model: ErrorModel, apply_op, dim: int) -> PerturbFn:
 
 
 def _distances(points: list[np.ndarray], z_star: np.ndarray) -> np.ndarray:
-    """||p - z_star|| for each p in `points` as a float64 array, bit for bit sqrt(x.dot(x)) per point.
+    """norm(p - z_star) for each p in `points` as a float64 array, bit for bit (see `_row_norms`).
 
-    Not einsum or (x * x).sum(1): they add the squares in another order.
     The subtraction is in place, so a block allocates one (B, n) array.
     """
     x = np.array(points)
     x -= z_star
-    return np.sqrt(np.matmul(x[:, None, :], x[:, :, None])).ravel()
+    return _row_norms(x)
 
 
 def _check_options(**opts) -> None:

@@ -138,6 +138,15 @@ def norm(a) -> float:
         return norm(np.asarray(a))
 
 
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """norm(row) for each row of the 2-D float64 array `x`, bit for bit, as a 1-D array.
+
+    A batched matmul adds each row's squares in row.dot(row)'s order;
+    einsum and (x * x).sum(1) add them in another.
+    """
+    return np.sqrt(np.matmul(x[:, None, :], x[:, :, None])).ravel()
+
+
 @dataclass(frozen=True)
 class OperatorSpec:
     """A (claimed) nonexpansive operator with declared averagedness constant."""
@@ -174,10 +183,12 @@ def spectral_norm(mat) -> float:
 
     Exact up to floating-point rounding.  make_affine and quadratic_gradient
     need an upper bound on ||mat||_2, which an estimate converging from
-    below (power iteration) cannot give.  Raises ValueError for non-matrices
-    and for non-finite entries, on every call.
+    below (power iteration) cannot give.  The value is np.linalg.norm(mat, 2)
+    bit for bit: the same SVD and the same maximum with initial 0, without
+    norm's dispatch, so an empty matrix reads 0.0.  Raises ValueError for
+    non-matrices and for non-finite entries, on every call.
     """
-    return float(np.linalg.norm(_as_matrix(mat, "mat"), 2))
+    return float(np.linalg.svd(_as_matrix(mat, "mat"), compute_uv=False).max(initial=0.0))
 
 
 def make_identity(dim: int) -> OperatorSpec:
@@ -236,8 +247,11 @@ def make_affine(matrix, offset, theta: float = 1.0) -> OperatorSpec:
         return q.dot(x) + b
 
     spec = OperatorSpec(apply=apply, theta=theta, dim=q.shape[0])
-    # at theta = 1 the shift is exactly 0, so the certificate is ||q||_2 itself
-    cert = spectral_norm(q - (1.0 - spec.theta) * np.eye(q.shape[0]))
+    # q - (1 - theta) I bit for bit: off the diagonal q_ij - 0.0 is q_ij, signed
+    # zeros included, so only the diagonal of a copy is shifted (by 0 at theta = 1)
+    shifted = q.copy()
+    shifted.flat[:: q.shape[0] + 1] -= 1.0 - spec.theta
+    cert = spectral_norm(shifted)
     if cert > spec.theta + _SPECTRAL_SLACK:
         raise ValueError(
             f"spectral norm certificate failed: ||matrix - (1 - theta) I||_2 = {cert} "

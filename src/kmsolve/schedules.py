@@ -39,7 +39,7 @@ from typing import Callable
 
 import numpy as np
 
-from .operators import _as_array, _integer, _real
+from .operators import _as_array, _integer, _real, _row_norms
 
 ERROR_KINDS = ("zero", "power-decay", "geometric", "custom-list")
 
@@ -226,8 +226,7 @@ def emit_error(model: ErrorModel, k: int, dim: int, cache: dict | None = None) -
     lo = k - k % b
     seq = np.random.SeedSequence(entropy=model.seed, spawn_key=(k // b,))
     block = np.random.default_rng(seq).standard_normal((b, dim))
-    # the bits of sqrt(d.dot(d)) per row d: see engine._distances
-    norms = np.sqrt(np.matmul(block[:, None, :], block[:, :, None])).ravel()
+    norms = _row_norms(block)
     flat = norms == 0.0  # an all-zero row falls back to the first unit vector
     if flat.any():
         block[flat] = 0.0

@@ -203,23 +203,32 @@ def test_ism_operator_requires_positive_finite_beta():
 
 def test_spectral_norm_matches_dense_svd():
     rng = np.random.default_rng(1)
-    for _ in range(10):
-        m = rng.standard_normal((rng.integers(2, 12), rng.integers(2, 12)))
-        assert spectral_norm(m) == np.linalg.norm(m, 2)  # fresh
-        assert spectral_norm(m) == np.linalg.norm(m, 2)  # repeated
+    mats = [rng.standard_normal((rng.integers(2, 12), rng.integers(2, 12))) for _ in range(10)]
+    m = rng.standard_normal((7, 7))
+    signed = m.copy()
+    signed[::2, 1::2] = -0.0
+    signed[1::2, ::2] = 0.0
+    mats += [np.asfortranarray(m), signed, np.asfortranarray(signed), 1e150 * m, 1e-150 * m]
+    mats += [rng.standard_normal((13, 3)), rng.standard_normal((3, 13)), np.asfortranarray(rng.standard_normal((9, 2)))]
+    for m in mats:
+        want = float(np.linalg.norm(m, 2)).hex()
+        assert spectral_norm(m).hex() == want  # fresh
+        assert spectral_norm(m).hex() == want  # repeated
+    for shape in ((0, 3), (3, 0)):
+        assert spectral_norm(np.empty(shape)).hex() == (0.0).hex()
 
 
 def _count_svds(monkeypatch):
-    """Count np.linalg.norm calls from here on; returns (calls, the unwrapped norm)."""
+    """Count np.linalg.svd calls from here on; returns (calls, np.linalg.norm as the reference for sigma)."""
     calls = []
-    real = np.linalg.norm
+    svd = np.linalg.svd
 
     def counting(*args, **kwargs):
         calls.append(args)
-        return real(*args, **kwargs)
+        return svd(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "norm", counting)
-    return calls, real
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return calls, np.linalg.norm
 
 
 def _reset_gradient_memo():
@@ -443,6 +452,46 @@ def test_affine_certificate_refuses_a_false_averagedness_claim():
     assert validate_schedule(sched, theta=0.5).feasible
     run = iterate(Problem(operator=unchecked, z0=np.ones(3)), sched)
     assert (run.stop_reason, run.iterations) == ("diverged", 27)
+
+
+def _affine_certificate_table():
+    """Seeded (q, theta) cases; per theta and size, some with ||q - (1 - theta) I||_2 placed
+    just inside or just outside theta + 1e-12, in C and F order, with off-diagonal signed zeros."""
+    rng = np.random.default_rng(3300)
+    thetas = [1.0, 0.5] + [float(t) for t in rng.uniform(0.01, 1.0, 3)]
+    for theta in thetas:
+        for n in (1, 2, 5, 8, 17):
+            for target in (0.5 * theta, theta + 1e-12 - 4e-15, theta + 1e-12, theta + 1e-12 + 4e-15, 2.0 * theta):
+                a = rng.standard_normal((n, n))
+                off = ~np.eye(n, dtype=bool)
+                a[off & (rng.random((n, n)) < 0.2)] = 0.0
+                a[off & (rng.random((n, n)) < 0.2)] = -0.0
+                q = a * (target / np.linalg.norm(a, 2))
+                q.flat[:: n + 1] += 1.0 - theta
+                yield q if n % 2 else np.asfortranarray(q), theta
+
+
+def test_affine_certificate_is_the_dense_shifted_norm_bit_for_bit():
+    rng = np.random.default_rng(3301)
+    decisions = set()
+    for q, theta in _affine_certificate_table():
+        n = q.shape[0]
+        before = q.copy()
+        cert = float(np.linalg.norm(q - (1.0 - theta) * np.eye(n), 2))
+        b = rng.standard_normal(n)
+        if cert > theta + 1e-12:
+            with pytest.raises(ValueError, match="certificate failed") as err:
+                make_affine(q, b, theta=theta)
+            assert f"||matrix - (1 - theta) I||_2 = {cert} exceeds" in str(err.value)
+        else:
+            op = make_affine(q, b, theta=theta)
+            if theta < 1.0:
+                for _ in range(3):
+                    x = rng.standard_normal(n)
+                    assert op(x).tobytes() == (q @ x + b).tobytes()
+        assert q.tobytes() == before.tobytes()  # the caller's matrix is unchanged
+        decisions.add((theta < 1.0, cert > theta + 1e-12))
+    assert decisions == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def test_non_finite_matrices_are_rejected_when_built():

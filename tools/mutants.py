@@ -116,6 +116,14 @@ MUTANTS = (
         "np.array_equal(mt.T.view(np.uint64), m.view(np.uint64))",
         "np.array_equal(mt.T, m)",
     ),
+    Mutant(
+        "affine-shift-on-every-entry",
+        OPS,
+        "shifted.flat[:: q.shape[0] + 1] -= 1.0 - spec.theta",
+        "shifted -= 1.0 - spec.theta",
+    ),
+    Mutant("affine-shift-written-into-q", OPS, "shifted = q.copy()", "shifted = q"),
+    Mutant("spectral-norm-smallest-value", OPS, "compute_uv=False).max(initial=0.0)", "compute_uv=False).min()"),
     Mutant("gradient-memo-writable-copy", OPS, "        mt.flags.writeable = False\n", ""),
     # np.ascontiguousarray(m.T) is a view of an F-ordered m, so the memo would follow the caller's later edits
     Mutant(
@@ -133,8 +141,8 @@ MUTANTS = (
         'residuals, err_norms, steps = array("f"), array("d"), array("d")',
     ),
     Mutant(
-        "distances-by-einsum",
-        ENGINE,
+        "row-norms-by-einsum",
+        OPS,
         "np.sqrt(np.matmul(x[:, None, :], x[:, :, None])).ravel()",
         'np.sqrt(np.einsum("ij,ij->i", x, x))',
     ),
