@@ -87,16 +87,15 @@ def solve_fbs(
 ) -> RunResult:
     """Relaxed inertial forward-backward splitting.
 
-    With zero inertia and zero errors this is exactly the classical
+    A channel left at None adds no error.  With neither channel the run
+    is exact, and with zero inertia too it is exactly the classical
     iteration z <- z + lambda (J(z - rho B z) - z).  The run's `errors`
     are the error channels given.
     """
-    fe = forward_errors if forward_errors is not None else ErrorModel.zero()
-    re = resolvent_errors if resolvent_errors is not None else ErrorModel.zero()
-    given = tuple(m for m in (forward_errors, resolvent_errors) if m is not None)
+    fe, re = forward_errors, resolvent_errors
     prob = Problem(operator=make_fb_composition(resolvent, forward, rho), z0=z0, z_star=z_star)
-    if fe.kind == "zero" and re.kind == "zero":
-        return replace(iterate(prob, schedule, None, **engine_options), errors=given)
+    if fe is None and re is None:
+        return iterate(prob, schedule, **engine_options)
 
     dim = prob.z0.size
     j = resolvent.apply
@@ -109,12 +108,13 @@ def solve_fbs(
         # _fb_value is the composition's own step, so t_mu is T mu bit for bit
         b_mu = fwd(mu)
         t_mu = t_pert = _fb_value(j, r, mu, b_mu)
-        if fe.norm_at(k) != 0.0:
+        if fe is not None and fe.norm_at(k) != 0.0:
             t_pert = _fb_value(j, r, mu, b_mu + emit_error(fe, k, dim, fe_cache))
-        if re.norm_at(k) != 0.0:
+        if re is not None and re.norm_at(k) != 0.0:
             t_pert = t_pert + emit_error(re, k, dim, re_cache)
         return t_mu, t_pert, 0.0 if t_pert is t_mu else norm(t_pert - t_mu)
 
+    given = tuple(m for m in (fe, re) if m is not None)
     return replace(iterate(prob, schedule, perturb=perturb, **engine_options), errors=given)
 
 
@@ -144,12 +144,12 @@ def plant_lasso(
     on the support and |v| <= 0.4 off it, then sets
     rhs = matrix @ x_star + reg * w with matrix^T w = v.  The optimality
     inclusion holds with equality and the strictly convex objective makes
-    x_star unique.
+    x_star unique.  A reg whose rhs overflows is refused by name.
     """
     n_samples, n_features = _integer(n_samples, "n_samples"), _integer(n_features, "n_features")
     support_size = _integer(support_size, "support_size", "lie in 1..n_features", lambda s: 0 < s <= n_features)
     seed = _integer(seed, "seed", "be a nonnegative integer", lambda s: s >= 0)
-    reg = _real(reg, "reg", "be positive", lambda r: r > 0.0)
+    reg = _real(reg, "reg", "be a finite positive real", lambda r: 0.0 < r < math.inf)
     if n_samples < n_features:
         raise ValueError("planting needs n_samples >= n_features for a full-rank design")
     rng = np.random.default_rng(seed)
@@ -162,7 +162,10 @@ def plant_lasso(
     dual = rng.uniform(-0.4, 0.4, size=n_features)
     dual[support] = np.sign(x_star[support])
     w = m @ np.linalg.solve(m.T @ m, dual)
-    rhs = m @ x_star + reg * w
+    with np.errstate(over="ignore"):
+        rhs = m @ x_star + reg * w
+    if not np.isfinite(rhs).all():
+        raise ValueError(f"reg must keep the planted rhs finite, got {reg!r}")
     return LassoInstance(matrix=m, rhs=rhs, reg=reg, x_star=x_star, dual=dual, support=support)
 
 
@@ -193,7 +196,8 @@ def lasso_fbs_pieces(inst: LassoInstance, rho: float) -> tuple[OperatorSpec, Ism
     m^T (quadratic_gradient's memo).
     """
     forward = quadratic_gradient(inst.matrix, inst.rhs)
-    resolvent = make_soft_threshold(_real(rho, "rho") * inst.reg, inst.matrix.shape[1])
+    rho = _real(rho, "rho", "be a finite positive real", lambda r: 0.0 < r < math.inf)
+    resolvent = make_soft_threshold(rho * inst.reg, inst.matrix.shape[1])
     return resolvent, forward
 
 

@@ -145,13 +145,13 @@ def schedule_from_config(cfg: dict):
 
 
 @_config_errors("bad errors: ")
-def errors_from_config(cfg: dict | None) -> ErrorModel:
-    if not cfg:
-        return ErrorModel.zero()
+def errors_from_config(cfg: dict | None) -> ErrorModel | None:
+    """The section's error law; None, an exact run, for an absent, empty or null section or kind "zero"."""
+    cfg = cfg or {}
     kind = cfg.get("kind", "zero")
     seed = _integer(cfg.get("seed", 0), "seed")
     if kind == "zero":
-        return ErrorModel.zero()
+        return None
     if kind == "power-decay":
         return ErrorModel.power_decay(
             _real(_require(cfg, "magnitude", "errors"), "magnitude"),

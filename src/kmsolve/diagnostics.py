@@ -253,8 +253,8 @@ def consistency_report(result: RunResult) -> ConsistencyReport:
         v2 = "consistent" if all(summ == "summable" for summ in laws) else "not-consistent"
         d2 = f"declared error law is {laws[0]}" if len(laws) == 1 else f"declared error laws are {', '.join(laws)}"
         items.append(ConsistencyItem("weighted-error-sum", s2, v2, d2))
-    elif s2 == 0.0:
-        items.append(ConsistencyItem("weighted-error-sum", s2, "consistent", "no errors recorded"))
+    elif not result.err_norms.any():  # a recorded NaN is truthy: it counts as an error
+        items.append(ConsistencyItem("weighted-error-sum", 0.0, "consistent", "no errors recorded"))
     else:
         why = "no declared error law, and no finite run settles the series"
         items.append(_series_item("weighted-error-sum", s2, why))

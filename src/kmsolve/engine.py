@@ -207,9 +207,7 @@ def iterate(
 
     apply_op = problem.operator.apply
     # None marks the exact case: the loop then skips the callback.
-    perturb_fn = perturb
-    if errors is not None and errors.kind != "zero":
-        perturb_fn = _model_perturb(errors, apply_op, problem.z0.size)
+    perturb_fn = perturb if errors is None else _model_perturb(errors, apply_op, problem.z0.size)
     alpha_of = schedule.alpha_of
     lambda_of = schedule.lambda_of
     z_star = problem.z_star

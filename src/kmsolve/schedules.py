@@ -41,7 +41,7 @@ import numpy as np
 
 from .operators import _as_array, _integer, _real, _row_norms
 
-ERROR_KINDS = ("zero", "power-decay", "geometric", "custom-list")
+ERROR_KINDS = ("power-decay", "geometric", "custom-list")
 
 
 @dataclass(frozen=True)
@@ -99,10 +99,12 @@ class ErrorModel:
 
     Norm laws by kind:
 
-    * ``zero``         ->  0
     * ``power-decay``  ->  magnitude / (k + 1) ** exponent
     * ``geometric``    ->  magnitude * exponent ** k   (exponent > 0)
     * ``custom-list``  ->  norms[k], and 0 past the end of the list
+
+    A law takes only its own fields: custom-list no nonzero magnitude or
+    exponent, the others no norms.  An exact run passes errors=None.
 
     Directions are uniform on the unit sphere, deterministic in
     (seed, k, dim): see `emit_error` for how they are drawn.  Non-summable
@@ -112,7 +114,7 @@ class ErrorModel:
     law itself overflows, which stops a run as diverged.
     """
 
-    kind: str = "zero"
+    kind: str
     magnitude: float = 0.0
     exponent: float = 0.0
     seed: int = 0
@@ -139,12 +141,11 @@ class ErrorModel:
             if not (norms >= 0.0).all():
                 raise ValueError("custom norms must be finite and nonnegative")
             object.__setattr__(self, "norms", tuple(norms.tolist()))
+            for key in ("magnitude", "exponent"):
+                if value := getattr(self, key):
+                    raise ValueError(f"{key} must be 0 for custom-list, got {value!r}")
         elif self.norms is not None:
             raise ValueError(f"norms are only valid for custom-list, not {self.kind!r}")
-
-    @classmethod
-    def zero(cls) -> "ErrorModel":
-        return cls(kind="zero")
 
     @classmethod
     def power_decay(cls, magnitude: float, exponent: float, seed: int = 0) -> "ErrorModel":
@@ -161,8 +162,6 @@ class ErrorModel:
     def norm_at(self, k: int) -> float:
         if k < 0:
             raise ValueError("k must be nonnegative")
-        if self.kind == "zero":
-            return 0.0
         if self.kind == "power-decay":
             base = float(k + 1)
             try:
@@ -181,9 +180,7 @@ class ErrorModel:
     @property
     def summability(self) -> str:
         """Declared-law verdict: "summable" or "not-guaranteed".  Never a proof about a run."""
-        if self.kind == "zero" or self.kind == "custom-list":
-            return "summable"
-        if self.magnitude == 0.0:
+        if self.kind == "custom-list" or self.magnitude == 0.0:
             return "summable"
         if self.kind == "power-decay":
             return "summable" if self.exponent > 1.0 else "not-guaranteed"

@@ -1,12 +1,15 @@
 """Every public scalar and array parameter is checked by name: one table each, one rule each.
 
 A real parameter refuses True, "1", None and an integer outside the float
-range; an integer parameter refuses True, "1" and None.  Each refusal is
-a ValueError whose message starts with "<parameter> must".  Where None is
-a legal value (an operator without a dimension, a default, the absent
-regime-II pair), it is not tried.  A second test reads the signatures of
-everything `kmsolve` exports, so a new float or int parameter that is
-missing from the table fails by name.
+range; an integer parameter refuses True, "1" and None.  OUT_OF_RANGE
+adds, for some real parameters, reals outside their range (a nonpositive
+or infinite rho, a reg whose planted rhs overflows).  Each refusal is a
+ValueError whose message starts with "<parameter> must" and ends with
+", got <the value's repr>".  Where None is a legal value (an operator
+without a dimension, a default, the absent regime-II pair), it is not
+tried.  A second test reads the signatures of everything `kmsolve`
+exports, so a new float or int parameter that is missing from the table
+fails by name.
 
 An array parameter refuses an entry that is a boolean, a string or other
 value float() cannot read, an integer outside the float range, NaN or
@@ -17,6 +20,7 @@ None, with a ValueError whose message starts with "<parameter> must" or
 import inspect
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -86,7 +90,7 @@ SCALARS = {
     ("constant_schedule", "delta"): (lambda v: constant_schedule(0.1, 0.5, sigma=0.01, delta=v), "real", True),
     ("ErrorModel", "magnitude"): (lambda v: ErrorModel(kind="power-decay", magnitude=v, exponent=2.0), "real", False),
     ("ErrorModel", "exponent"): (lambda v: ErrorModel(kind="power-decay", magnitude=0.1, exponent=v), "real", False),
-    ("ErrorModel", "seed"): (lambda v: ErrorModel(kind="zero", seed=v), "integer", False),
+    ("ErrorModel", "seed"): (lambda v: ErrorModel(kind="power-decay", seed=v), "integer", False),
     ("ErrorModel.power_decay", "magnitude"): (lambda v: ErrorModel.power_decay(v, 2.0), "real", False),
     ("ErrorModel.power_decay", "exponent"): (lambda v: ErrorModel.power_decay(0.1, v), "real", False),
     ("ErrorModel.power_decay", "seed"): (lambda v: ErrorModel.power_decay(0.1, 2.0, seed=v), "integer", False),
@@ -111,6 +115,13 @@ SCALARS = {
     ("plant_lasso", "reg"): (lambda v: plant_lasso(reg=v), "real", False),
     ("plant_lasso", "seed"): (lambda v: plant_lasso(seed=v), "integer", False),
     ("lasso_fbs_pieces", "rho"): (lambda v: lasso_fbs_pieces(_LASSO, v), "real", False),
+}
+
+# (callable, parameter) of SCALARS: reals outside the parameter's range
+OUT_OF_RANGE = {
+    ("lasso_fbs_pieces", "rho"): [-1.0, 0.0, math.inf],
+    # the largest float is finite, but the planted rhs = matrix @ x_star + reg * w overflows
+    ("plant_lasso", "reg"): [-1.0, 0.0, math.inf, math.nan, sys.float_info.max],
 }
 
 # float and int parameters the table leaves out, and why
@@ -141,11 +152,14 @@ def _cases():
             values["huge"] = HUGE
         for label, value in values.items():
             yield pytest.param(build, param, value, id=f"{owner}-{param}-{label}")
+    for (owner, param), values in OUT_OF_RANGE.items():
+        for value in values:
+            yield pytest.param(SCALARS[owner, param][0], param, value, id=f"{owner}-{param}-{value!r}")
 
 
 @pytest.mark.parametrize("build, param, value", list(_cases()))
 def test_a_bad_scalar_is_refused_by_name(build, param, value):
-    with pytest.raises(ValueError, match=rf"^{re.escape(param)} must "):
+    with pytest.raises(ValueError, match=rf"^{re.escape(param)} must .*, got {re.escape(repr(value))}$"):
         build(value)
 
 

@@ -658,6 +658,24 @@ def test_null_optional_sections_read_as_empty(tmp_path):
     assert out == _main(["run", _write(tmp_path, FEASIBLE, "plain.json")])[1]
 
 
+@pytest.mark.parametrize(
+    "section",
+    ["absent", None, {}, {"kind": "zero"}, {"kind": "zero", "seed": 3}],
+    ids=["absent", "null", "empty", "zero", "zero-seeded"],
+)
+def test_an_exact_config_declares_no_error_law(tmp_path, section):
+    cfg = dict(FEASIBLE) if section == "absent" else dict(FEASIBLE, errors=section)
+    problem, schedule, errors, opts = cli._load_run(cfg)
+    assert errors is None and iterate(problem, schedule, errors, **opts).errors == ()
+    items = {item["name"]: item for item in json.loads(_main(["run", _write(tmp_path, cfg)])[1])["consistency"]["items"]}
+    assert items["weighted-error-sum"] == {
+        "name": "weighted-error-sum",
+        "value": 0.0,
+        "verdict": "consistent",
+        "detail": "no errors recorded",
+    }
+
+
 def test_a_zero_error_law_prints_what_no_errors_prints(tmp_path):
     # a zero law has no directions to draw, so its seed changes nothing
     zero = dict(FEASIBLE, errors={"kind": "zero", "seed": 3})
@@ -710,6 +728,10 @@ def test_a_lost_state_is_not_reported_as_convergence(tmp_path, lam):
     assert code == 1
     data = _strict_json(out)
     assert (data["stop_reason"], data["converged"]) == ("diverged", False)
+    # no error was recorded, though lambda * 0 is NaN: the weighted-error sum is 0 by definition
+    items = {item["name"]: item for item in data["consistency"]["items"]}
+    error_sum = items["weighted-error-sum"]
+    assert (error_sum["value"], error_sum["verdict"], error_sum["detail"]) == (0.0, "consistent", "no errors recorded")
     code, out, _ = _main(["compare", path])
     assert code == 1
     data = _strict_json(out)

@@ -419,7 +419,6 @@ def test_run_errors_are_the_declared_laws():
     prob = _contraction(seed=33)
     law = ErrorModel.power_decay(1e-3, 2.0)
     assert iterate(prob, constant_schedule(0.0, 0.5), law, max_iter=3).errors == (law,)
-    assert iterate(prob, constant_schedule(0.0, 0.5), ErrorModel.zero(), max_iter=3).errors == (ErrorModel.zero(),)
     assert iterate(prob, constant_schedule(0.0, 0.5), max_iter=3).errors == ()
     t = prob.operator.apply
     assert iterate(prob, constant_schedule(0.0, 0.5), perturb=lambda mu, k: (t(mu), t(mu), 0.0), max_iter=3).errors == ()
@@ -446,6 +445,23 @@ def test_a_perturb_run_with_recorded_errors_is_unjudged_unless_its_sum_overflows
         assert (item.verdict, item.detail) == verdict and rep.verdict == verdict[0]
         with np.errstate(over="ignore"):
             assert item.value == float(np.cumsum(run.lambdas * run.err_norms)[-1])
+
+
+@pytest.mark.parametrize("lam", [math.inf, math.nan])
+def test_a_run_that_records_no_error_has_no_error_sum(lam):
+    # lambda_0 * 0 is NaN, but no error entered the run: its weighted-error sum is 0 by definition
+    prob = Problem(make_identity(2), [1.0, 0.0])
+    exact = iterate(prob, constant_schedule(0.0, lam), max_iter=3)
+    t = prob.operator.apply
+    silent = iterate(prob, constant_schedule(0.0, lam), perturb=lambda mu, k: (t(mu), t(mu), 0.0), max_iter=3)
+    for run in (exact, silent):
+        assert run.err_norms.tolist() == [0.0] and run.errors == ()
+        item = consistency_report(run).item("weighted-error-sum")
+        assert (item.value, item.verdict, item.detail) == (0.0, "consistent", "no errors recorded")
+    # a recorded NaN norm is a recorded error, and a recorded error weighted by lambda_k = 0 is one too
+    for lam_k, e_norm, verdict in [(0.5, math.nan, "not-consistent"), (0.0, 1.0, "unjudged")]:
+        run = iterate(prob, constant_schedule(0.0, lam_k), perturb=lambda mu, k: (t(mu), t(mu), e_norm), max_iter=3)
+        assert consistency_report(run).item("weighted-error-sum").verdict == verdict
 
 
 def test_consistency_report_item_of_an_unknown_name_raises():

@@ -76,6 +76,7 @@ def test_first_step_ignores_inertia():
 
 
 def test_zero_error_model_matches_exact_run():
+    # a zero-magnitude law takes the perturbed path and must give the exact run's bits
     rng = np.random.default_rng(11)
     prob = Problem(
         operator=make_soft_threshold(0.2, 5), z0=rng.uniform(-2, 2, 5), z_star=np.zeros(5)
@@ -83,7 +84,7 @@ def test_zero_error_model_matches_exact_run():
     sched = constant_schedule(0.1, 1.2)
     opts = dict(tol=-1.0, max_iter=200, record_states=True)
     exact = iterate(prob, sched, None, **opts)
-    zero = iterate(prob, sched, ErrorModel.zero(), **opts)
+    zero = iterate(prob, sched, ErrorModel.power_decay(0.0, 0.0), **opts)
     for name in ("z", "residuals", "err_norms", "step_norms", "dists"):
         assert np.array_equal(getattr(exact, name), getattr(zero, name))
     for a, b in zip(exact.states, zero.states):
@@ -445,7 +446,7 @@ def test_exact_runs_record_positive_zero_error_norms():
     # restatement's bits, an empty run's too; an exact run's err_norms are +0.0
     prob = _averaged_affine_problem(53, n=5)
     schedule = constant_schedule(0.2, 1.1)
-    for errors in (None, ErrorModel.zero()):
+    for errors in (None, ErrorModel.power_decay(0.0, 0.0)):
         for max_iter in (0, 1, 70):
             opts = dict(tol=-1.0, max_iter=max_iter, divergence_norm=1e12)
             run = iterate(prob, schedule, errors, **opts)

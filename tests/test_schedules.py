@@ -133,8 +133,8 @@ def test_error_model_validation():
         ErrorModel(kind="geometric", magnitude=1.0, exponent=0.0)
     with pytest.raises(ValueError):
         ErrorModel(kind="custom-list", magnitude=0.0)
-    with pytest.raises(ValueError):
-        ErrorModel(kind="zero", norms=(0.1,))
+    with pytest.raises(ValueError, match="norms are only valid for custom-list, not 'power-decay'"):
+        ErrorModel(kind="power-decay", norms=(0.1,))
     with pytest.raises(ValueError):
         ErrorModel(kind="power-decay", magnitude=1.0, exponent=2.0, seed=-1)
     with pytest.raises(ValueError):
@@ -156,10 +156,13 @@ def test_error_model_validation():
     "build, message",
     [
         (lambda: ErrorModel(kind="bogus"), "unknown error kind 'bogus'"),
+        (lambda: ErrorModel(kind="zero"), "unknown error kind 'zero'"),
+        (lambda: ErrorModel(kind="custom-list", norms=(0.1,), magnitude=5.0), "magnitude must be 0 for custom-list, got 5.0"),
+        (lambda: ErrorModel(kind="custom-list", norms=(0.1,), exponent=3.0), "exponent must be 0 for custom-list, got 3.0"),
         (lambda: ErrorModel.from_norms([0.1, -1.0]), "custom norms must be finite and nonnegative"),
         (lambda: ErrorModel.from_norms([math.inf]), "norms contains non-finite entries"),
         (lambda: ErrorModel.from_norms(5), "norms must be a list of numbers, got 5"),
-        (lambda: ErrorModel.zero().norm_at(-1), "k must be nonnegative"),
+        (lambda: ErrorModel.geometric(0.1, 0.5).norm_at(-1), "k must be nonnegative"),
         (lambda: emit_error(ErrorModel.power_decay(0.1, 2.0), -1, 4), "k must be nonnegative"),
         (lambda: emit_error(ErrorModel.power_decay(0.1, 2.0), 0, 0), "dim must be positive"),
     ],
@@ -178,7 +181,6 @@ def test_error_norm_laws():
     assert g.norm_at(4) == pytest.approx(0.5**4, rel=1e-15)
     c = ErrorModel.from_norms([0.3, 0.2, 0.1])
     assert c.norm_at(1) == 0.2
-    assert ErrorModel.zero().norm_at(10) == 0.0
 
 
 def test_error_norm_laws_past_the_float_range():
@@ -215,7 +217,6 @@ def test_overflowing_error_law_stops_the_run_as_diverged():
 
 
 def test_summability_verdicts():
-    assert ErrorModel.zero().summability == "summable"
     assert ErrorModel.power_decay(1.0, 2.0).summability == "summable"
     assert ErrorModel.power_decay(1.0, 1.0).summability == "not-guaranteed"
     assert ErrorModel.geometric(1.0, 0.9).summability == "summable"
@@ -232,7 +233,7 @@ def test_emit_error_is_deterministic_and_norm_exact():
     assert np.linalg.norm(a) == pytest.approx(m.norm_at(3), rel=1e-12)
     c = emit_error(m, 4, 6)
     assert not np.array_equal(a, c)
-    z = emit_error(ErrorModel.zero(), 0, 6)
+    z = emit_error(ErrorModel.power_decay(0.0, 2.0), 0, 6)
     assert np.array_equal(z, np.zeros(6))
 
 

@@ -191,6 +191,14 @@ MUTANTS = (
         'for v in ("not-consistent",):',
     ),
     Mutant("nonfinite-partial-sum-unjudged", CERT, "    if math.isfinite(total):\n", "    if True:\n"),
+    # lambda_k * 0 is NaN at an infinite or NaN lambda_k: the total alone misreads a run that recorded no error
+    Mutant("error-sum-zero-only-by-total", CERT, "elif not result.err_norms.any():", "elif s2 == 0.0:"),
+    Mutant(
+        "cli-zero-section-declares-a-law",
+        CLI,
+        '    if kind == "zero":\n        return None\n',
+        '    if kind == "zero":\n        return ErrorModel.power_decay(0.0, 0.0, seed)\n',
+    ),
     Mutant("resolvent-theta-exactly-half", APPS, "if resolvent.theta > 0.5:", "if resolvent.theta != 0.5:"),
     Mutant("fb-resolvent-theta-exactly-half", OPS, "if resolvent.theta > 0.5:", "if resolvent.theta != 0.5:"),
     Mutant(
