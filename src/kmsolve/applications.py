@@ -146,12 +146,11 @@ def plant_lasso(
     inclusion holds with equality and the strictly convex objective makes
     x_star unique.  A reg whose rhs overflows is refused by name.
     """
-    n_samples, n_features = _integer(n_samples, "n_samples"), _integer(n_features, "n_features")
-    support_size = _integer(support_size, "support_size", "lie in 1..n_features", lambda s: 0 < s <= n_features)
+    n_features = _integer(n_features, "n_features")
+    n_samples = _integer(n_samples, "n_samples", "be an integer >= n_features", lambda n: n >= n_features)
+    support_size = _integer(support_size, "support_size", "be an integer in 1..n_features", lambda s: 0 < s <= n_features)
     seed = _integer(seed, "seed", "be a nonnegative integer", lambda s: s >= 0)
     reg = _real(reg, "reg", "be a finite positive real", lambda r: 0.0 < r < math.inf)
-    if n_samples < n_features:
-        raise ValueError("planting needs n_samples >= n_features for a full-rank design")
     rng = np.random.default_rng(seed)
     m = rng.standard_normal((n_samples, n_features)) / math.sqrt(n_samples)
     support = np.sort(rng.choice(n_features, size=support_size, replace=False))
@@ -190,13 +189,15 @@ def lasso_fbs_pieces(inst: LassoInstance, rho: float) -> tuple[OperatorSpec, Ism
     """Resolvent and forward map for running the instance through solve_fbs.
 
     The forward map is the least-squares gradient with its certified
-    cocoercivity modulus; the resolvent is the soft threshold at rho * reg.
-    When rho was just taken from quadratic_gradient(inst.matrix,
-    inst.rhs).beta, the forward map shares that call's SVD and its copy of
-    m^T (quadratic_gradient's memo).
+    cocoercivity modulus; the resolvent is the soft threshold at rho * reg,
+    so a rho is refused, before any SVD, unless it and rho * reg are
+    finite and positive.  When rho was just taken from
+    quadratic_gradient(inst.matrix, inst.rhs).beta, the forward map shares
+    that call's SVD and its copy of m^T (quadratic_gradient's memo).
     """
+    rule = f"be a finite positive real whose product with reg = {inst.reg!r} is one too"
+    rho = _real(rho, "rho", rule, lambda r: 0.0 < r < math.inf and 0.0 < r * inst.reg < math.inf)
     forward = quadratic_gradient(inst.matrix, inst.rhs)
-    rho = _real(rho, "rho", "be a finite positive real", lambda r: 0.0 < r < math.inf)
     resolvent = make_soft_threshold(rho * inst.reg, inst.matrix.shape[1])
     return resolvent, forward
 

@@ -173,10 +173,10 @@ def _distances(points: list[np.ndarray], z_star: np.ndarray) -> np.ndarray:
 def _check_options(**opts) -> None:
     """Raise ValueError for an engine option `iterate` refuses; only the keys given are checked."""
     for name in ("tol", "divergence_norm"):
-        if name in opts and math.isnan(_real(opts[name], name)):
-            raise ValueError(f"{name} must not be NaN")
-    if "max_iter" in opts and _integer(opts["max_iter"], "max_iter") < 0:
-        raise ValueError("max_iter must be nonnegative")
+        if name in opts:
+            _real(opts[name], name, "be a real number other than NaN", lambda v: not math.isnan(v))
+    if "max_iter" in opts:
+        _integer(opts["max_iter"], "max_iter", "be a nonnegative integer", lambda n: n >= 0)
 
 
 @np.errstate(over="ignore", invalid="ignore")

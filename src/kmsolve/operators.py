@@ -7,9 +7,10 @@ resolvents) carry theta = 1/2.  The factories below declare the constant
 their construction guarantees, and make_affine certifies a caller's claim
 exactly.  An OperatorSpec built by hand carries its theta uncertified.
 Every module and the CLI check their arguments here, and a refusal names
-the argument: `_real` and `_integer` take scalars, and `_as_array` is the
-one reader of arrays, whose two shapes are `as_point` (finite vectors)
-and `_as_matrix` (finite matrices).
+the argument.  `_real` and `_integer` read a scalar against one rule, its
+type and range together, and refuse it before any work in one form,
+"<name> must <rule>, got <repr of the value passed>".  `_as_array` is the
+one reader of arrays, shaped by `as_point` (vectors) and `_as_matrix`.
 
 The built-in operators are closures that the loop calls on every step, so
 each binds its per-call scalars once, when it is built, as private
@@ -156,7 +157,7 @@ class OperatorSpec:
     dim: int | None  # None when the operator works in any dimension
 
     def __post_init__(self):
-        object.__setattr__(self, "theta", _real(self.theta, "theta", "lie in (0, 1]", lambda t: 0.0 < t <= 1.0))
+        object.__setattr__(self, "theta", _real(self.theta, "theta", "be a real in (0, 1]", lambda t: 0.0 < t <= 1.0))
         if self.dim is not None:
             object.__setattr__(self, "dim", _integer(self.dim, "dim", "be a positive integer", lambda d: d >= 1))
 
@@ -172,7 +173,7 @@ class IsmOperator:
     beta: float
 
     def __post_init__(self):
-        object.__setattr__(self, "beta", _real(self.beta, "beta", "be a positive real", lambda b: 0.0 < b < math.inf))
+        object.__setattr__(self, "beta", _real(self.beta, "beta", "be a finite positive real", lambda b: 0.0 < b < math.inf))
 
     def __call__(self, x: Point) -> Point:
         return self.apply(x)
@@ -309,9 +310,7 @@ def make_fb_composition(resolvent: OperatorSpec, forward: IsmOperator, rho: floa
     if resolvent.theta > 0.5:
         raise ValueError("resolvent must be firmly nonexpansive (theta <= 1/2)")
     beta = forward.beta
-    rho = _real(rho, "rho")
-    if not (0.0 < rho < 2.0 * beta):
-        raise ValueError(f"rho must lie in (0, 2*beta) = (0, {2.0 * beta}), got {rho}")
+    rho = _real(rho, "rho", f"be a real in (0, 2*beta) = (0, {2.0 * beta})", lambda r: 0.0 < r < 2.0 * beta)
     theta = 2.0 * beta / (4.0 * beta - rho)
     j = resolvent.apply
     fwd = forward.apply

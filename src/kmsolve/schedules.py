@@ -41,7 +41,16 @@ import numpy as np
 
 from .operators import _as_array, _integer, _real, _row_norms
 
-ERROR_KINDS = ("power-decay", "geometric", "custom-list")
+# the (rule, ok) pairs of a law's magnitude and exponent, by kind
+_NONNEGATIVE = ("be a finite nonnegative real", lambda v: 0.0 <= v < math.inf)
+_RATIO = ("be a finite positive real", lambda v: 0.0 < v < math.inf)
+_UNUSED = ("be 0 for custom-list", lambda v: v == 0.0)
+_LAW_RULES = {
+    "power-decay": (_NONNEGATIVE, ("be a finite real", math.isfinite)),
+    "geometric": (_NONNEGATIVE, _RATIO),
+    "custom-list": (_UNUSED, _UNUSED),
+}
+ERROR_KINDS = tuple(_LAW_RULES)
 
 
 @dataclass(frozen=True)
@@ -123,27 +132,18 @@ class ErrorModel:
     def __post_init__(self):
         if self.kind not in ERROR_KINDS:
             raise ValueError(f"unknown error kind {self.kind!r}")
-        object.__setattr__(self, "magnitude", _real(self.magnitude, "magnitude"))
-        if not 0.0 <= self.magnitude < math.inf:
-            raise ValueError("magnitude must be a finite nonnegative real")
+        for key, (rule, ok) in zip(("magnitude", "exponent"), _LAW_RULES[self.kind]):
+            object.__setattr__(self, key, _real(getattr(self, key), key, rule, ok))
         object.__setattr__(self, "seed", _integer(self.seed, "seed", "be a nonnegative integer", lambda s: s >= 0))
-        object.__setattr__(self, "exponent", _real(self.exponent, "exponent"))
-        if self.kind == "geometric" and not self.exponent > 0.0:
-            raise ValueError("geometric law needs a positive ratio in `exponent`")
-        if not math.isfinite(self.exponent):
-            raise ValueError(f"exponent must be finite (got {self.exponent!r})")
         if self.kind == "custom-list":
             if self.norms is None:
                 raise ValueError("custom-list law needs explicit norms")
             norms = _as_array(self.norms, "norms")
             if norms.ndim != 1:
                 raise ValueError(f"norms must be a list of numbers, got {self.norms!r}")
-            if not (norms >= 0.0).all():
-                raise ValueError("custom norms must be finite and nonnegative")
+            if norms.min(initial=0.0) < 0.0:
+                raise ValueError(f"norms must be nonnegative, got {norms.min().item()!r} at index {norms.argmin()}")
             object.__setattr__(self, "norms", tuple(norms.tolist()))
-            for key in ("magnitude", "exponent"):
-                if value := getattr(self, key):
-                    raise ValueError(f"{key} must be 0 for custom-list, got {value!r}")
         elif self.norms is not None:
             raise ValueError(f"norms are only valid for custom-list, not {self.kind!r}")
 
@@ -153,7 +153,7 @@ class ErrorModel:
 
     @classmethod
     def geometric(cls, magnitude: float, ratio: float, seed: int = 0) -> "ErrorModel":
-        return cls(kind="geometric", magnitude=magnitude, exponent=_real(ratio, "ratio"), seed=seed)
+        return cls(kind="geometric", magnitude=magnitude, exponent=_real(ratio, "ratio", *_RATIO), seed=seed)
 
     @classmethod
     def from_norms(cls, norms, seed: int = 0) -> "ErrorModel":
@@ -215,8 +215,7 @@ def emit_error(model: ErrorModel, k: int, dim: int, cache: dict | None = None) -
         m, lo, hi, rows = entry
         if m is model and lo <= k < hi:
             return rows[k - lo]
-    if dim < 1:
-        raise ValueError("dim must be positive")
+    dim = _integer(dim, "dim", "be a positive integer", lambda d: d >= 1)
     if model.norm_at(k) == 0.0:  # also refuses a negative k
         return np.zeros(dim)
     b = _block_rows(dim)
@@ -299,7 +298,7 @@ def delta_threshold(alpha: float, sigma: float) -> float:
     Defined for 0 <= alpha < 1, where validate_schedule evaluates it;
     any other alpha raises ValueError.
     """
-    alpha = _real(alpha, "alpha", "lie in [0, 1)", lambda a: 0.0 <= a < 1.0)
+    alpha = _real(alpha, "alpha", "be a real in [0, 1)", lambda a: 0.0 <= a < 1.0)
     sigma = _real(sigma, "sigma")
     return alpha * (alpha * (1.0 + alpha) + sigma) / (1.0 - alpha * alpha)
 
@@ -310,9 +309,9 @@ def lambda_ceiling_ii(alpha: float, sigma: float, delta: float) -> float:
     Defined for 0 <= alpha < 1, sigma >= 0 and delta > 0, where
     validate_schedule evaluates it; any other input raises ValueError.
     """
-    alpha = _real(alpha, "alpha", "lie in [0, 1)", lambda a: 0.0 <= a < 1.0)
-    sigma = _real(sigma, "sigma", "be >= 0", lambda v: v >= 0.0)
-    delta = _real(delta, "delta", "be > 0", lambda v: v > 0.0)
+    alpha = _real(alpha, "alpha", "be a real in [0, 1)", lambda a: 0.0 <= a < 1.0)
+    sigma = _real(sigma, "sigma", "be a real >= 0", lambda v: v >= 0.0)
+    delta = _real(delta, "delta", "be a real > 0", lambda v: v > 0.0)
     c = alpha * (1.0 + alpha) + alpha * delta + sigma
     return (delta - alpha * c) / (delta * (1.0 + c))
 
@@ -336,7 +335,7 @@ def validate_schedule(s: ParamSchedule, horizon: int = 1000, theta: float = 1.0)
     alpha_k or lambda_k fails every check it enters.  Only a bad theta or
     horizon raises: a built schedule always gets a report.
     """
-    theta = _real(theta, "theta", "lie in (0, 1]", lambda t: 0.0 < t <= 1.0)
+    theta = _real(theta, "theta", "be a real in (0, 1]", lambda t: 0.0 < t <= 1.0)
     horizon = _integer(horizon, "horizon", "be a nonnegative integer", lambda h: h >= 0)
     ks = range(horizon + 1)
     alphas = np.fromiter(map(s.alpha_of, ks), float, len(ks))

@@ -1,10 +1,13 @@
 """Resolvent and forward-backward front ends, plus the planted lasso."""
 
 import dataclasses
+import math
+import re
 
 import numpy as np
 import pytest
 
+from kmsolve import applications
 from kmsolve.applications import (
     box_intersection_pieces,
     lasso_fbs_pieces,
@@ -256,6 +259,15 @@ def test_lasso_fbs_pieces_wire_the_right_operators():
     want = np.sign(x) * np.maximum(np.abs(x) - rho * inst.reg, 0.0)
     assert np.array_equal(resolvent(x), want)
     assert np.allclose(forward(x), inst.matrix.T @ (inst.matrix @ x - inst.rhs), atol=1e-14)
+
+
+def test_lasso_fbs_pieces_refuse_rho_before_the_gradient(monkeypatch):
+    # rho is read before quadratic_gradient builds the forward map, so a refused rho takes no SVD or copy
+    monkeypatch.setattr(applications, "quadratic_gradient", lambda *args: pytest.fail("rho was read after the SVD"))
+    inst = plant_lasso(n_samples=30, n_features=20, support_size=3, reg=10.0)
+    for rho in (-1.0, 0.0, math.inf, 1e308):  # at reg 10, 1e308 makes the threshold rho * reg infinite
+        with pytest.raises(ValueError, match=f"^rho must be a finite positive real .*, got {re.escape(repr(rho))}$"):
+            lasso_fbs_pieces(inst, rho)
 
 
 def test_box_intersection_composition_is_the_projection_product():

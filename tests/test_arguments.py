@@ -2,14 +2,18 @@
 
 A real parameter refuses True, "1", None and an integer outside the float
 range; an integer parameter refuses True, "1" and None.  OUT_OF_RANGE
-adds, for some real parameters, reals outside their range (a nonpositive
-or infinite rho, a reg whose planted rhs overflows).  Each refusal is a
-ValueError whose message starts with "<parameter> must" and ends with
-", got <the value's repr>".  Where None is a legal value (an operator
-without a dimension, a default, the absent regime-II pair), it is not
-tried.  A second test reads the signatures of everything `kmsolve`
-exports, so a new float or int parameter that is missing from the table
-fails by name.
+adds, for every parameter whose rule is more than its type, values of
+the type outside its range (a theta of 0 or 1.5, a NaN tol, a max_iter
+or seed of -1, a rho of 2 beta, a reg whose planted rhs overflows).
+OUT_OF_RANGE_AT does so where another argument sets the range: a rho
+whose threshold rho * reg overflows at reg 10, a geometric law's ratio
+passed as its exponent.  Each refusal is a ValueError
+"<parameter> must <rule>, got <the value's repr>", the one form
+`operators._real` and `_integer` give.  Where None is a legal value (an
+operator without a dimension, a default, the absent regime-II pair), it
+is not tried.  A second test reads the signatures of everything
+`kmsolve` exports, so a new float or int parameter that is missing from
+the table fails by name.
 
 An array parameter refuses an entry that is a boolean, a string or other
 value float() cannot read, an integer outside the float range, NaN or
@@ -35,6 +39,7 @@ from kmsolve import (
     box_intersection_pieces,
     constant_schedule,
     delta_threshold,
+    emit_error,
     iterate,
     lambda_ceiling_ii,
     lasso_fbs_pieces,
@@ -115,21 +120,81 @@ SCALARS = {
     ("plant_lasso", "reg"): (lambda v: plant_lasso(reg=v), "real", False),
     ("plant_lasso", "seed"): (lambda v: plant_lasso(seed=v), "integer", False),
     ("lasso_fbs_pieces", "rho"): (lambda v: lasso_fbs_pieces(_LASSO, v), "real", False),
+    ("emit_error", "dim"): (lambda v: emit_error(ErrorModel.power_decay(0.1, 2.0), 0, v), "integer", False),
 }
 
-# (callable, parameter) of SCALARS: reals outside the parameter's range
+# (callable, parameter) of SCALARS: values of the parameter's type outside its range
 OUT_OF_RANGE = {
-    ("lasso_fbs_pieces", "rho"): [-1.0, 0.0, math.inf],
+    ("OperatorSpec", "theta"): [0.0, 1.5, -1.0, math.nan],
+    ("OperatorSpec", "dim"): [0, -1],
+    ("IsmOperator", "beta"): [0.0, -1.0, math.inf, math.nan],
+    ("make_identity", "dim"): [0],
+    ("make_soft_threshold", "gamma"): [0.0, -1.0, math.inf, math.nan],
+    ("make_soft_threshold", "dim"): [0],
+    ("make_affine", "theta"): [0.0, 1.5],
+    # _fb_pieces has beta 1, so 2.0 is 2 beta; the message repeats the integer 2 as passed
+    ("make_fb_composition", "rho"): [0.0, -1.0, 2.0, 2, math.inf, math.nan],
+    ("ErrorModel", "magnitude"): [-1.0, math.inf, math.nan],
+    ("ErrorModel", "exponent"): [math.inf, -math.inf, math.nan],
+    ("ErrorModel", "seed"): [-1],
+    ("ErrorModel.power_decay", "magnitude"): [-1.0],
+    ("ErrorModel.power_decay", "exponent"): [math.inf],
+    ("ErrorModel.power_decay", "seed"): [-1],
+    ("ErrorModel.geometric", "magnitude"): [-1.0, math.inf],
+    ("ErrorModel.geometric", "ratio"): [0.0, -0.5, math.inf, math.nan],
+    ("ErrorModel.geometric", "seed"): [-1],
+    ("ErrorModel.from_norms", "seed"): [-1],
+    ("validate_schedule", "horizon"): [-1],
+    ("validate_schedule", "theta"): [0.0, 1.5],
+    ("delta_threshold", "alpha"): [-0.1, 1.0, math.nan],
+    ("lambda_ceiling_ii", "alpha"): [-0.1, 1.0],
+    ("lambda_ceiling_ii", "sigma"): [-1.0],
+    ("lambda_ceiling_ii", "delta"): [0.0, -1.0],
+    ("iterate", "tol"): [math.nan],
+    ("iterate", "max_iter"): [-1],
+    ("iterate", "divergence_norm"): [math.nan],
+    ("solve_fbs", "rho"): [0.0, 2.0, 2],
+    # n_features defaults to 200
+    ("plant_lasso", "n_samples"): [199, 0],
+    ("plant_lasso", "support_size"): [0, 201],
     # the largest float is finite, but the planted rhs = matrix @ x_star + reg * w overflows
     ("plant_lasso", "reg"): [-1.0, 0.0, math.inf, math.nan, sys.float_info.max],
+    ("plant_lasso", "seed"): [-1],
+    # at _LASSO's reg 0.4 the threshold rho * reg of the smallest float underflows to 0
+    ("lasso_fbs_pieces", "rho"): [-1.0, 0.0, math.inf, 5e-324],
+    ("emit_error", "dim"): [0, -1],
+}
+
+# (callable, parameter, the other argument's setting): (build with the value, values outside the range it sets)
+OUT_OF_RANGE_AT = {
+    # the threshold rho * reg of a finite rho overflows
+    ("lasso_fbs_pieces", "rho", "reg=10"): (
+        lambda v: lasso_fbs_pieces(plant_lasso(12, 8, 2, reg=10.0, seed=3), v),
+        [1e308, sys.float_info.max],
+    ),
+    ("make_fb_composition", "rho", "beta=0.25"): (
+        lambda v: make_fb_composition(make_soft_threshold(0.1, 2), IsmOperator(apply=_same, beta=0.25), v),
+        [0.5, 1.0],
+    ),
+    ("ErrorModel", "exponent", "geometric"): (
+        lambda v: ErrorModel(kind="geometric", magnitude=0.1, exponent=v),
+        [0.0, -0.5, math.inf, math.nan],
+    ),
+    ("ErrorModel", "magnitude", "custom-list"): (
+        lambda v: ErrorModel(kind="custom-list", norms=(0.1,), magnitude=v),
+        [-1.0, math.nan],
+    ),
+    ("ErrorModel", "exponent", "custom-list"): (
+        lambda v: ErrorModel(kind="custom-list", norms=(0.1,), exponent=v),
+        [math.inf],
+    ),
 }
 
 # float and int parameters the table leaves out, and why
 NOT_ARGUMENTS = {
-    # evaluated on every step of a run, with the step index and the run's dimension
+    # the step index, evaluated on every step of a run
     ("ErrorModel.norm_at", "k"),
     ("emit_error", "k"),
-    ("emit_error", "dim"),
 }
 # exported records whose fields a computation fills in, not arguments
 RECORDS = {
@@ -155,6 +220,9 @@ def _cases():
     for (owner, param), values in OUT_OF_RANGE.items():
         for value in values:
             yield pytest.param(SCALARS[owner, param][0], param, value, id=f"{owner}-{param}-{value!r}")
+    for (owner, param, setting), (build, values) in OUT_OF_RANGE_AT.items():
+        for value in values:
+            yield pytest.param(build, param, value, id=f"{owner}-{param}-{setting}-{value!r}")
 
 
 @pytest.mark.parametrize("build, param, value", list(_cases()))

@@ -103,7 +103,7 @@ def test_error_model_names_a_value_that_is_not_a_real_number():
         (lambda: ErrorModel(kind="power-decay", magnitude=True, exponent=2.0), "magnitude"),
     ]
     for build, name in bad:
-        with pytest.raises(ValueError, match=f"^{name} must be a real number, got"):
+        with pytest.raises(ValueError, match=f"^{name} must be a finite (nonnegative |positive )?real, got"):
             build()
 
 
@@ -140,9 +140,9 @@ def test_error_model_validation():
     with pytest.raises(ValueError):
         ErrorModel(kind="power-decay", magnitude=1.0, exponent=2.0, seed=True)
     for exponent in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError, match="exponent must be finite"):
+        with pytest.raises(ValueError, match="^exponent must be a finite real, got"):
             ErrorModel.power_decay(1e-2, exponent)
-    with pytest.raises(ValueError, match="exponent must be finite"):
+    with pytest.raises(ValueError, match="^ratio must be a finite positive real, got inf$"):
         ErrorModel.geometric(1e-2, math.inf)
     with pytest.raises(ValueError):
         ErrorModel.geometric(1e-2, math.nan)
@@ -159,12 +159,12 @@ def test_error_model_validation():
         (lambda: ErrorModel(kind="zero"), "unknown error kind 'zero'"),
         (lambda: ErrorModel(kind="custom-list", norms=(0.1,), magnitude=5.0), "magnitude must be 0 for custom-list, got 5.0"),
         (lambda: ErrorModel(kind="custom-list", norms=(0.1,), exponent=3.0), "exponent must be 0 for custom-list, got 3.0"),
-        (lambda: ErrorModel.from_norms([0.1, -1.0]), "custom norms must be finite and nonnegative"),
+        (lambda: ErrorModel.from_norms([0.1, -1.0]), "norms must be nonnegative, got -1.0 at index 1"),
         (lambda: ErrorModel.from_norms([math.inf]), "norms contains non-finite entries"),
         (lambda: ErrorModel.from_norms(5), "norms must be a list of numbers, got 5"),
         (lambda: ErrorModel.geometric(0.1, 0.5).norm_at(-1), "k must be nonnegative"),
         (lambda: emit_error(ErrorModel.power_decay(0.1, 2.0), -1, 4), "k must be nonnegative"),
-        (lambda: emit_error(ErrorModel.power_decay(0.1, 2.0), 0, 0), "dim must be positive"),
+        (lambda: emit_error(ErrorModel.power_decay(0.1, 2.0), 0, 0), "dim must be a positive integer, got 0"),
     ],
 )
 def test_error_model_refusals_name_their_reason(build, message):
@@ -610,7 +610,7 @@ def test_scaled_ceiling_admits_overrelaxation():
     assert scaled.scaling_theta == 0.5
     assert validate_schedule(s, theta=1.0).to_dict() == base.to_dict()
     for bad in (1.5, 0.0, True, "0.5", None, [0.5]):
-        with pytest.raises(ValueError, match="theta must lie in"):
+        with pytest.raises(ValueError, match=r"^theta must be a real in \(0, 1\], got"):
             validate_schedule(s, theta=bad)
 
 

@@ -201,6 +201,21 @@ MUTANTS = (
     ),
     Mutant("resolvent-theta-exactly-half", APPS, "if resolvent.theta > 0.5:", "if resolvent.theta != 0.5:"),
     Mutant("fb-resolvent-theta-exactly-half", OPS, "if resolvent.theta > 0.5:", "if resolvent.theta != 0.5:"),
+    Mutant("fb-rho-range-closed-at-2beta", OPS, "lambda r: 0.0 < r < 2.0 * beta)", "lambda r: 0.0 < r <= 2.0 * beta)"),
+    Mutant("max-iter-minus-one-allowed", ENGINE, "lambda n: n >= 0)", "lambda n: n >= -1)"),
+    Mutant("geometric-ratio-zero-allowed", SCHED, "lambda v: 0.0 < v < math.inf)", "lambda v: 0.0 <= v < math.inf)"),
+    Mutant(
+        "lasso-threshold-product-unchecked",
+        APPS,
+        "lambda r: 0.0 < r < math.inf and 0.0 < r * inst.reg < math.inf)",
+        "lambda r: 0.0 < r < math.inf)",
+    ),
+    Mutant(
+        "emit-error-dim-unchecked",
+        SCHED,
+        '    dim = _integer(dim, "dim", "be a positive integer", lambda d: d >= 1)\n',
+        "",
+    ),
     Mutant(
         "no-grow-margin",
         ENGINE,
