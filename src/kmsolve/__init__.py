@@ -47,6 +47,7 @@ from .schedules import (
     delta_threshold,
     emit_error,
     lambda_ceiling_ii,
+    validate_run,
     validate_schedule,
 )
 
@@ -74,6 +75,7 @@ __all__ = [
     "ConditionCheck",
     "ConditionReport",
     "validate_schedule",
+    "validate_run",
     "delta_threshold",
     "lambda_ceiling_ii",
     "RateCertificate",

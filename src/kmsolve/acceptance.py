@@ -48,6 +48,7 @@ from .schedules import (
     delta_threshold,
     emit_error,
     lambda_ceiling_ii,
+    validate_run,
     validate_schedule,
 )
 
@@ -445,7 +446,7 @@ def criterion_7() -> tuple[bool, str]:
         failed = far = feasible = worst = 0
         for seed in seeds:
             run = _sweep_run(seed)
-            feasible += validate_schedule(run.schedule, horizon=run.iterations - 1).feasible
+            feasible += validate_run(run).feasible
             cert = rate_certificate(run)
             failed += not (cert.valid and cert.holds())
             if cert.valid:

@@ -220,12 +220,15 @@ def _series_item(name: str, total: float, why: str) -> ConsistencyItem:
 def consistency_report(result: RunResult) -> ConsistencyReport:
     """Verdicts for the hypotheses deferred to runtime, from what the run shows.
 
-    The weighted-error item is judged by the declared error laws, and the
-    inertia item is consistent without inertia.  Otherwise a sum reports
-    its partial sum: not-consistent if that is non-finite (an overflow, or
-    inf * 0, without a numpy warning), else unjudged, because no finite
-    run proves or refutes a series.  Verdicts describe the hypotheses, not
-    the run's convergence.
+    The weighted-error item, sum_k lambda_k ||e^k||, is judged by the
+    declared error laws, whose summability is that of ||e^k|| itself.  It
+    stands in for regime II's sum_k ||e^k||: with lambda_k bounded away
+    from 0 and from above, as regime II demands, the two series converge
+    together.  The inertia item is consistent without inertia.  Otherwise
+    a sum reports its partial sum: not-consistent if that is non-finite
+    (an overflow, or inf * 0, without a numpy warning), else unjudged,
+    because no finite run proves or refutes a series.  Verdicts describe
+    the hypotheses, not the run's convergence.
     """
     items = []
 

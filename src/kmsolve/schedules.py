@@ -3,7 +3,7 @@
 A schedule is its two sequences, alpha_k and lambda_k, tagged regime "I"
 (no sigma, delta) or "II" (sigma and delta given).  validate_schedule
 judges the sequences sampled over k = 0..horizon and nothing beyond;
-horizon=run.iterations - 1 judges the steps a finished run took.
+validate_run judges the ones a finished run recorded.
 
 Regime I checks the pointwise bounds 0 <= alpha_k < 1 and
 0 <= lambda_k < 1.  Its remaining hypotheses (summability of the
@@ -210,7 +210,7 @@ def emit_error(model: ErrorModel, k: int, dim: int, cache: dict | None = None) -
     """
     if cache is None:
         cache = {}
-    entry = cache.get(dim)
+    entry = cache.get(dim) if dim.__class__ is int else None  # True and 2.0 would hit dims 1 and 2
     if entry is not None:
         m, lo, hi, rows = entry
         if m is model and lo <= k < hi:
@@ -322,9 +322,7 @@ def validate_schedule(s: ParamSchedule, horizon: int = 1000, theta: float = 1.0)
     The regime is ``s.condition_set``.  The report is about the sampled
     k and never beyond: a lambda_k that leaves its bounds after the
     horizon is not seen, and a regime-II alpha_k rising toward a limit is
-    judged at its sampled maximum.  So validate_schedule(run.schedule,
-    horizon=run.iterations - 1) judges exactly the parameters a finished
-    run used.
+    judged at its sampled maximum.  validate_run judges a finished run.
 
     ``theta`` in (0, 1] is the averagedness constant of the operator the
     schedule drives: the relaxation ceiling bound is multiplied by
@@ -340,6 +338,17 @@ def validate_schedule(s: ParamSchedule, horizon: int = 1000, theta: float = 1.0)
     ks = range(horizon + 1)
     alphas = np.fromiter(map(s.alpha_of, ks), float, len(ks))
     lambdas = np.fromiter(map(s.lambda_of, ks), float, len(ks))
+    return _judge(s, alphas, lambdas, theta)
+
+
+def validate_run(result) -> ConditionReport:
+    """validate_schedule's report on the alpha_k and lambda_k a run recorded, at its operator's theta."""
+    if not result.iterations:
+        raise ValueError("needs at least one iteration")
+    return _judge(result.schedule, result.alphas, result.lambdas, result.problem.operator.theta)
+
+
+def _judge(s: ParamSchedule, alphas: np.ndarray, lambdas: np.ndarray, theta: float) -> ConditionReport:
     a_min, a_max = float(alphas.min()), float(alphas.max())
     l_min, l_max = float(lambdas.min()), float(lambdas.max())
 

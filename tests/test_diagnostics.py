@@ -22,6 +22,7 @@ from kmsolve.schedules import (
     ParamSchedule,
     constant_schedule,
     lambda_ceiling_ii,
+    validate_run,
     validate_schedule,
 )
 
@@ -212,7 +213,7 @@ def test_certificate_refuses_parameters_past_the_validated_horizon():
     assert validate_schedule(sched).feasible
     run = iterate(_contraction(seed=32), sched, tol=-1.0, max_iter=3000)
     assert run.lambdas.max() == 1.5
-    as_run = validate_schedule(run.schedule, horizon=run.iterations - 1)
+    as_run = validate_run(run)
     assert as_run.violations == ("lambda_of(k) must be < 1 (max 1.5)",)
     cert = rate_certificate(run)
     assert not cert.valid
@@ -237,7 +238,7 @@ def test_certificate_holds_where_the_declared_regime_fails_as_run():
     )
     assert validate_schedule(drop).feasible
     run = iterate(_contraction(seed=32), drop, tol=-1.0, max_iter=2000)
-    as_run = validate_schedule(run.schedule, horizon=run.iterations - 1)
+    as_run = validate_run(run)
     assert as_run.violations == ("alpha_of must be nondecreasing",)
     # the certificate needs only alpha_k >= 0 and 0 < lambda_k < 1 on the steps it sums
     cert = rate_certificate(run)

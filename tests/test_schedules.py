@@ -18,6 +18,7 @@ from kmsolve.schedules import (
     delta_threshold,
     emit_error,
     lambda_ceiling_ii,
+    validate_run,
     validate_schedule,
 )
 
@@ -287,6 +288,22 @@ def _check_block_draws(m, dim, rows):
             assert plain.tobytes() == (d * (target / math.sqrt(float(d @ d)))).tobytes(), (dim, k)
         if math.isfinite(target):
             assert abs(math.hypot(*plain) - target) <= 1e-12 * target
+
+
+def test_a_cache_hit_takes_only_an_int_dim():
+    # True and 2.0 hash as the ints 1 and 2: a cache filled at those dims must not answer them
+    m = ErrorModel.power_decay(0.1, 2.0, seed=5)
+    for dim, bad in ((1, True), (2, 2.0)):
+        cache = {}
+        emit_error(m, 0, dim, cache)
+        with pytest.raises(ValueError) as info:
+            emit_error(m, 1, bad, cache)
+        assert str(info.value) == f"dim must be a positive integer, got {bad!r}"
+    # a numpy integer takes the miss path, which reads it as the int it is
+    cache = {}
+    first = emit_error(m, 0, 2, cache)
+    assert emit_error(m, 0, np.int64(2), cache).tobytes() == first.tobytes() == emit_error(m, 0, 2).tobytes()
+    assert emit_error(m, 1, np.int64(2), cache).tobytes() == emit_error(m, 1, 2).tobytes()
 
 
 def test_a_returned_error_vector_is_read_only():
@@ -687,3 +704,88 @@ def test_regime_ii_formulas_take_the_sampled_maximum_of_alpha():
     between = ParamSchedule(_ramp, lambda k: lam, sigma=0.01, delta=1.0)
     assert validate_schedule(between, horizon=1).feasible
     assert not validate_schedule(between, horizon=10).feasible
+
+
+def _averaged_affine(dim, theta, seed, factor=0.9):
+    """A theta-averaged affine map, (1 - theta) I + factor theta Q with Q orthogonal, and a start off its fixed point."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    m = (1.0 - theta) * np.eye(dim) + factor * theta * q
+    z_star = rng.standard_normal(dim)
+    return Problem(operator=make_affine(m, z_star - m @ z_star, theta=theta), z0=z_star + rng.standard_normal(dim))
+
+
+def test_validate_run_equals_the_sampled_report_at_the_run_horizon():
+    rng = np.random.default_rng(36)
+    seen = set()
+    for draw in range(10):
+        a1, a2, lam = rng.uniform(0.0, 1.2), rng.uniform(0.0, 1.2), rng.uniform(0.0, 2.2)
+        sigma = rng.uniform(0.0, 0.1)
+        delta = delta_threshold(min(a1, 0.95), sigma) * rng.uniform(0.5, 2.0) + rng.uniform(0.0, 0.2)
+        for pair in ({}, {"sigma": sigma, "delta": delta}):
+            first = 0.0 if pair else a1
+            schedules = [
+                constant_schedule(a1, lam, **pair),
+                # alpha_k changes at k = 7
+                ParamSchedule(lambda k: first if k == 0 else (a1 if k < 7 else a2), lambda k: lam, **pair),
+            ]
+            for theta in (1.0, 0.5):
+                prob = _averaged_affine(4, theta, seed=draw)
+                for s in schedules:
+                    for steps in range(1, 21):
+                        run = iterate(prob, s, tol=-1.0, max_iter=steps)
+                        expected = validate_schedule(run.schedule, horizon=run.iterations - 1, theta=theta)
+                        # repr: an undefined regime-II lambda_max is NaN, which == never matches
+                        assert repr(validate_run(run).to_dict()) == repr(expected.to_dict()), (draw, pair, theta, steps)
+                        seen.add((s.condition_set, expected.feasible))
+    # both regimes read both verdicts on the grid
+    assert seen == {("I", True), ("I", False), ("II", True), ("II", False)}
+
+
+def test_validate_run_ignores_parameters_past_the_last_step():
+    s = ParamSchedule(lambda k: 0.2, lambda k: 0.5 if k < 500 else 1.5)
+    run = iterate(_averaged_affine(4, 1.0, seed=1), s, tol=-1.0, max_iter=10)
+    assert validate_run(run).feasible
+    assert not validate_schedule(s).feasible
+
+
+def test_validate_run_sees_a_step_past_the_default_sampling():
+    s = ParamSchedule(lambda k: 0.0, lambda k: 0.5 if k < 1500 else 1.5)
+    # lambda = 1.5 contracts with rate at most 0.8 at factor 0.2, so all 2000 steps run
+    run = iterate(_averaged_affine(4, 1.0, seed=2, factor=0.2), s, tol=-1.0, max_iter=2000)
+    assert run.iterations == 2000
+    rep = validate_run(run)
+    assert not rep.feasible
+    assert rep.violations == ("lambda_of(k) must be < 1 (max 1.5)",)
+    assert validate_schedule(s).feasible
+
+
+def test_validate_run_judges_what_an_impure_schedule_returned_to_the_run():
+    calls = set()
+
+    def first_call_only(k):
+        if k in calls:
+            return 1.5
+        calls.add(k)
+        return 0.5
+
+    s = ParamSchedule(lambda k: 0.0, first_call_only)
+    run = iterate(_averaged_affine(4, 1.0, seed=3), s, tol=-1.0, max_iter=10)
+    assert set(run.lambdas.tolist()) == {0.5}
+    assert validate_run(run).feasible
+    assert not validate_schedule(s, horizon=run.iterations - 1).feasible
+
+
+def test_validate_run_takes_the_operator_theta():
+    run = iterate(_soft_problem(4), constant_schedule(0.0, 1.5), tol=-1.0, max_iter=5)
+    rep = validate_run(run)
+    assert rep.feasible and rep.scaling_theta == 0.5 and rep.lambda_max == 2.0
+    assert not validate_schedule(run.schedule).feasible
+
+
+def test_validate_run_refuses_a_run_with_no_step():
+    run = iterate(_averaged_affine(4, 1.0, seed=4), constant_schedule(0.2, 0.5), max_iter=0)
+    assert run.iterations == 0
+    with pytest.raises(ValueError) as info:
+        validate_run(run)
+    assert str(info.value) == "needs at least one iteration"

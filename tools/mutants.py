@@ -217,6 +217,24 @@ MUTANTS = (
         "",
     ),
     Mutant(
+        "validate-run-resamples",
+        SCHED,
+        "return _judge(result.schedule, result.alphas, result.lambdas, result.problem.operator.theta)",
+        "return validate_schedule(result.schedule, theta=result.problem.operator.theta)",
+    ),
+    Mutant(
+        "validate-run-at-theta-one",
+        SCHED,
+        "result.alphas, result.lambdas, result.problem.operator.theta)",
+        "result.alphas, result.lambdas, 1.0)",
+    ),
+    Mutant(
+        "emit-error-hit-any-dim",
+        SCHED,
+        "cache.get(dim) if dim.__class__ is int else None",
+        "cache.get(dim)",
+    ),
+    Mutant(
         "no-grow-margin",
         ENGINE,
         "_GROW = 1.0 + 1e-12",
